@@ -1,0 +1,97 @@
+"""Integer helpers: factorization and the tests derived from it, squares and
+cube roots, small primes, the Legendre symbol, and the one bounded y-scan for
+strictly primitive solutions of |x^2 - d y^2| = n."""
+
+from __future__ import annotations
+
+from collections.abc import Iterator
+from functools import lru_cache
+from math import gcd, isqrt
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization by trial division, {p: exponent}."""
+    if n <= 0:
+        raise ValueError("factorize wants a positive integer")
+    out: dict[int, int] = {}
+    for p in (2, 3):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    f = 5
+    while f * f <= n:
+        for p in (f, f + 2):
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+        f += 6
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and factorize(n) == {n: 1}
+
+
+@lru_cache(maxsize=None)
+def is_squarefree(n: int) -> bool:
+    return n >= 1 and all(e == 1 for e in factorize(n).values())
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n >= 1, ascending."""
+    out = [1]
+    for p, e in factorize(n).items():
+        out = [q * p**k for q in out for k in range(e + 1)]
+    return sorted(out)
+
+
+def is_square(n: int) -> bool:
+    return n >= 0 and isqrt(n) ** 2 == n
+
+
+def icbrt(n: int) -> int:
+    """Largest integer c with c^3 <= n, for n >= 0."""
+    if n < 0:
+        raise ValueError("icbrt wants a non-negative integer")
+    if n < 2:
+        return n
+    c = 1 << -(-n.bit_length() // 3)  # above the cube root; Newton descends
+    while True:
+        nxt = (2 * c + n // (c * c)) // 3
+        if nxt >= c:
+            return c
+        c = nxt
+
+
+def primes_upto(n: int) -> list[int]:
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return [p for p in range(2, n + 1) if sieve[p]]
+
+
+def legendre(a: int, p: int) -> int:
+    """Legendre symbol (a|p) for odd prime p: 1, -1 or 0."""
+    r = pow(a % p, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def strict_hits(
+    d: int, n: int, y_bound: int, signs: tuple[int, ...]
+) -> Iterator[tuple[int, int, int]]:
+    """Every (x, y, sign) with x^2 - d y^2 = sign * n, x > 0, 1 <= y <= y_bound
+    and gcd(x, d y) = 1, by ascending y and then in the order of signs."""
+    for y in range(1, y_bound + 1):
+        t = d * y * y
+        for sign in signs:
+            x2 = t + sign * n
+            if x2 > 0:
+                x = isqrt(x2)
+                if x * x == x2 and gcd(x, d * y) == 1:
+                    yield x, y, sign

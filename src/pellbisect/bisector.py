@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .pellcore import PellContext, factorize
+from .arith import factorize
+from .pellcore import PellContext
 from .quadfield import QuadElem
 
 

@@ -15,7 +15,8 @@ from fractions import Fraction
 from math import gcd
 
 from . import bisector, oracle, rationalpell, solver
-from .pellcore import factorize, make_context, primes_upto
+from .arith import factorize, primes_upto
+from .pellcore import make_context
 from .quadfield import (
     NotSquareFreeError,
     render,
@@ -382,7 +383,7 @@ def _cmd_rational(args) -> str:
 
 def _cmd_bisect(args) -> str:
     cls = bisector.classify_pair(args.a, args.b)
-    c_plus, c_minus = bisector.bisect(args.a, args.b)
+    c_plus, c_minus = bisector.from_pell_points(args.a, cls.a2, args.b, cls.b2, cls.d)
     return _dump(
         {
             "a": render_rat(args.a),

@@ -9,61 +9,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .quadfield import QuadElem, check_field_index, is_square
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic trial division; inputs here are desk-scale."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def primes_upto(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [p for p in range(2, n + 1) if sieve[p]]
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division, {p: exponent}."""
-    if n <= 0:
-        raise ValueError("factorize wants a positive integer")
-    out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        f += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) for odd prime p: 1, -1 or 0."""
-    r = pow(a % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
+from .arith import divisors, factorize, icbrt, is_prime, legendre
+from .quadfield import QuadElem, check_field_index
 
 
 @dataclass(frozen=True)
@@ -126,19 +73,23 @@ class PellContext:
         return int(self.eps.b)
 
 
-def _half_coordinate_unit(d: int, g1: int) -> QuadElem | None:
-    """Smallest unit (u + v*sqrt(d))/2 with odd v, if any exists below eps.
+def _half_coordinate_unit(d: int, f1: int, norm: int) -> QuadElem | None:
+    """The unit (u + v*sqrt(d))/2 with u, v odd whose cube is eps = f1 +
+    g1*sqrt(d) of the given norm, or None when O_K has no such unit.
 
-    Only relevant for d = 1 mod 4; scans v ascending so the first hit is the
-    fundamental unit of O_K.  Checks u^2 = d v^2 - 4 before + 4 so the smaller
-    u wins at equal v (d = 5 admits both).
+    Only d = 5 mod 8 can have one: for d = 1 mod 8, u^2 - d v^2 = 0 mod 8 is
+    never +-4.  The trace u solves u^3 - 3*norm*u = 2*f1, which puts it at
+    the cube root of 2*f1 or one above.
     """
-    for v in range(1, g1 + 1, 2):
-        t = d * v * v
-        for delta in (-4, 4):
-            u2 = t + delta
-            if u2 > 0 and is_square(u2):
-                return QuadElem(d, Fraction(isqrt(u2), 2), Fraction(v, 2))
+    if d % 8 != 5:
+        return None
+    c = icbrt(2 * f1)
+    for u in (c, c + 1):
+        if u % 2 == 1 and u**3 - 3 * norm * u == 2 * f1:
+            v2, rem = divmod(u * u - 4 * norm, d)
+            v = isqrt(v2)
+            if rem == 0 and v * v == v2 and v % 2 == 1:
+                return QuadElem(d, Fraction(u, 2), Fraction(v, 2))
     return None
 
 
@@ -152,14 +103,12 @@ def make_context(d: int) -> PellContext:
     norm_eps = int(eps.norm())
     assert norm_eps in (1, -1)
 
-    eta = eps
-    eta_in_zd = True
-    if d % 4 == 1:
-        half = _half_coordinate_unit(d, g1)
-        if half is not None:
-            eta = half
-            eta_in_zd = False
-            assert eta ** 3 == eps
+    eta = _half_coordinate_unit(d, f1, norm_eps)
+    eta_in_zd = eta is None
+    if eta_in_zd:
+        eta = eps
+    else:
+        assert eta ** 3 == eps
     norm_eta = int(eta.norm())
     assert norm_eta == norm_eps
 
@@ -223,18 +172,6 @@ def _neg_pell_rational(d: int) -> bool:
     return all(p == 2 or p % 4 == 1 for p in factorize(d))
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            small.append(f)
-            if f != n // f:
-                large.append(n // f)
-        f += 1
-    return small + large[::-1]
-
-
 def _reduced_forms(D: int) -> set[tuple[int, int, int]]:
     """All reduced primitive indefinite forms (a, b, c) of discriminant D.
 
@@ -247,7 +184,7 @@ def _reduced_forms(D: int) -> set[tuple[int, int, int]]:
         if (D - b) % 2:
             continue
         prod = (D - b * b) // 4  # = |a*c|, with a*c < 0
-        for a_abs in _divisors(prod):
+        for a_abs in divisors(prod):
             t = 2 * a_abs
             if (t + b) ** 2 > D and (t <= b or (t - b) ** 2 < D):
                 for a in (a_abs, -a_abs):

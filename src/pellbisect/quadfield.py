@@ -10,8 +10,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import isqrt, lcm
+from math import lcm
+
+from .arith import is_squarefree
 
 Rat = Fraction
 
@@ -26,34 +27,10 @@ class FieldMismatchError(ValueError):
     """Operands live in different quadratic fields."""
 
 
-@lru_cache(maxsize=None)
-def is_squarefree(n: int) -> bool:
-    if n < 1 or n % 4 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % (f * f) == 0:
-            return False
-        f += 2
-    return True
-
-
 def check_field_index(d: int) -> int:
     if d <= 1 or not is_squarefree(d):
         raise NotSquareFreeError(f"need a square-free integer > 1, got {d}")
     return d
-
-
-def is_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
-
-
-def isqrt_ceil(n: int) -> int:
-    """Smallest integer >= sqrt(n) for n >= 0."""
-    if n <= 0:
-        return 0
-    r = isqrt(n)
-    return r if r * r == n else r + 1
 
 
 class RingTag(enum.Enum):

@@ -8,8 +8,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
+from .arith import is_square
 from .pellcore import PellContext
-from .quadfield import QuadElem, is_square
+from .quadfield import QuadElem
 from .solver import (
     Representation,
     Spectrum,

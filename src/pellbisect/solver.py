@@ -17,8 +17,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .pellcore import PellContext, factorize, make_context
-from .quadfield import QuadElem, RingTag, exact_div, in_ring, is_square, render_rat
+from .arith import factorize, is_square, strict_hits
+from .pellcore import PellContext, make_context
+from .quadfield import QuadElem, RingTag, exact_div, in_ring, render_rat
 from .spectrum import Spectrum, XiEntry, xi
 
 
@@ -55,12 +56,6 @@ class Representation:
     terms: tuple[XiPower, ...] = ()
     core: CoreFactor | None = None
     scale: Fraction = Fraction(1)
-
-    def term(self, p: int) -> XiPower | None:
-        for t in self.terms:
-            if t.p == p:
-                return t
-        return None
 
     def to_json(self) -> dict:
         return {
@@ -131,16 +126,7 @@ def solution_y_bound(ctx: PellContext, modulus: int) -> int:
 def _fundamental_window(d: int, modulus: int) -> tuple[tuple[int, int, int], ...]:
     """All strictly primitive (x, y, sign) with |x^2-dy^2| = modulus and y
     inside the class window; empty means no strictly primitive solutions."""
-    ctx = make_context(d)
-    hits = []
-    for y in range(1, solution_y_bound(ctx, modulus) + 1):
-        t = d * y * y
-        for sign in (1, -1):
-            x2 = t + sign * modulus
-            if x2 > 0 and is_square(x2):
-                x = isqrt(x2)
-                if x > 0 and gcd(x, d * y) == 1:
-                    hits.append((x, y, sign))
+    hits = strict_hits(d, modulus, solution_y_bound(make_context(d), modulus), (1, -1))
     return tuple(sorted(hits, key=lambda h: (h[1], h[0], -h[2])))
 
 

@@ -8,8 +8,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .pellcore import PellContext, is_prime, make_context, primes_upto, splits
-from .quadfield import QuadElem, is_square
+from .arith import is_prime, primes_upto, strict_hits
+from .pellcore import PellContext, make_context, splits
+from .quadfield import QuadElem
 
 
 @dataclass(frozen=True)
@@ -80,19 +81,9 @@ def _search_fundamental(ctx: PellContext, p: int, l: int) -> tuple[int, int, int
     class has a representative within one eps-multiplication of its minimal
     member, and that window is comfortably inside this bound.
     """
-    d = ctx.d
-    target = p**l
-    y_bound = (ctx.f1 + ctx.g1 * (isqrt(d) + 1)) * p ** ((l + 1) // 2)
+    y_bound = (ctx.f1 + ctx.g1 * (isqrt(ctx.d) + 1)) * p ** ((l + 1) // 2)
     signs = (1,) if ctx.neg_pell_integral else (1, -1)
-    for y in range(1, y_bound + 1):
-        t = d * y * y
-        for sign in signs:
-            x2 = t + sign * target
-            if x2 > 0 and is_square(x2):
-                x = isqrt(x2)
-                if x > 0 and gcd(x, d * y) == 1:
-                    return x, y, sign
-    return None
+    return next(strict_hits(ctx.d, p**l, y_bound, signs), None)
 
 
 @lru_cache(maxsize=None)

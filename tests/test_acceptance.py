@@ -26,8 +26,9 @@ from pellbisect.oracle import (
     brute_solutions,
     tangent_bisector_check,
 )
+from pellbisect.arith import is_squarefree
 from pellbisect.pellcore import make_context, pell_sequence
-from pellbisect.quadfield import QuadElem, is_squarefree
+from pellbisect.quadfield import QuadElem
 from pellbisect.rationalpell import RationalPellPoint, decompose_rational, generate_rational
 from pellbisect.solver import (
     decompose_square,

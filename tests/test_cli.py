@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,15 @@ def test_context_half_unit_coordinates(capsys):
     _, out = run(capsys, "context", "--d", "13")
     doc = json.loads(out)
     assert doc["eta"] == {"a": "3/2", "b": "1/2"}
+
+
+def test_context_601(capsys):
+    code, out = run(capsys, "context", "--d", "601")
+    assert code == 0
+    doc = json.loads(out)
+    a, b = Fraction(doc["eta"]["a"]), Fraction(doc["eta"]["b"])
+    f1, g1 = doc["eps"]["f1"], doc["eps"]["g1"]
+    assert a * a - 601 * b * b == doc["norm_eta"] == f1 * f1 - 601 * g1 * g1
 
 
 def test_xi_json(capsys):

@@ -2,20 +2,18 @@ from fractions import Fraction as F
 from math import isqrt
 
 import pytest
+from sympy.solvers.diophantine.diophantine import diop_DN
 
+from pellbisect.arith import factorize, is_prime, is_square, is_squarefree, legendre, primes_upto
 from pellbisect.pellcore import (
     class_number,
     continued_fraction_sqrt,
-    factorize,
-    is_prime,
-    legendre,
     make_context,
     neg_pell_rational,
     pell_sequence,
-    primes_upto,
     splits,
 )
-from pellbisect.quadfield import NotSquareFreeError, QuadElem, is_square, render
+from pellbisect.quadfield import NotSquareFreeError, QuadElem, render
 
 TABLE_DS = (2, 5, 10, 13, 17, 26, 29, 34)
 
@@ -99,6 +97,21 @@ def test_eta_is_minimal_unit(d):
     best = min(candidates, key=lambda e: e.b)
     assert ctx.eta.b == best.b
     assert abs(ctx.eta.norm()) == 1
+
+
+def test_eta_matches_sympy():
+    """For d = 1 mod 4, eta is the minimal odd solution of x^2 - d y^2 = +-4,
+    halved, and eps when there is none."""
+    for d in range(5, 3000, 4):
+        if not is_squarefree(d):
+            continue
+        odd = [(abs(x), abs(y)) for n in (-4, 4) for x, y in diop_DN(d, n) if x % 2 and y % 2]
+        ctx = make_context(d)
+        if odd:
+            u, v = min(odd, key=lambda xy: (xy[1], xy[0]))
+            assert ctx.eta == QuadElem(d, F(u, 2), F(v, 2)), d
+        else:
+            assert ctx.eta == ctx.eps, d
 
 
 def test_pell_sequence_values():

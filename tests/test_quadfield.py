@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from pellbisect.arith import is_squarefree
 from pellbisect.quadfield import (
     FieldMismatchError,
     NotSquareFreeError,
@@ -10,7 +11,6 @@ from pellbisect.quadfield import (
     RingTag,
     exact_div,
     in_ring,
-    is_squarefree,
     render,
     render_rat,
     render_signed_power,

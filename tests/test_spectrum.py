@@ -1,7 +1,8 @@
 import pytest
 
+from pellbisect.arith import primes_upto
 from pellbisect.oracle import SearchBox, brute_xi
-from pellbisect.pellcore import make_context, primes_upto
+from pellbisect.pellcore import make_context
 from pellbisect.quadfield import RingTag, in_ring
 from pellbisect.spectrum import in_s, spectrum, xi
 
@@ -81,7 +82,7 @@ def test_entries_are_strictly_primitive_minimal(d):
         assert brute == (e.l, e.x, e.y, e.norm_sign)
 
 
-from pellbisect.quadfield import is_squarefree
+from pellbisect.arith import is_squarefree
 
 
 @pytest.mark.parametrize("d", [d for d in range(2, 35) if is_squarefree(d)])
