@@ -30,7 +30,6 @@ from .quadfield import (
     FieldMismatchError,
     NotSquareFreeError,
     QuadElem,
-    Rat,
     RingTag,
     exact_div,
     in_ring,

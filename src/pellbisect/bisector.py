@@ -35,15 +35,18 @@ class BisectorTriple:
     a: Fraction
     b: Fraction
     c: Fraction
-    trivial: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
         object.__setattr__(self, "c", Fraction(self.c))
-        object.__setattr__(self, "trivial", abs(self.a) == abs(self.b))
         if not verify_star(self.a, self.b, self.c):
             raise ValueError(f"({self.a}, {self.b}, {self.c}) is not a bisector triple")
+
+    @property
+    def trivial(self) -> bool:
+        """|a| = |b|: the bisector directions are axis-aligned or degenerate."""
+        return abs(self.a) == abs(self.b)
 
 
 @dataclass(frozen=True)

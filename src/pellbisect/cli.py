@@ -10,30 +10,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 from fractions import Fraction
 from math import gcd
 
 from . import bisector, oracle, rationalpell, solver
 from .arith import factorize, primes_upto
 from .pellcore import make_context
-from .quadfield import (
-    NotSquareFreeError,
-    render,
-    render_rat,
-    render_signed_power,
-)
+from .quadfield import render, render_rat, render_signed_power
 from .spectrum import XiEntry, spectrum, xi
 
 DEFAULT_D_LIST = (2, 5, 10, 13, 17, 26, 29, 34)
 DEFAULT_P_MAX = 97
-
-
-@dataclass(frozen=True)
-class TableSpec:
-    d_list: tuple[int, ...] = DEFAULT_D_LIST
-    p_max: int = DEFAULT_P_MAX
-    format: str = "text"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,8 +68,8 @@ def _xi_doc(entry: XiEntry, ascii_mode: bool) -> dict:
     }
 
 
-def run_context(d: int) -> dict:
-    ctx = make_context(d)
+def _cmd_context(args) -> dict:
+    ctx = make_context(args.d)
     return {
         "d": ctx.d,
         "disc": ctx.disc,
@@ -94,15 +82,32 @@ def run_context(d: int) -> dict:
     }
 
 
-def run_table(spec: TableSpec, ascii_mode: bool = False) -> str:
+def _cmd_xi(args) -> dict:
+    entry = xi(make_context(args.d), args.p)
+    if entry is None:
+        return {"d": args.d, "p": args.p, "in_s": False}
+    return {"d": args.d, "in_s": True, **_xi_doc(entry, args.ascii)}
+
+
+def _cmd_spectrum(args) -> list:
+    return [_xi_doc(e, args.ascii) for e in spectrum(make_context(args.d), args.pmax).entries]
+
+
+def run_table(
+    *,
+    d_list: tuple[int, ...] = DEFAULT_D_LIST,
+    p_max: int = DEFAULT_P_MAX,
+    format: str = "text",
+    ascii_mode: bool = False,
+) -> str:
     """Render the reference table: one column per d, rows h, eta, N(eta) and
     xi_p, N(xi_p) for every prime p <= p_max; byte-identical across runs."""
     columns = []
-    for d in spec.d_list:
+    for d in d_list:
         ctx = make_context(d)
-        spc = spectrum(ctx, spec.p_max)
+        spc = spectrum(ctx, p_max)
         columns.append((d, ctx, {e.p: e for e in spc.entries}))
-    primes = primes_upto(spec.p_max)
+    primes = primes_upto(p_max)
 
     def xi_cell(col, p: int) -> tuple[str, str]:
         entry = col[2].get(p)
@@ -124,9 +129,9 @@ def run_table(spec: TableSpec, ascii_mode: bool = False) -> str:
         rows.append((f"xi_{p}", [c[0] for c in cells]))
         rows.append((f"N(xi_{p})", [c[1] for c in cells]))
 
-    if spec.format == "csv":
+    if format == "csv":
         return "".join(f"{label},{','.join(cells)}\n" for label, cells in rows)
-    if spec.format == "json":
+    if format == "json":
         doc = []
         for i, (d, ctx, entries) in enumerate(columns):
             doc.append(
@@ -138,7 +143,7 @@ def run_table(spec: TableSpec, ascii_mode: bool = False) -> str:
                     "xi": [_xi_doc(entries[p], ascii_mode) for p in primes if p in entries],
                 }
             )
-        return _dump({"p_max": spec.p_max, "columns": doc})
+        return _dump({"p_max": p_max, "columns": doc})
     widths = [
         max(len(label) for label, _ in rows)
         if i == 0
@@ -151,6 +156,10 @@ def run_table(spec: TableSpec, ascii_mode: bool = False) -> str:
         parts += [cell.ljust(widths[i + 1]) for i, cell in enumerate(cells)]
         lines.append("  ".join(parts).rstrip())
     return "\n".join(lines) + "\n"
+
+
+def _cmd_table(args) -> str:
+    return run_table(d_list=args.d_list, p_max=args.pmax, format=args.format, ascii_mode=args.ascii)
 
 
 _FIGURE_COLORS = ("#1f77b4", "#2ca02c", "#d62728", "#9467bd")
@@ -192,6 +201,8 @@ def render_figure(a: Fraction, b: Fraction) -> str:
 
 
 def _build_parser() -> _Parser:
+    """The one table of subcommands: each registers its handler as `run`,
+    which returns a JSON document or, for table and figure, finished text."""
     parser = _Parser(prog="pellbisect", description=__doc__)
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
     parser.add_argument("--ascii", action="store_true", help="ASCII-only output")
@@ -204,73 +215,84 @@ def _build_parser() -> _Parser:
     common.add_argument("--out", metavar="PATH", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_parser(name: str, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add_parser(name: str, run, **kwargs):
+        p = sub.add_parser(name, parents=[common], **kwargs)
+        p.set_defaults(run=run)
+        return p
 
-    p = add_parser("context", help="per-d invariants as JSON")
+    p = add_parser("context", _cmd_context, help="per-d invariants as JSON")
     p.add_argument("--d", type=int, required=True)
 
-    p = add_parser("xi", help="fundamental prime-power element")
+    p = add_parser("xi", _cmd_xi, help="fundamental prime-power element")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
 
-    p = add_parser("spectrum", help="all spectrum entries up to a bound")
+    p = add_parser("spectrum", _cmd_spectrum, help="all spectrum entries up to a bound")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--pmax", type=int, default=DEFAULT_P_MAX)
 
-    p = add_parser("solve", help="strictly primitive solutions of |x^2-dy^2| = z")
+    p = add_parser("solve", _cmd_solve, help="strictly primitive solutions of |x^2-dy^2| = z")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--z", type=int, required=True)
-    p.add_argument("--strict", action="store_true")
+    p.add_argument("--strict", action="store_true",
+                   help="no effect: solve always returns strictly primitive solutions; "
+                   "kept for compatibility")
     p.add_argument("--n-range", type=_int_range, default=range(-2, 3))
 
-    p = add_parser("decompose", help="factor a solution into canonical form")
+    p = add_parser("decompose", _cmd_decompose, help="factor a solution into canonical form")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, required=True)
 
-    p = add_parser("rational", help="rational points on x^2-dy^2 = +-1")
+    p = add_parser("rational", _cmd_rational, help="rational points on x^2-dy^2 = +-1")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--sign", type=int, choices=(-1, 1), default=-1)
     p.add_argument("--max-terms", type=int, default=2)
     p.add_argument("--n-range", type=_int_range, default=range(-2, 3))
     p.add_argument("--pmax", type=int, default=31)
 
-    p = add_parser("bisect", help="bisector slopes of two rational slopes")
+    p = add_parser("bisect", _cmd_bisect, help="bisector slopes of two rational slopes")
     p.add_argument("--a", type=_rat, required=True)
     p.add_argument("--b", type=_rat, required=True)
 
-    p = add_parser("triples", help="enumerate bisector triples")
+    p = add_parser("triples", _cmd_triples, help="enumerate bisector triples")
     p.add_argument("--mode", choices=("case1", "case2", "integral"), required=True)
     p.add_argument("--range", type=int, default=3, dest="box")
     p.add_argument("--d", type=int)
 
-    p = add_parser("table", help="reference table of units and xi elements")
+    p = add_parser("table", _cmd_table, help="reference table of units and xi elements")
     p.add_argument("--d-list", type=lambda s: tuple(int(v) for v in s.split(",")),
                    default=DEFAULT_D_LIST)
     p.add_argument("--pmax", type=int, default=DEFAULT_P_MAX)
 
-    p = add_parser("figure", help="SVG of the two lines and their bisectors")
+    p = add_parser("figure", lambda args: render_figure(args.a, args.b),
+                   help="SVG of the two lines and their bisectors")
     p.add_argument("--a", type=_rat, required=True)
     p.add_argument("--b", type=_rat, required=True)
 
-    p = add_parser("oracle", help="brute-force reference sweeps")
+    p = add_parser("oracle", None, help="brute-force reference sweeps")  # run set per sweep
     osub = p.add_subparsers(dest="oracle_command", required=True)
     q = osub.add_parser("solutions")
+    q.set_defaults(run=lambda args: [asdict(h) for h in oracle.brute_solutions(
+        args.d, args.z, oracle.SearchBox(y_bound=args.ymax))])
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--z", type=int, required=True)
     q.add_argument("--ymax", type=int, default=1000)
     q = osub.add_parser("xi")
+    q.set_defaults(run=_cmd_oracle_xi)
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--p", type=int, required=True)
     q.add_argument("--lmax", type=int, default=6)
     q.add_argument("--ymax", type=int, default=1000)
     q = osub.add_parser("rational")
+    q.set_defaults(run=_cmd_oracle_rational)
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--r", type=int, choices=(0, 1), required=True)
     q.add_argument("--zmax", type=int, default=20)
     q.add_argument("--ymax", type=int, default=1000)
     q = osub.add_parser("tangent")
+    q.set_defaults(run=lambda args: {
+        "bisects": oracle.tangent_bisector_check(args.a, args.b, args.c)})
     q.add_argument("--a", type=_rat, required=True)
     q.add_argument("--b", type=_rat, required=True)
     q.add_argument("--c", type=_rat, required=True)
@@ -281,40 +303,29 @@ def _spectrum_covering(ctx, z: int):
     return spectrum(ctx, max(max(factorize(z)), 2))
 
 
-def _cmd_solve(args) -> str:
+def _cmd_solve(args) -> dict:
     if args.z <= 1:
         raise ValueError("z must be an integer > 1")
     ctx = make_context(args.d)
     spec = _spectrum_covering(ctx, args.z)
     verdict = solver.strict_exists(ctx, spec, args.z)
-    if not verdict.exists:
-        return _dump(
-            {
-                "d": args.d,
-                "z": args.z,
-                "exists": False,
-                "case_tags": {str(p): t for p, t in sorted(verdict.case_tags.items())},
-                "solutions": [],
-            }
-        )
     solutions = []
-    for x, y in solver.generate_strict(ctx, spec, args.z, args.n_range):
-        rep = solver.decompose_strict(ctx, spec, x, y)
-        solutions.append(
-            {"x": x, "y": y, "norm": x * x - args.d * y * y, "representation": rep.to_json()}
-        )
-    return _dump(
-        {
-            "d": args.d,
-            "z": args.z,
-            "exists": True,
-            "case_tags": {str(p): t for p, t in sorted(verdict.case_tags.items())},
-            "solutions": solutions,
-        }
-    )
+    if verdict.exists:
+        for x, y in solver.generate_strict(ctx, spec, args.z, args.n_range):
+            rep = solver.decompose_strict(ctx, spec, x, y)
+            solutions.append(
+                {"x": x, "y": y, "norm": x * x - args.d * y * y, "representation": rep.to_json()}
+            )
+    return {
+        "d": args.d,
+        "z": args.z,
+        "exists": verdict.exists,
+        "case_tags": {str(p): t for p, t in sorted(verdict.case_tags.items())},
+        "solutions": solutions,
+    }
 
 
-def _cmd_decompose(args) -> str:
+def _cmd_decompose(args) -> dict:
     ctx = make_context(args.d)
     x, y = args.x, args.y
     z = abs(x * x - args.d * y * y)
@@ -327,7 +338,7 @@ def _cmd_decompose(args) -> str:
     else:
         rep = solver.decompose_square(ctx, spec, x, y)
         kind = "square"
-    return _dump({"d": args.d, "x": x, "y": y, "kind": kind, "representation": rep.to_json()})
+    return {"d": args.d, "x": x, "y": y, "kind": kind, "representation": rep.to_json()}
 
 
 def _rational_candidates(ctx, spec, max_terms: int, n_range) -> list[solver.Representation]:
@@ -353,7 +364,7 @@ def _rational_candidates(ctx, spec, max_terms: int, n_range) -> list[solver.Repr
     return out
 
 
-def _cmd_rational(args) -> str:
+def _cmd_rational(args) -> list:
     ctx = make_context(args.d)
     spec = spectrum(ctx, args.pmax)
     want_r = 1 if args.sign == -1 else 0
@@ -368,32 +379,23 @@ def _cmd_rational(args) -> str:
     points = sorted(
         seen.values(), key=lambda pr: (pr[0].x.denominator, abs(pr[0].x), pr[0].y)
     )
-    return _dump(
-        [
-            {
-                "x": render_rat(pt.x),
-                "y": render_rat(pt.y),
-                "r": pt.r,
-                "rep": rep.to_json(),
-            }
-            for pt, rep in points
-        ]
-    )
+    return [
+        {"x": render_rat(pt.x), "y": render_rat(pt.y), "r": pt.r, "rep": rep.to_json()}
+        for pt, rep in points
+    ]
 
 
-def _cmd_bisect(args) -> str:
+def _cmd_bisect(args) -> dict:
     cls = bisector.classify_pair(args.a, args.b)
     c_plus, c_minus = bisector.from_pell_points(args.a, cls.a2, args.b, cls.b2, cls.d)
-    return _dump(
-        {
-            "a": render_rat(args.a),
-            "b": render_rat(args.b),
-            "c_plus": render_rat(c_plus),
-            "c_minus": render_rat(c_minus),
-            "case": "I" if cls.d == 1 else "II",
-            "d": cls.d,
-        }
-    )
+    return {
+        "a": render_rat(args.a),
+        "b": render_rat(args.b),
+        "c_plus": render_rat(c_plus),
+        "c_minus": render_rat(c_minus),
+        "case": "I" if cls.d == 1 else "II",
+        "d": cls.d,
+    }
 
 
 def _triple_doc(t: bisector.BisectorTriple, source: dict) -> dict:
@@ -405,7 +407,7 @@ def _triple_doc(t: bisector.BisectorTriple, source: dict) -> dict:
     }
 
 
-def _cmd_triples(args) -> str:
+def _cmd_triples(args) -> list:
     docs = []
     if args.mode == "case1":
         for l in range(1, args.box + 1):
@@ -449,27 +451,21 @@ def _cmd_triples(args) -> str:
             for n in range(1, args.box + 1):
                 t = bisector.integral_generate2(n)
                 docs.append(_triple_doc(t, {"family": "2", "n": n}))
-    return _dump(docs)
+    return docs
 
 
-def _cmd_oracle(args) -> str:
-    if args.oracle_command == "tangent":
-        verdict = oracle.tangent_bisector_check(args.a, args.b, args.c)
-        return _dump({"bisects": verdict})
-    box = oracle.SearchBox(y_bound=args.ymax, denominator_bound=getattr(args, "zmax", 1))
-    if args.oracle_command == "solutions":
-        hits = oracle.brute_solutions(args.d, args.z, box)
-        return _dump(
-            [{"x": h.x, "y": h.y, "sign": h.sign, "strict": h.strict} for h in hits]
-        )
-    if args.oracle_command == "xi":
-        hit = oracle.brute_xi(args.d, args.p, args.lmax, box)
-        if hit is None:
-            return _dump({"d": args.d, "p": args.p, "found": False})
-        l, x, y, sign = hit
-        return _dump({"d": args.d, "p": args.p, "found": True, "l": l, "x": x, "y": y, "sign": sign})
+def _cmd_oracle_xi(args) -> dict:
+    hit = oracle.brute_xi(args.d, args.p, args.lmax, oracle.SearchBox(y_bound=args.ymax))
+    if hit is None:
+        return {"d": args.d, "p": args.p, "found": False}
+    l, x, y, sign = hit
+    return {"d": args.d, "p": args.p, "found": True, "l": l, "x": x, "y": y, "sign": sign}
+
+
+def _cmd_oracle_rational(args) -> list:
+    box = oracle.SearchBox(y_bound=args.ymax, denominator_bound=args.zmax)
     pts = oracle.brute_rational_pell(args.d, args.r, box)
-    return _dump([{"x": render_rat(x), "y": render_rat(y)} for x, y in pts])
+    return [{"x": render_rat(x), "y": render_rat(y)} for x, y in pts]
 
 
 def _merge_dash_values(argv: list[str]) -> list[str]:
@@ -493,43 +489,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_merge_dash_values(list(sys.argv[1:] if argv is None else argv)))
     try:
-        if args.command == "context":
-            out = _dump(run_context(args.d))
-        elif args.command == "xi":
-            ctx = make_context(args.d)
-            entry = xi(ctx, args.p)
-            if entry is None:
-                out = _dump({"d": args.d, "p": args.p, "in_s": False})
-            else:
-                out = _dump({"d": args.d, "in_s": True, **_xi_doc(entry, args.ascii)})
-        elif args.command == "spectrum":
-            ctx = make_context(args.d)
-            spc = spectrum(ctx, args.pmax)
-            out = _dump([_xi_doc(e, args.ascii) for e in spc.entries])
-        elif args.command == "solve":
-            out = _cmd_solve(args)
-        elif args.command == "decompose":
-            out = _cmd_decompose(args)
-        elif args.command == "rational":
-            out = _cmd_rational(args)
-        elif args.command == "bisect":
-            out = _cmd_bisect(args)
-        elif args.command == "triples":
-            out = _cmd_triples(args)
-        elif args.command == "table":
-            out = run_table(
-                TableSpec(d_list=args.d_list, p_max=args.pmax, format=args.format),
-                ascii_mode=args.ascii,
-            )
-        elif args.command == "figure":
-            out = render_figure(args.a, args.b)
-        else:
-            out = _cmd_oracle(args)
-    except (NotSquareFreeError, bisector.NoRationalBisector, bisector.TrivialPairError,
-            ValueError) as exc:
+        out = args.run(args)
+    except ValueError as exc:  # NotSquareFreeError and the bisector errors included
         sys.stdout.write(_dump({"error": type(exc).__name__, "message": str(exc)}))
         return 2
-    _emit(out, args.out)
+    try:
+        _emit(out if isinstance(out, str) else _dump(out), args.out)
+    except OSError as exc:
+        parser.exit(1, f"{parser.prog}: error: cannot write {args.out}: {exc.strerror}\n")
     return 0
 
 

@@ -14,8 +14,6 @@ from math import lcm
 
 from .arith import is_squarefree
 
-Rat = Fraction
-
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 
@@ -129,9 +127,6 @@ class QuadElem:
 
     def norm(self) -> Fraction:
         return self.a * self.a - self.d * self.b * self.b
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
 
     def int_coords(self) -> tuple[int, int]:
         """(x, y) as plain integers; raises if not in Z[sqrt(d)]."""

@@ -12,7 +12,7 @@ at p = 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -58,22 +58,7 @@ class Representation:
     scale: Fraction = Fraction(1)
 
     def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "sign": self.sign,
-            "m": self.m,
-            "n": self.n,
-            "terms": [{"p": t.p, "exp": t.exp, "conj": t.conj} for t in self.terms],
-            "core": None
-            if self.core is None
-            else {
-                "modulus": self.core.modulus,
-                "x": self.core.x,
-                "y": self.core.y,
-                "conj": self.core.conj,
-            },
-            "scale": render_rat(self.scale),
-        }
+        return {**asdict(self), "scale": render_rat(self.scale)}
 
 
 @dataclass(frozen=True)
@@ -87,11 +72,16 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class ExistenceVerdict:
+    """The verdict and the split of z behind it: every solution is
+    sign * 2^m * eta^n * prod(xi_p^witness_exponents[p]) * core with
+    |N(core)| = core_modulus.  witness_exponents and m are set only when
+    exists is true."""
+
     exists: bool
     case_tags: dict[int, str] = field(default_factory=dict)
     witness_exponents: dict[int, int] = field(default_factory=dict)
     core_modulus: int = 1
-    core_witness: tuple[int, int, int] | None = None
+    m: int = 0
 
 
 def _entry_base(ctx: PellContext, entry: XiEntry, conj: bool) -> QuadElem:
@@ -156,28 +146,27 @@ def _two_adic_admissible(ctx: PellContext, e: int) -> bool:
     return e >= 3  # d = 1 mod 8
 
 
-@dataclass(frozen=True)
-class _PeelPlan:
-    m: int
-    xi_exponents: dict[int, int]
-    core_modulus: int
+def strict_exists(ctx: PellContext, spec: Spectrum, z: int) -> ExistenceVerdict:
+    """Decide strictly primitive solvability of |x^2 - d y^2| = z.
 
-
-def _peel_plan(ctx: PellContext, spec: Spectrum, z: int) -> _PeelPlan | None:
-    """Split z into xi-peelable prime powers and the residual core modulus.
-
-    Returns None when a proven congruence condition already rules z out.
+    Per-prime congruence conditions run first; z is then split into xi-peelable
+    prime powers (the verdict's witness_exponents, with the cofactor-2 flag m)
+    and a residual core modulus, which the bounded class-window search settles.
     """
+    if z <= 1:
+        raise ValueError("z must be an integer > 1")
+    if spec.d != ctx.d:
+        raise ValueError(f"the spectrum of d={spec.d} does not belong to d={ctx.d}")
+    factors = factorize(z)
+    tags = {p: _case_tag(ctx, spec, p) for p in factors}
     m = 0
     exponents: dict[int, int] = {}
     core = 1
-    for p, e in sorted(factorize(z).items()):
+    for p, e in sorted(factors.items()):
         entry = spec.get(p)
         if p == 2:
             if not _two_adic_admissible(ctx, e):
-                return None
-            if e == 0:
-                continue
+                return ExistenceVerdict(exists=False, case_tags=tags)
             if entry is None:
                 core *= 2**e
             elif ctx.d % 8 == 5:
@@ -190,42 +179,17 @@ def _peel_plan(ctx: PellContext, spec: Spectrum, z: int) -> _PeelPlan | None:
                 else:
                     core *= 2**e
         else:
-            if entry is None:
-                return None  # inert or ramified odd prime cannot divide z
+            if entry is None:  # inert or ramified odd prime cannot divide z
+                return ExistenceVerdict(exists=False, case_tags=tags)
             q, r = divmod(e, entry.l)
             if q:
                 exponents[p] = q
             if r:
                 core *= p**r
-    return _PeelPlan(m=m, xi_exponents=exponents, core_modulus=core)
-
-
-def strict_exists(ctx: PellContext, spec: Spectrum, z: int) -> ExistenceVerdict:
-    """Decide strictly primitive solvability of |x^2 - d y^2| = z.
-
-    Per-prime congruence conditions run first; prime parts that resist xi
-    peeling are then settled exactly by the bounded class-window search.
-    """
-    if z <= 1:
-        raise ValueError("z must be an integer > 1")
-    tags = {p: _case_tag(ctx, spec, p) for p in factorize(z)}
-    plan = _peel_plan(ctx, spec, z)
-    if plan is None:
-        return ExistenceVerdict(exists=False, case_tags=tags)
-    witness = None
-    if plan.core_modulus > 1:
-        window = _fundamental_window(ctx.d, plan.core_modulus)
-        if not window:
-            return ExistenceVerdict(
-                exists=False, case_tags=tags, core_modulus=plan.core_modulus
-            )
-        witness = window[0]
+    if core > 1 and not _fundamental_window(ctx.d, core):
+        return ExistenceVerdict(exists=False, case_tags=tags, core_modulus=core)
     return ExistenceVerdict(
-        exists=True,
-        case_tags=tags,
-        witness_exponents=plan.xi_exponents,
-        core_modulus=plan.core_modulus,
-        core_witness=witness,
+        exists=True, case_tags=tags, witness_exponents=exponents, core_modulus=core, m=m
     )
 
 
@@ -239,14 +203,12 @@ def _normalize(elem: QuadElem) -> tuple[int, int]:
 def generate_strict(ctx, spec: Spectrum, z: int, n_range) -> list[tuple[int, int]]:
     """All strictly primitive solutions reachable with unit exponent in
     n_range, normalized to y >= 0, deduplicated and sorted by (y, x)."""
-    verdict = strict_exists(ctx, spec, z)
-    if not verdict.exists:
+    plan = strict_exists(ctx, spec, z)
+    if not plan.exists:
         raise ValueError(f"|x^2-{ctx.d}y^2| = {z} has no strictly primitive solutions")
-    plan = _peel_plan(ctx, spec, z)
-    assert plan is not None
 
     factor_choices: list[list[QuadElem]] = []
-    for p, e in sorted(plan.xi_exponents.items()):
+    for p, e in sorted(plan.witness_exponents.items()):
         entry = spec.get(p)
         assert entry is not None
         base = _entry_base(ctx, entry, False)
@@ -311,14 +273,14 @@ def decompose_strict(ctx, spec: Spectrum, x: int, y: int) -> Representation:
         raise ValueError("need |x^2 - d y^2| > 1")
     if gcd(x, d * y) != 1:
         raise ValueError(f"({x}, {y}) is not strictly primitive for d={d}")
-    plan = _peel_plan(ctx, spec, z)
-    assert plan is not None, "a live solution contradicts the congruence prefilter"
+    plan = strict_exists(ctx, spec, z)
+    assert plan.exists, "a live solution contradicts the existence verdict"
 
     alpha = QuadElem.from_int_pair(d, x, y)
     terms: list[XiPower] = []
     # peel odd primes first: the quotient only stays integral until the
     # cofactor 2 hidden in the p = 2 factor comes off
-    for p, e in sorted(plan.xi_exponents.items(), key=lambda pe: (pe[0] == 2, pe[0])):
+    for p, e in sorted(plan.witness_exponents.items(), key=lambda pe: (pe[0] == 2, pe[0])):
         entry = spec.get(p)
         assert entry is not None
         for conj in (False, True):

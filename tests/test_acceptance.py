@@ -19,7 +19,7 @@ from pellbisect.bisector import (
     integral_generate2,
     verify_star,
 )
-from pellbisect.cli import TableSpec, run_table
+from pellbisect.cli import run_table
 from pellbisect.oracle import (
     SearchBox,
     brute_rational_pell,
@@ -53,7 +53,7 @@ def ctx_spec(d, pmax=97):
 
 def test_criterion_1_reference_table_reproduction():
     started = time.monotonic()
-    produced = run_table(TableSpec(format="csv"), ascii_mode=True)
+    produced = run_table(format="csv", ascii_mode=True)
     golden = (DATA / "reference_table.csv").read_text()
     produced_rows = produced.splitlines()
     golden_rows = golden.splitlines()

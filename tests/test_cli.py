@@ -1,10 +1,11 @@
+import inspect
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from pellbisect.cli import TableSpec, main, render_figure, run_table
+from pellbisect.cli import main, render_figure, run_table
 
 DATA = Path(__file__).parent / "data"
 
@@ -189,6 +190,15 @@ def test_figure_deterministic_and_labeled(tmp_path, capsys):
     assert svg.count("<line") == 6  # two axes + four slope lines
 
 
+def test_unwritable_out_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["context", "--d", "2", "--out", "/nonexistent/x.json"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "/nonexistent/x.json" in captured.err
+
+
 def test_figure_irrational_pair_exits_2(tmp_path, capsys):
     out_path = tmp_path / "nope.svg"
     code, out = run(capsys, "figure", "--a", "1", "--b", "2", "--out", str(out_path))
@@ -230,8 +240,9 @@ def test_module_invocation():
 
 
 def test_run_table_defaults():
-    spec = TableSpec()
-    assert spec.d_list == (2, 5, 10, 13, 17, 26, 29, 34)
-    assert spec.p_max == 97
-    text = run_table(TableSpec(format="csv"), ascii_mode=True)
+    params = inspect.signature(run_table).parameters
+    assert params["d_list"].default == (2, 5, 10, 13, 17, 26, 29, 34)
+    assert params["p_max"].default == 97
+    assert params["format"].default == "text"
+    text = run_table(format="csv", ascii_mode=True)
     assert text == (DATA / "reference_table.csv").read_text()

@@ -45,6 +45,17 @@ def test_strict_exists_rejects_small_z():
         strict_exists(ctx, spec, 1)
 
 
+def test_spectrum_of_another_d_is_rejected():
+    ctx = make_context(2)
+    spec = spectrum(make_context(34), 97)  # 3 splits for 34 but is inert for 2
+    with pytest.raises(ValueError, match="does not belong"):
+        strict_exists(ctx, spec, 9)
+    with pytest.raises(ValueError, match="does not belong"):
+        generate_strict(ctx, spec, 9, range(-1, 2))
+    with pytest.raises(ValueError, match="does not belong"):
+        decompose_strict(ctx, spec, 3, 1)  # 3^2 - 2 * 1^2 = 7
+
+
 def test_strict_exists_jointly_principal_cases():
     """Solutions whose prime parts are only jointly principal are found via
     the residual core, not the per-prime exponents."""
