@@ -18,7 +18,7 @@ from . import bisector, oracle, rationalpell, solver
 from .arith import factorize, primes_upto
 from .pellcore import make_context
 from .quadfield import render, render_rat, render_signed_power
-from .spectrum import XiEntry, spectrum, xi
+from .spectrum import Spectrum, XiEntry, spectrum, xi
 
 DEFAULT_D_LIST = (2, 5, 10, 13, 17, 26, 29, 34)
 DEFAULT_P_MAX = 97
@@ -299,15 +299,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _spectrum_covering(ctx, z: int):
-    return spectrum(ctx, max(max(factorize(z)), 2))
+def _spectrum_of_primes_of(ctx, z: int) -> Spectrum:
+    """The entries of z's primes only: the solver reads no other prime, not
+    even through decompose_square.  get() answers None for every other prime
+    up to pmax, so this value must not leave the handler."""
+    primes = sorted(factorize(z))
+    entries = tuple(e for e in (xi(ctx, p) for p in primes) if e is not None)
+    return Spectrum(d=ctx.d, pmax=primes[-1], entries=entries)
 
 
 def _cmd_solve(args) -> dict:
     if args.z <= 1:
         raise ValueError("z must be an integer > 1")
     ctx = make_context(args.d)
-    spec = _spectrum_covering(ctx, args.z)
+    spec = _spectrum_of_primes_of(ctx, args.z)
     verdict = solver.strict_exists(ctx, spec, args.z)
     solutions = []
     if verdict.exists:
@@ -331,8 +336,8 @@ def _cmd_decompose(args) -> dict:
     z = abs(x * x - args.d * y * y)
     if z <= 1:
         raise ValueError("|x^2 - d y^2| must exceed 1")
-    spec = _spectrum_covering(ctx, z)
-    if z > 1 and gcd(x, args.d * y) == 1:
+    spec = _spectrum_of_primes_of(ctx, z)
+    if gcd(x, args.d * y) == 1:
         rep = solver.decompose_strict(ctx, spec, x, y)
         kind = "strict"
     else:
@@ -435,10 +440,8 @@ def _cmd_triples(args) -> list:
             alphas = [alpha0 * ctx.eta**k for k in range(args.box + 1)]
         for i, alpha in enumerate(alphas):
             for beta in alphas[i + 1 :]:
-                for t in bisector.case2_generate(ctx, alpha, beta):
-                    docs.append(
-                        _triple_doc(t, {"alpha": render(alpha), "beta": render(beta)})
-                    )
+                source = {"alpha": render(alpha, args.ascii), "beta": render(beta, args.ascii)}
+                docs += [_triple_doc(t, source) for t in bisector.case2_generate(ctx, alpha, beta)]
     else:
         if args.d is None:
             raise ValueError("--d is required for integral mode")

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
 from .arith import is_square
 from .pellcore import PellContext
@@ -14,9 +14,8 @@ from .quadfield import QuadElem
 from .solver import (
     Representation,
     Spectrum,
-    _strict_core_modulus,
     _unit_exponent,
-    decompose_square,
+    decompose_strict,
     evaluate_representation,
 )
 from .spectrum import xi
@@ -39,61 +38,52 @@ class RationalPellPoint:
 
 
 def _parity_r(ctx: PellContext, rep: Representation) -> int:
-    """Sign parity of the evaluated point: the unit exponent decides it when
-    the negative Pell equation is integrally solvable, otherwise the total
-    number of negative-norm fundamental factors does."""
-    if ctx.neg_pell_integral:
-        return rep.n % 2
-    total = 0
-    for t in rep.terms:
-        entry = xi(ctx, t.p)
-        assert entry is not None
-        if entry.norm_sign == -1:
-            total += t.exp
-    if rep.core is not None:
-        cx, cy = rep.core.x, rep.core.y
-        if cx * cx - ctx.d * cy * cy < 0:
-            total += 1
-    return total % 2
+    """Sign parity of the evaluated point, one factor at a time: eta^n when
+    N(eta) = -1, each negative-norm xi_p^exp, and a negative-norm core."""
+    r = rep.n if ctx.norm_eta == -1 else 0
+    r += sum(t.exp for t in rep.terms if xi(ctx, t.p).norm_sign == -1)
+    if rep.core is not None and rep.core.x**2 - ctx.d * rep.core.y**2 < 0:
+        r += 1
+    return r % 2
 
 
 def generate_rational(ctx: PellContext, spec: Spectrum, rep: Representation) -> RationalPellPoint:
     """Evaluate a representation scaled down to a point on x^2-dy^2 = +-1.
 
-    The scale is implied by the terms: the core modulus of the representation
-    must be a perfect square and is divided back out.
+    The scale is implied by the terms: the norm of the unscaled element must
+    be a perfect square and its root is divided back out.
     """
-    z_core = _strict_core_modulus(ctx, rep)
-    if not is_square(z_core):
+    elem = evaluate_representation(replace(rep, scale=Fraction(1)))
+    norm = elem.norm()
+    z_core = abs(norm)
+    if z_core.denominator != 1 or not is_square(z_core.numerator):
         raise ValueError(
             "parity violation: term exponents must give a square modulus "
             f"(got {z_core})"
         )
-    root = isqrt(z_core)
-    elem = evaluate_representation(replace(rep, scale=Fraction(1))) / root
-    norm = elem.norm()
-    assert abs(norm) == 1
-    r = 0 if norm == 1 else 1
+    elem = elem / isqrt(z_core.numerator)
+    r = 0 if norm > 0 else 1
     assert r == _parity_r(ctx, rep)
     return RationalPellPoint(d=ctx.d, x=elem.a, y=elem.b, r=r)
 
 
 def decompose_rational(ctx: PellContext, spec: Spectrum, pt: RationalPellPoint) -> Representation:
-    """Clear denominators, factor the resulting square-modulus solution, and
-    divide the scale back out; round-trips exactly through generate."""
+    """Clear denominators and factor the resulting solution, then divide the
+    scale back out; round-trips exactly through generate.
+
+    With den the least common denominator, x = X/den and y = Y/den in lowest
+    terms give gcd(X, Y, den) = 1, and X^2 - d Y^2 = +-den^2 then forces
+    gcd(X, d Y) = 1: the cleared point is strictly primitive.
+    """
     if pt.d != ctx.d:
         raise ValueError("point and context disagree on d")
     den = lcm(pt.x.denominator, pt.y.denominator)
     X = int(pt.x * den)
     Y = int(pt.y * den)
-    g0 = gcd(gcd(X, Y), den)
-    X, Y, den = X // g0, Y // g0, den // g0
-
     if den == 1:
         n, sign = _unit_exponent(ctx, QuadElem.from_int_pair(ctx.d, X, Y))
         rep = Representation(d=ctx.d, sign=sign, n=n)
     else:
-        square_rep = decompose_square(ctx, spec, X, Y)
-        rep = replace(square_rep, scale=square_rep.scale / den)
+        rep = replace(decompose_strict(ctx, spec, X, Y), scale=Fraction(1, den))
     assert evaluate_representation(rep) == QuadElem(ctx.d, pt.x, pt.y)
     return rep

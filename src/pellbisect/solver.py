@@ -167,17 +167,13 @@ def strict_exists(ctx: PellContext, spec: Spectrum, z: int) -> ExistenceVerdict:
         if p == 2:
             if not _two_adic_admissible(ctx, e):
                 return ExistenceVerdict(exists=False, case_tags=tags)
-            if entry is None:
-                core *= 2**e
-            elif ctx.d % 8 == 5:
+            if entry is not None and ctx.d % 8 == 5:
                 exponents[p] = 1  # e == 2 and l_2 == 2 here
+            elif entry is not None and (e - 2) % (entry.l - 2) == 0:
+                m = 1  # d = 1 mod 8: 2^e = 2^2 * |N(xi_2 / 2)|^k
+                exponents[p] = (e - 2) // (entry.l - 2)
             else:
-                h_rel = entry.l - 2
-                if (e - 2) % h_rel == 0:
-                    m = 1
-                    exponents[p] = (e - 2) // h_rel
-                else:
-                    core *= 2**e
+                core *= 2**e
         else:
             if entry is None:  # inert or ramified odd prime cannot divide z
                 return ExistenceVerdict(exists=False, case_tags=tags)
@@ -228,36 +224,30 @@ def generate_strict(ctx, spec: Spectrum, z: int, n_range) -> list[tuple[int, int
     for n in n_range:
         unit = ctx.eta**n
         for stem in stems:
-            for sign in (1, -1):
-                cand = stem * unit * sign
-                if not in_ring(cand, RingTag.ZSQRTD):
-                    continue
-                x, y = cand.int_coords()
-                if y == 0 or gcd(x, ctx.d * y) != 1:
-                    continue
-                assert abs(x * x - ctx.d * y * y) == z
-                results.add(_normalize(cand))
+            cand = stem * unit  # -cand normalizes to the same (x, y)
+            if not in_ring(cand, RingTag.ZSQRTD):
+                continue
+            x, y = cand.int_coords()
+            if y == 0 or gcd(x, ctx.d * y) != 1:
+                continue
+            assert abs(x * x - ctx.d * y * y) == z
+            results.add(_normalize(cand))
     return sorted(results, key=lambda xy: (xy[1], xy[0]))
 
 
 def _unit_exponent(ctx: PellContext, u: QuadElem) -> tuple[int, int]:
-    """Write a unit u of O_K as sign * eta^n by exact division, no logs."""
-    if abs(u.norm()) != 1:
-        raise ValueError(f"residual {u} is not a unit; inconsistent decomposition")
-    n = 0
-    metric = max(abs(u.a), abs(u.b))
-    for _ in range(10_000):
-        if u.b == 0:
-            return n, int(u.a)
-        down, up = u / ctx.eta, u * ctx.eta
-        if max(abs(down.a), abs(down.b)) <= max(abs(up.a), abs(up.b)):
-            u, n = down, n + 1
+    """Write a unit u of O_K as sign * eta^n by exact division, no logs: one
+    step per power of eta, towards +-1.  |u| > 1 exactly when u's two
+    coordinates share a sign, since |u * conj(u)| = 1."""
+    if not in_ring(u, RingTag.OK) or abs(u.norm()) != 1:
+        raise ValueError(f"residual {u} is not a unit of O_K; inconsistent decomposition")
+    n, eta_inv = 0, ctx.eta.inverse()
+    while u.b != 0:
+        if u.a * u.b > 0:
+            u, n = u * eta_inv, n + 1
         else:
-            u, n = up, n - 1
-        new_metric = max(abs(u.a), abs(u.b))
-        assert u.b == 0 or new_metric < metric, "unit recovery failed to shrink"
-        metric = new_metric
-    raise AssertionError("unit recovery did not terminate")
+            u, n = u * ctx.eta, n - 1
+    return n, int(u.a)
 
 
 def decompose_strict(ctx, spec: Spectrum, x: int, y: int) -> Representation:
@@ -336,40 +326,29 @@ def decompose_square(ctx, spec: Spectrum, x: int, y: int) -> Representation:
     return rep
 
 
-def _strict_core_modulus(ctx: PellContext, rep: Representation) -> int:
-    """|norm| of the representation without its scale factor."""
-    z = 4**rep.m
-    for t in rep.terms:
-        entry = xi(ctx, t.p)
-        if entry is None:
-            raise ValueError(f"prime {t.p} is not in the spectrum of d={rep.d}")
-        l = entry.l - 2 if (t.p == 2 and ctx.d % 8 == 1) else entry.l
-        z *= t.p ** (l * t.exp)
-    if rep.core is not None:
-        z *= rep.core.modulus
-    return z
-
-
 def validate_representation(rep: Representation) -> ValidationReport:
-    """Structural checks: spectrum membership, the unit-exponent congruence
-    for odd moduli, and the parity/cap conditions when a scale is present."""
+    """Structural checks: spectrum membership, the core's modulus, the
+    unit-exponent congruence for odd moduli, and the parity/cap conditions
+    when a scale is present."""
     ctx = make_context(rep.d)
     problems: list[str] = []
     if rep.sign not in (1, -1):
         problems.append(f"sign must be +-1, got {rep.sign}")
     if rep.m not in (0, 1):
         problems.append(f"m must be 0 or 1, got {rep.m}")
-    membership_ok = True
     for t in rep.terms:
         if t.exp < 0:
             problems.append(f"negative exponent at p={t.p}")
         if xi(ctx, t.p) is None:
             problems.append(f"p={t.p} is outside the spectrum of d={rep.d}")
-            membership_ok = False
-    if not membership_ok:
+    if rep.core is not None:
+        c = rep.core
+        if abs(c.x * c.x - rep.d * c.y * c.y) != c.modulus:
+            problems.append(f"core ({c.x}, {c.y}) does not have modulus {c.modulus}")
+    if problems:
         return ValidationReport(False, tuple(problems))
 
-    z_core = _strict_core_modulus(ctx, rep)
+    z_core = int(abs(evaluate_representation(replace(rep, scale=Fraction(1))).norm()))
     if rep.scale.denominator == 1:
         # integral context: odd modulus with a half-coordinate unit forces
         # the unit exponent into the cube subgroup
@@ -379,21 +358,17 @@ def validate_representation(rep: Representation) -> ValidationReport:
             if not is_square(z_core):
                 problems.append("scaled representations need a square core modulus")
             else:
+                # only these two p = 2 caps can bind: p^(l*exp) divides
+                # z_core, hence z_total^2, so exp <= 2*ord_p(z_total) // l
                 z_total = isqrt(z_core) * int(rep.scale)
+                e_total = (z_total & -z_total).bit_length() - 1  # ord_2(z_total)
                 for t in rep.terms:
-                    entry = xi(ctx, t.p)
-                    assert entry is not None
-                    e_total = 0
-                    zt = z_total
-                    while zt % t.p == 0:
-                        e_total += 1
-                        zt //= t.p
                     if t.p == 2 and not ctx.eta_in_zd and rep.n % 3 != 0:
                         cap = e_total - 1
                     elif t.p == 2 and ctx.d % 8 == 1:
                         cap = max(2 * e_total - 2, 0)
                     else:
-                        cap = 2 * e_total // entry.l
+                        continue
                     if t.exp > cap:
                         problems.append(f"exponent at p={t.p} exceeds its cap {cap}")
     else:

@@ -107,9 +107,8 @@ def _xi_cached(d: int, p: int) -> XiEntry | None:
 
 
 def xi(ctx: PellContext, p: int) -> XiEntry | None:
-    """Fundamental element for p, or None when p is outside the spectrum."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    """Fundamental element for p, or None when p is outside the spectrum;
+    raises ValueError when p is not prime."""
     return _xi_cached(ctx.d, p)
 
 

@@ -7,7 +7,7 @@ them); every assertion is exact, no tolerances anywhere.
 import random
 import time
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -138,22 +138,42 @@ def test_criterion_3_d34_square_example():
     _report(3, f"({len(hits)} brute hits, {count} generated shapes, {time.monotonic()-started:.1f}s)")
 
 
+def _strict_hits_by_modulus(d, y_bound, z_max):
+    """One sweep of 1 <= y <= y_bound: every strictly primitive (x, y) with
+    x >= 0 and 1 < |x^2 - d y^2| <= z_max, bucketed by that modulus.  It
+    finds the same hits as brute_solutions(d, z, box) cell by cell."""
+    buckets = {z: [] for z in range(2, z_max + 1)}
+    for y in range(1, y_bound + 1):
+        t = d * y * y
+        for x in range(isqrt(max(t - z_max, 0)), isqrt(t + z_max) + 1):
+            z = abs(x * x - t)
+            if 1 < z <= z_max and gcd(x, d * y) == 1:
+                buckets[z].append((x, y))
+    return buckets
+
+
 def test_criterion_4_oracle_equivalence():
     started = time.monotonic()
-    box = SearchBox(10_000)
+    y_bound = 10_000
     checked = roundtrips = 0
     for d in range(2, 31):
         if not is_squarefree(d):
             continue
         ctx, spec = ctx_spec(d)
+        buckets = _strict_hits_by_modulus(d, y_bound, 100)
+        if d in (2, 13, 30):  # the sweep against the oracle, a few cells
+            for z in (4, 36, 49, 91, 97):
+                brute = [(h.x, h.y) for h in brute_solutions(d, z, SearchBox(y_bound))
+                         if h.strict and h.y > 0]
+                assert sorted(brute) == sorted(buckets[z]), (d, z)
         for z in range(2, 101):
-            strict_hits = [h for h in brute_solutions(d, z, box) if h.strict and h.y > 0]
+            strict_hits = buckets[z]
             verdict = strict_exists(ctx, spec, z)
             assert verdict.exists == bool(strict_hits), (d, z)
             checked += 1
-            for h in strict_hits:
-                rep = decompose_strict(ctx, spec, h.x, h.y)
-                assert evaluate_representation(rep) == QuadElem.from_int_pair(d, h.x, h.y)
+            for x, y in strict_hits:
+                rep = decompose_strict(ctx, spec, x, y)
+                assert evaluate_representation(rep) == QuadElem.from_int_pair(d, x, y)
                 roundtrips += 1
     _report(4, f"({checked} (d,z) cells, {roundtrips} exact round-trips, {time.monotonic()-started:.0f}s)")
 

@@ -1,5 +1,7 @@
 import inspect
 import json
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -92,6 +94,41 @@ def test_decompose_square_json(capsys):
     assert doc["representation"]["terms"] == [{"p": 11, "exp": 1, "conj": False}]
 
 
+@contextmanager
+def _within_one_second():
+    def expire(signum, frame):
+        raise TimeoutError("no result within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(1)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_solve_and_decompose_build_xi_only_for_the_primes_of_z(capsys):
+    """A large prime in z costs one xi lookup, not a spectrum up to it."""
+    with _within_one_second():
+        code, out = run(capsys, "solve", "--d", "34", "--z", "100003")
+    assert code == 0
+    assert json.loads(out) == {
+        "d": 34, "z": 100003, "exists": False, "case_tags": {"100003": "A2"}, "solutions": [],
+    }
+    with _within_one_second():
+        code, out = run(capsys, "decompose", "--d", "2", "--x", "1003", "--y", "1")
+    assert code == 0
+    assert json.loads(out) == {
+        "d": 2, "x": 1003, "y": 1, "kind": "strict",
+        "representation": {
+            "d": 2, "sign": 1, "m": 0, "n": 0,
+            "terms": [{"p": 1006007, "exp": 1, "conj": False}],  # 1003^2 - 2 is prime
+            "core": None, "scale": "1",
+        },
+    }
+
+
 def test_rational_contains_reference_point(capsys):
     code, out = run(capsys, "rational", "--d", "34", "--sign", "-1", "--max-terms", "2",
                     "--n-range", "-2..2")
@@ -139,6 +176,13 @@ def test_triples_case2(capsys):
     code, out = run(capsys, "triples", "--mode", "case2", "--d", "34", "--range", "2")
     doc = json.loads(out)
     assert any(t["a"] == "5/3" and t["b"] == "379/3" and t["c"] == "32/9" for t in doc)
+
+
+def test_triples_case2_ascii(capsys):
+    _, out = run(capsys, "triples", "--mode", "case2", "--d", "34", "--range", "2", "--ascii")
+    doc = json.loads(out)
+    assert "√" not in out
+    assert doc[0]["source"]["alpha"] == "(5+sqrt(34))/3"
 
 
 def test_triples_integral(capsys):

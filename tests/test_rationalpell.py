@@ -109,3 +109,33 @@ def test_generator_cannot_reach_r1_when_forbidden(d):
             ctx, spec, Representation(d=d, terms=(XiPower(e.p, exp),))
         )
         assert pt.r == 0
+
+
+def _has_negative_norm_core(rep):
+    return rep.core is not None and rep.core.x**2 - rep.d * rep.core.y**2 < 0
+
+
+@pytest.mark.parametrize("d", (37, 79, 101, 141, 145))
+def test_roundtrip_with_negative_norm_cores(d):
+    """Both signs of the equation: for d = 37, 101 and 145, where N(eta) = -1,
+    many of these points need a negative-norm core, which flips r as well."""
+    ctx, spec = ctx_spec(d)
+    box = SearchBox(y_bound=400, denominator_bound=30)
+    negative_cores = 0
+    for r in (0, 1):
+        for x, y in brute_rational_pell(d, r, box):
+            rep = decompose_rational(ctx, spec, RationalPellPoint(d, x, y, r))
+            back = generate_rational(ctx, spec, rep)
+            assert (back.x, back.y, back.r) == (x, y, r)
+            negative_cores += _has_negative_norm_core(rep)
+    assert negative_cores > 0 or not ctx.neg_pell_integral
+
+
+def test_negative_norm_core_without_integral_negative_pell():
+    ctx, spec = ctx_spec(79)
+    assert not ctx.neg_pell_integral
+    pt = RationalPellPoint(79, F(124, 45), F(13, 45), 0)
+    rep = decompose_rational(ctx, spec, pt)
+    assert _has_negative_norm_core(rep)  # 2^2 - 79 * 1^2 = -75
+    back = generate_rational(ctx, spec, rep)
+    assert (back.x, back.y, back.r) == (pt.x, pt.y, 0)

@@ -1,3 +1,4 @@
+from fractions import Fraction as F
 from math import gcd
 
 import pytest
@@ -6,8 +7,10 @@ from pellbisect.oracle import SearchBox, brute_solutions
 from pellbisect.pellcore import make_context
 from pellbisect.quadfield import QuadElem
 from pellbisect.solver import (
+    CoreFactor,
     Representation,
     XiPower,
+    _unit_exponent,
     decompose_square,
     decompose_strict,
     evaluate_representation,
@@ -175,6 +178,17 @@ def test_validate_representation():
     assert ev == QuadElem.from_int_pair(2, -1, 2)
 
 
+def test_validate_reports_negative_exponent_without_evaluating():
+    report = validate_representation(Representation(d=34, terms=(XiPower(3, -1),), scale=2))
+    assert report.problems == ("negative exponent at p=3",)
+
+
+def test_validate_flags_a_core_with_the_wrong_modulus():
+    report = validate_representation(Representation(d=34, core=CoreFactor(modulus=4, x=5, y=1)))
+    assert report.problems == ("core (5, 1) does not have modulus 4",)  # |25 - 34| = 9
+    assert validate_representation(Representation(d=34, core=CoreFactor(modulus=9, x=5, y=1)))
+
+
 def test_validate_scaled_representation():
     ctx, spec = ctx_spec(34)
     rep = decompose_square(ctx, spec, 405, 75)
@@ -253,3 +267,42 @@ def test_sign_rigidity_without_negative_pell():
         h.sign for h in brute_solutions(34, 15, SearchBox(100)) if h.strict and h.y > 0
     }
     assert both == {1, -1}
+
+
+@pytest.mark.parametrize("d", (2, 5, 13, 34, 601))
+def test_unit_exponent_walks_every_power_of_eta(d):
+    ctx = make_context(d)
+    for n in range(-30, 31):
+        for sign in (1, -1):
+            assert _unit_exponent(ctx, sign * ctx.eta**n) == (n, sign)
+
+
+def test_unit_exponent_rejects_norm_one_elements_outside_the_ring():
+    ctx = make_context(2)
+    u = QuadElem(2, F(11, 7), F(6, 7))
+    assert u.norm() == 1
+    with pytest.raises(ValueError, match="not a unit"):
+        _unit_exponent(ctx, u)
+    with pytest.raises(ValueError, match="not a unit"):
+        _unit_exponent(ctx, QuadElem.from_int_pair(2, 3, 1))  # norm 7
+
+
+@pytest.mark.parametrize("d", (145, 265, 305))
+def test_powers_of_two_outside_the_xi_2_ladder_go_to_the_core(d):
+    """d = 1 mod 8 with l_2 = 6, 4, 4: a 2^e off the ladder 2^(2 + (l_2-2)k)
+    becomes the core modulus and the window search decides it."""
+    ctx = make_context(d)
+    spec = spectrum(ctx, 2)
+    cored = 0
+    for e in range(3, 12):
+        z = 2**e
+        v = strict_exists(ctx, spec, z)
+        hits = [h for h in brute_solutions(d, z, SearchBox(20_000)) if h.strict and h.y > 0]
+        assert v.exists == bool(hits), (d, z)
+        cored += v.core_modulus == z
+        if not v.exists:
+            continue
+        for x, y in generate_strict(ctx, spec, z, range(-2, 3)):
+            rep = decompose_strict(ctx, spec, x, y)
+            assert evaluate_representation(rep) == QuadElem.from_int_pair(d, x, y)
+    assert cored
