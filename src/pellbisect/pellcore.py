@@ -137,12 +137,7 @@ def pell_sequence(d: int, n: int) -> tuple[int, int]:
     """(f_n, g_n) with f_n + g_n*sqrt(d) = eps^n; strictly increasing in n."""
     if n <= 0:
         raise ValueError("n must be a positive integer")
-    ctx = make_context(d)
-    f, g = ctx.f1, ctx.g1
-    fn, gn = f, g
-    for _ in range(n - 1):
-        fn, gn = f * fn + d * g * gn, f * gn + g * fn
-    return fn, gn
+    return (make_context(d).eps ** n).int_coords()
 
 
 def splits(d: int, p: int) -> bool:

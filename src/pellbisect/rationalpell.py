@@ -10,14 +10,7 @@ from math import isqrt, lcm
 
 from .arith import is_square
 from .pellcore import PellContext
-from .quadfield import QuadElem
-from .solver import (
-    Representation,
-    Spectrum,
-    _unit_exponent,
-    decompose_strict,
-    evaluate_representation,
-)
+from .solver import Representation, Spectrum, _decompose_scaled, evaluate_representation
 from .spectrum import xi
 
 
@@ -78,12 +71,4 @@ def decompose_rational(ctx: PellContext, spec: Spectrum, pt: RationalPellPoint) 
     if pt.d != ctx.d:
         raise ValueError("point and context disagree on d")
     den = lcm(pt.x.denominator, pt.y.denominator)
-    X = int(pt.x * den)
-    Y = int(pt.y * den)
-    if den == 1:
-        n, sign = _unit_exponent(ctx, QuadElem.from_int_pair(ctx.d, X, Y))
-        rep = Representation(d=ctx.d, sign=sign, n=n)
-    else:
-        rep = replace(decompose_strict(ctx, spec, X, Y), scale=Fraction(1, den))
-    assert evaluate_representation(rep) == QuadElem(ctx.d, pt.x, pt.y)
-    return rep
+    return _decompose_scaled(ctx, spec, int(pt.x * den), int(pt.y * den), Fraction(1, den))

@@ -17,10 +17,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .arith import factorize, is_square, strict_hits
+from .arith import factorize, is_prime, is_square, strict_hits
 from .pellcore import PellContext, make_context
 from .quadfield import QuadElem, RingTag, exact_div, in_ring, render_rat
-from .spectrum import Spectrum, XiEntry, xi
+from .spectrum import Spectrum, xi
 
 
 @dataclass(frozen=True)
@@ -84,25 +84,25 @@ class ExistenceVerdict:
     m: int = 0
 
 
-def _entry_base(ctx: PellContext, entry: XiEntry, conj: bool) -> QuadElem:
-    base = entry.elem
-    if entry.p == 2 and ctx.d % 8 == 1:
-        base = base / 2
-    return base.conj() if conj else base
+def _element(ctx: PellContext, label: XiPower | CoreFactor) -> QuadElem:
+    """The element a representation's factor stands for: xi_p^exp (with
+    xi_2 / 2 as the base when d = 1 mod 8) or the core, conjugated on conj."""
+    if isinstance(label, CoreFactor):
+        core = QuadElem.from_int_pair(ctx.d, label.x, label.y)
+        return core.conj() if label.conj else core
+    entry = xi(ctx, label.p)
+    if entry is None:
+        raise ValueError(f"prime {label.p} is not in the spectrum of d={ctx.d}")
+    base = entry.elem / 2 if label.p == 2 and ctx.d % 8 == 1 else entry.elem
+    return (base.conj() if label.conj else base) ** label.exp
 
 
 def evaluate_representation(rep: Representation) -> QuadElem:
     """Exact product sign * 2^m * eta^n * prod(xi powers) * core * scale."""
     ctx = make_context(rep.d)
     out = ctx.eta**rep.n * (2**rep.m) * rep.sign
-    for t in rep.terms:
-        entry = xi(ctx, t.p)
-        if entry is None:
-            raise ValueError(f"prime {t.p} is not in the spectrum of d={rep.d}")
-        out = out * _entry_base(ctx, entry, t.conj) ** t.exp
-    if rep.core is not None:
-        core = QuadElem.from_int_pair(rep.d, rep.core.x, rep.core.y)
-        out = out * (core.conj() if rep.core.conj else core)
+    for label in rep.terms + ((rep.core,) if rep.core else ()):
+        out = out * _element(ctx, label)
     return out * rep.scale
 
 
@@ -189,6 +189,23 @@ def strict_exists(ctx: PellContext, spec: Spectrum, z: int) -> ExistenceVerdict:
     )
 
 
+def _choices(ctx: PellContext, plan: ExistenceVerdict) -> list[list[XiPower | CoreFactor]]:
+    """The candidate factors for each part of z, each followed by its
+    conjugate: odd primes first, then p = 2, then the core's window
+    elements.  This is the order decompose peels in: the quotient only stays
+    integral until the cofactor 2 hidden in the p = 2 factor comes off."""
+    groups: list[list[XiPower | CoreFactor]] = [
+        [XiPower(p, e), XiPower(p, e, conj=True)]
+        for p, e in sorted(plan.witness_exponents.items(), key=lambda pe: (pe[0] == 2, pe[0]))
+    ]
+    if plan.core_modulus > 1:
+        window = _fundamental_window(ctx.d, plan.core_modulus)
+        groups.append(
+            [CoreFactor(plan.core_modulus, x, y, c) for x, y, _ in window for c in (False, True)]
+        )
+    return groups
+
+
 def _normalize(elem: QuadElem) -> tuple[int, int]:
     x, y = elem.int_coords()
     if y < 0:
@@ -203,22 +220,10 @@ def generate_strict(ctx, spec: Spectrum, z: int, n_range) -> list[tuple[int, int
     if not plan.exists:
         raise ValueError(f"|x^2-{ctx.d}y^2| = {z} has no strictly primitive solutions")
 
-    factor_choices: list[list[QuadElem]] = []
-    for p, e in sorted(plan.witness_exponents.items()):
-        entry = spec.get(p)
-        assert entry is not None
-        base = _entry_base(ctx, entry, False)
-        factor_choices.append([base**e, (base.conj()) ** e])
-    if plan.core_modulus > 1:
-        cores = []
-        for cx, cy, _ in _fundamental_window(ctx.d, plan.core_modulus):
-            cores.append(QuadElem.from_int_pair(ctx.d, cx, cy))
-            cores.append(QuadElem.from_int_pair(ctx.d, cx, -cy))
-        factor_choices.append(cores)
-
     stems = [QuadElem(ctx.d, Fraction(2**plan.m), Fraction(0))]
-    for choices in factor_choices:
-        stems = [s * c for s in stems for c in choices]
+    for group in _choices(ctx, plan):
+        elems = [_element(ctx, label) for label in group]
+        stems = [s * c for s in stems for c in elems]
 
     results: set[tuple[int, int]] = set()
     for n in n_range:
@@ -228,7 +233,7 @@ def generate_strict(ctx, spec: Spectrum, z: int, n_range) -> list[tuple[int, int
             if not in_ring(cand, RingTag.ZSQRTD):
                 continue
             x, y = cand.int_coords()
-            if y == 0 or gcd(x, ctx.d * y) != 1:
+            if gcd(x, ctx.d * y) != 1:  # also rules out y = 0, since z > 1
                 continue
             assert abs(x * x - ctx.d * y * y) == z
             results.add(_normalize(cand))
@@ -253,12 +258,13 @@ def _unit_exponent(ctx: PellContext, u: QuadElem) -> tuple[int, int]:
 def decompose_strict(ctx, spec: Spectrum, x: int, y: int) -> Representation:
     """Canonical factorization of a strictly primitive solution.
 
-    Peels xi powers per prime (preferring the unconjugated element), then the
-    residual core, and finally identifies the leftover unit +-eta^n.
+    Peels one factor per part of z, the first choice that divides (so the
+    unconjugated element wins a tie), and identifies the leftover unit
+    +-eta^n.  Once the xi powers are off, |N(alpha)| is the core modulus,
+    so an exact quotient by a window element is already a unit.
     """
     d = ctx.d
-    value = x * x - d * y * y
-    z = abs(value)
+    z = abs(x * x - d * y * y)
     if z <= 1:
         raise ValueError("need |x^2 - d y^2| > 1")
     if gcd(x, d * y) != 1:
@@ -267,79 +273,67 @@ def decompose_strict(ctx, spec: Spectrum, x: int, y: int) -> Representation:
     assert plan.exists, "a live solution contradicts the existence verdict"
 
     alpha = QuadElem.from_int_pair(d, x, y)
-    terms: list[XiPower] = []
-    # peel odd primes first: the quotient only stays integral until the
-    # cofactor 2 hidden in the p = 2 factor comes off
-    for p, e in sorted(plan.witness_exponents.items(), key=lambda pe: (pe[0] == 2, pe[0])):
-        entry = spec.get(p)
-        assert entry is not None
-        for conj in (False, True):
-            divisor = (2**plan.m if p == 2 and d % 8 == 1 else 1) * _entry_base(
-                ctx, entry, conj
-            ) ** e
+    peeled: list[XiPower | CoreFactor] = []
+    for group in _choices(ctx, plan):
+        for label in group:
+            divisor = _element(ctx, label)
+            if isinstance(label, XiPower) and label.p == 2:
+                divisor = divisor * 2**plan.m
             quotient = exact_div(alpha, divisor, RingTag.OK)
             if quotient is not None:
                 alpha = quotient
-                terms.append(XiPower(p=p, exp=e, conj=conj))
+                peeled.append(label)
                 break
         else:
-            raise AssertionError(f"neither conjugate of xi_{p}^{e} divides the input")
-    terms.sort(key=lambda t: t.p)
-
-    core: CoreFactor | None = None
-    if plan.core_modulus > 1:
-        for cx, cy, _ in _fundamental_window(d, plan.core_modulus):
-            rho = QuadElem.from_int_pair(d, cx, cy)
-            for conj in (False, True):
-                quotient = exact_div(alpha, rho.conj() if conj else rho, RingTag.OK)
-                if quotient is not None and abs(quotient.norm()) == 1:
-                    alpha = quotient
-                    core = CoreFactor(modulus=plan.core_modulus, x=cx, y=cy, conj=conj)
-                    break
-            if core is not None:
-                break
-        else:
-            raise AssertionError("no window element divides the residual core")
+            raise AssertionError(f"no choice of {group[0]} divides the input")
 
     n, sign = _unit_exponent(ctx, alpha)
-    rep = Representation(d=d, sign=sign, m=plan.m, n=n, terms=tuple(terms), core=core)
+    terms = tuple(sorted((t for t in peeled if isinstance(t, XiPower)), key=lambda t: t.p))
+    core = peeled[-1] if plan.core_modulus > 1 else None
+    rep = Representation(d=d, sign=sign, m=plan.m, n=n, terms=terms, core=core)
     assert evaluate_representation(rep) == QuadElem.from_int_pair(d, x, y)
+    return rep
+
+
+def _decompose_scaled(ctx, spec: Spectrum, x: int, y: int, scale: Fraction) -> Representation:
+    """Factorization of (x + y*sqrt(d)) * scale, where (x, y) is a unit or a
+    strictly primitive solution."""
+    if abs(x * x - ctx.d * y * y) == 1:
+        n, sign = _unit_exponent(ctx, QuadElem.from_int_pair(ctx.d, x, y))
+        rep = Representation(d=ctx.d, sign=sign, n=n, scale=scale)
+    else:
+        rep = replace(decompose_strict(ctx, spec, x, y), scale=scale)
+    assert evaluate_representation(rep) == QuadElem.from_int_pair(ctx.d, x, y) * scale
     return rep
 
 
 def decompose_square(ctx, spec: Spectrum, x: int, y: int) -> Representation:
     """Factorization of any integral solution of |x^2 - d y^2| = z^2: the
     gcd cofactor becomes the scale, the strictly primitive core is peeled."""
-    value = x * x - ctx.d * y * y
-    z2 = abs(value)
+    z2 = abs(x * x - ctx.d * y * y)
     z = isqrt(z2)
     if z2 <= 1 or z * z != z2:
         raise ValueError("|x^2 - d y^2| must be a perfect square > 1")
     g = gcd(x, y)
-    cx, cy = x // g, y // g
-    if z == g:
-        n, sign = _unit_exponent(ctx, QuadElem.from_int_pair(ctx.d, cx, cy))
-        rep = Representation(d=ctx.d, sign=sign, n=n, scale=Fraction(g))
-    else:
-        rep = replace(decompose_strict(ctx, spec, cx, cy), scale=Fraction(g))
-    assert evaluate_representation(rep) == QuadElem.from_int_pair(ctx.d, x, y)
-    return rep
+    return _decompose_scaled(ctx, spec, x // g, y // g, Fraction(g))
 
 
 def validate_representation(rep: Representation) -> ValidationReport:
-    """Structural checks: spectrum membership, the core's modulus, the
-    unit-exponent congruence for odd moduli, and the parity/cap conditions
-    when a scale is present."""
+    """Structural checks: sign, m, a positive scale, spectrum membership, the
+    core's modulus, the unit-exponent congruence for odd moduli, and the
+    parity/cap conditions when a scale is present."""
     ctx = make_context(rep.d)
     problems: list[str] = []
     if rep.sign not in (1, -1):
         problems.append(f"sign must be +-1, got {rep.sign}")
     if rep.m not in (0, 1):
         problems.append(f"m must be 0 or 1, got {rep.m}")
+    if rep.scale <= 0:
+        problems.append("scale must be positive")
     for t in rep.terms:
         if t.exp < 0:
             problems.append(f"negative exponent at p={t.p}")
-        if xi(ctx, t.p) is None:
+        if not is_prime(t.p) or xi(ctx, t.p) is None:
             problems.append(f"p={t.p} is outside the spectrum of d={rep.d}")
     if rep.core is not None:
         c = rep.core

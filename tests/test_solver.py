@@ -189,6 +189,17 @@ def test_validate_flags_a_core_with_the_wrong_modulus():
     assert validate_representation(Representation(d=34, core=CoreFactor(modulus=9, x=5, y=1)))
 
 
+def test_validate_reports_a_composite_prime_as_outside_the_spectrum():
+    report = validate_representation(Representation(d=34, terms=(XiPower(4, 1),)))
+    assert report.problems == ("p=4 is outside the spectrum of d=34",)
+
+
+@pytest.mark.parametrize("scale", (F(0), F(-1), F(-2, 3)))
+def test_validate_rejects_a_scale_that_is_not_positive(scale):
+    report = validate_representation(Representation(d=34, terms=(XiPower(3, 1),), scale=scale))
+    assert report.problems == ("scale must be positive",)
+
+
 def test_validate_scaled_representation():
     ctx, spec = ctx_spec(34)
     rep = decompose_square(ctx, spec, 405, 75)
