@@ -48,6 +48,15 @@ CASES = (
     "oracle xi --d 17 --p 2 --lmax 3 --ymax 50",
     "oracle rational --d 34 --r 1 --zmax 3 --ymax 50",
     "oracle tangent --a 1 --b 7 --c -1/2",
+    # handler branches the cases above leave unrun
+    "triples --mode case2 --d 2 --range 2",
+    "triples --mode case2 --d 3",
+    "triples --mode integral",
+    "rational --d 17 --max-terms 1",
+    "solve --d 2 --z 1",
+    "decompose --d 2 --x 1 --y 0",
+    "oracle xi --d 3 --p 5 --lmax 2 --ymax 20",
+    "solve --d 2 --z 7 --n-range 3",
 )
 
 

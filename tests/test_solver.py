@@ -206,6 +206,30 @@ def test_validate_scaled_representation():
     assert validate_representation(rep)
 
 
+@pytest.mark.parametrize(
+    "rep, problems",
+    (
+        (Representation(d=2, terms=(XiPower(7, 1),), scale=F(2)),
+         ("scaled representations need a square core modulus",)),
+        # d = 1 mod 8: the cofactor 2 (m = 1) lifts the cap on xi_2 / 2
+        (Representation(d=17, m=1, terms=(XiPower(2, 2),), scale=F(3)), ()),
+        (Representation(d=17, terms=(XiPower(2, 2),), scale=F(3)),
+         ("exponent at p=2 exceeds its cap 0",)),
+        # half-coordinate unit with n not divisible by 3: xi_2 needs an even scale
+        (Representation(d=5, n=1, terms=(XiPower(2, 1),), scale=F(2)), ()),
+        (Representation(d=5, n=1, terms=(XiPower(2, 1),), scale=F(3)),
+         ("exponent at p=2 exceeds its cap 0",)),
+        # rational context: |N(xi_3)| = 9 for d = 34
+        (Representation(d=34, terms=(XiPower(3, 1),), scale=F(1, 3)), ()),
+        (Representation(d=34, terms=(XiPower(3, 1),), scale=F(1, 5)),
+         ("scale must be the inverse square root of the core modulus",)),
+    ),
+)
+def test_validate_scaled_caps_and_rational_scale(rep, problems):
+    report = validate_representation(rep)
+    assert (report.ok, report.problems) == (not problems, problems)
+
+
 TABLE_DS = (2, 5, 10, 13, 17, 26, 29, 34)
 
 
