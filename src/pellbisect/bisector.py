@@ -94,7 +94,7 @@ def from_pell_points(
     """The two candidate bisector slopes from two points on x^2 - d y^2 = -1.
 
     Each branch is None when its denominator vanishes (b2 = -a2 and b2 = a2
-    respectively).
+    respectively).  When both exist they are perpendicular: c+ * c- = -1.
     """
     a1, a2, b1, b2 = (Fraction(v) for v in (a1, a2, b1, b2))
     for x, y in ((a1, a2), (b1, b2)):
@@ -102,20 +102,17 @@ def from_pell_points(
             raise ValueError(f"({x}, {y}) is not on x^2 - {d} y^2 = -1")
     c_plus = (a1 * b2 + a2 * b1) / (b2 + a2) if b2 != -a2 else None
     c_minus = (a1 * b2 - a2 * b1) / (b2 - a2) if b2 != a2 else None
+    assert c_plus is None or c_minus is None or c_plus * c_minus == -1
     return c_plus, c_minus
 
 
 def bisect(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
-    """Both bisector slopes (c+, c-) for a non-trivial rational pair.
-
-    The two are perpendicular: c+ * c- = -1 exactly.
-    """
+    """Both bisector slopes (c+, c-) for a non-trivial rational pair."""
     a, b = Fraction(a), Fraction(b)
     cls = classify_pair(a, b)
     c_plus, c_minus = from_pell_points(a, cls.a2, b, cls.b2, cls.d)
     # a2, b2 > 0 and |a| != |b| rule both degenerate denominators out
     assert c_plus is not None and c_minus is not None
-    assert c_plus * c_minus == -1
     return c_plus, c_minus
 
 

@@ -489,6 +489,8 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # print units of any size
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(_merge_dash_values(list(sys.argv[1:] if argv is None else argv)))
     try:

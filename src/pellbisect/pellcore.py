@@ -39,17 +39,6 @@ def continued_fraction_sqrt(d: int) -> CFExpansion:
     return CFExpansion(a0, tuple(terms))
 
 
-def _convergent(cf: CFExpansion, k: int) -> tuple[int, int]:
-    """k-th convergent numerator/denominator, k=0 being a0 itself."""
-    h0, h1 = 1, cf.a0
-    k0, k1 = 0, 1
-    for i in range(k):
-        a = cf.period[i % len(cf.period)]
-        h0, h1 = h1, a * h1 + h0
-        k0, k1 = k1, a * k1 + k0
-    return h1, k1
-
-
 @dataclass(frozen=True)
 class PellContext:
     """Everything the solvers need to know about a single d."""
@@ -96,10 +85,12 @@ def _half_coordinate_unit(d: int, f1: int, norm: int) -> QuadElem | None:
 @lru_cache(maxsize=None)
 def make_context(d: int) -> PellContext:
     """Build the per-d bundle; memoized, safe for concurrent readers."""
-    check_field_index(d)
     cf = continued_fraction_sqrt(d)
-    f1, g1 = _convergent(cf, len(cf.period) - 1)
-    eps = QuadElem.from_int_pair(d, f1, g1)
+    # eps = f1 + g1*sqrt(d) is the convergent just before the period closes
+    f0, f1, g0, g1 = 1, cf.a0, 0, 1
+    for a in cf.period[:-1]:
+        f0, f1, g0, g1 = f1, a * f1 + f0, g1, a * g1 + g0
+    eps = QuadElem(d, f1, g1)
     norm_eps = int(eps.norm())
     assert norm_eps in (1, -1)
 
@@ -128,7 +119,7 @@ def make_context(d: int) -> PellContext:
         norm_eta=norm_eta,
         eta_in_zd=eta_in_zd,
         neg_pell_integral=neg_pell_integral,
-        neg_pell_rational=_neg_pell_rational(d),
+        neg_pell_rational=neg_pell_rational(d),
         h=h,
     )
 
@@ -160,10 +151,6 @@ def class_number(d: int) -> int:
 def neg_pell_rational(d: int) -> bool:
     """True iff x^2 - d y^2 = -1 has a rational solution."""
     check_field_index(d)
-    return _neg_pell_rational(d)
-
-
-def _neg_pell_rational(d: int) -> bool:
     return all(p == 2 or p % 4 == 1 for p in factorize(d))
 
 

@@ -57,7 +57,7 @@ class QuadElem:
 
     @classmethod
     def from_int_pair(cls, d: int, x: int, y: int) -> QuadElem:
-        return cls(d, Fraction(x), Fraction(y))
+        return cls(d, x, y)
 
     def _check_same_field(self, other: QuadElem) -> None:
         if self.d != other.d:
@@ -77,7 +77,7 @@ class QuadElem:
         return QuadElem(self.d, -self.a, -self.b)
 
     def __sub__(self, other: QuadElem | int | Fraction) -> QuadElem:
-        return self + (-other if isinstance(other, QuadElem) else -Fraction(other))
+        return self + (-other)
 
     def __rsub__(self, other: int | Fraction) -> QuadElem:
         return (-self) + other
@@ -97,23 +97,20 @@ class QuadElem:
         if isinstance(other, (int, Fraction)):
             return QuadElem(self.d, self.a / other, self.b / other)
         if isinstance(other, QuadElem):
-            self._check_same_field(other)
-            n = other.norm()
-            if n == 0:
-                raise ZeroDivisionError("division by zero element")
-            return self * other.conj() / n
+            return self * other.inverse()
         return NotImplemented
 
     def __pow__(self, k: int) -> QuadElem:
+        """Left-to-right square-and-multiply, starting from self."""
         if k < 0:
             return self.inverse() ** (-k)
-        result = QuadElem(self.d, Fraction(1), Fraction(0))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        if k == 0:
+            return QuadElem(self.d, 1, 0)
+        result = self
+        for bit in bin(k)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def inverse(self) -> QuadElem:
@@ -154,8 +151,6 @@ def in_ring(alpha: QuadElem, tag: RingTag) -> bool:
 
 def exact_div(alpha: QuadElem, beta: QuadElem, tag: RingTag) -> QuadElem | None:
     """gamma with beta*gamma == alpha and gamma in the given ring, else None."""
-    if beta.norm() == 0:
-        raise ZeroDivisionError("zero-norm divisor")
     gamma = alpha / beta
     return gamma if in_ring(gamma, tag) else None
 

@@ -132,10 +132,8 @@ def _case_tag(ctx: PellContext, spec: Spectrum, p: int) -> str:
 
 
 def _two_adic_admissible(ctx: PellContext, e: int) -> bool:
-    """Proven congruence constraints on ord_2(z) for strictly primitive
-    solutions; everything else is decided by the window search."""
-    if e == 0:
-        return True
+    """Proven congruence constraints on e = ord_2(z) >= 1 for strictly
+    primitive solutions; everything else is decided by the window search."""
     d = ctx.d
     if d % 2 == 0:
         return False
@@ -206,13 +204,6 @@ def _choices(ctx: PellContext, plan: ExistenceVerdict) -> list[list[XiPower | Co
     return groups
 
 
-def _normalize(elem: QuadElem) -> tuple[int, int]:
-    x, y = elem.int_coords()
-    if y < 0:
-        x, y = -x, -y
-    return x, y
-
-
 def generate_strict(ctx, spec: Spectrum, z: int, n_range) -> list[tuple[int, int]]:
     """All strictly primitive solutions reachable with unit exponent in
     n_range, normalized to y >= 0, deduplicated and sorted by (y, x)."""
@@ -220,7 +211,7 @@ def generate_strict(ctx, spec: Spectrum, z: int, n_range) -> list[tuple[int, int
     if not plan.exists:
         raise ValueError(f"|x^2-{ctx.d}y^2| = {z} has no strictly primitive solutions")
 
-    stems = [QuadElem(ctx.d, Fraction(2**plan.m), Fraction(0))]
+    stems = [QuadElem(ctx.d, 2**plan.m, 0)]
     for group in _choices(ctx, plan):
         elems = [_element(ctx, label) for label in group]
         stems = [s * c for s in stems for c in elems]
@@ -236,7 +227,7 @@ def generate_strict(ctx, spec: Spectrum, z: int, n_range) -> list[tuple[int, int
             if gcd(x, ctx.d * y) != 1:  # also rules out y = 0, since z > 1
                 continue
             assert abs(x * x - ctx.d * y * y) == z
-            results.add(_normalize(cand))
+            results.add((x, y) if y > 0 else (-x, -y))
     return sorted(results, key=lambda xy: (xy[1], xy[0]))
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .arith import is_prime, primes_upto, strict_hits
+from .arith import primes_upto, strict_hits
 from .pellcore import PellContext, make_context, splits
 from .quadfield import QuadElem
 
@@ -66,9 +66,8 @@ class Spectrum:
 
 def in_s(ctx: PellContext, p: int) -> bool:
     """Closed-form membership: the split primes, plus 2 when d = 5 mod 8 and
-    the fundamental unit has half-integer coordinates."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    the fundamental unit has half-integer coordinates; raises ValueError
+    when p is not prime."""
     if p == 2 and ctx.d % 8 == 5 and not ctx.eta_in_zd:
         return True
     return splits(ctx.d, p)

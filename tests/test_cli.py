@@ -151,6 +151,16 @@ def test_bisect_json_and_exit_codes(capsys):
     assert json.loads(out)["error"] == "NoRationalBisector"
 
 
+def test_solve_prints_solutions_past_the_int_digit_limit(capsys):
+    """x has 4371 and 4385 digits, past Python's 4300-digit int-to-str limit,
+    which the CLI lifts for its own process."""
+    code, out = run(capsys, "solve", "--d", "94", "--z", "27", "--n-range", "660..660")
+    assert code == 0
+    sols = json.loads(out)["solutions"]
+    assert [len(str(abs(s["x"]))) for s in sols] == [4371, 4385]
+    assert all(s["x"] ** 2 - 94 * s["y"] ** 2 == s["norm"] == 27 for s in sols)
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bisect", "--a", "1//2", "--b", "2"])

@@ -58,6 +58,31 @@ def test_pow():
     assert q(2, 1, 1) ** -1 == q(2, -1, 1)
 
 
+@pytest.mark.parametrize("x", (q(2, 1, 1), q(5, F(1, 2), F(1, 2)), q(34, 35, 6)))
+def test_pow_skips_the_product_by_one_and_the_last_squaring(x, monkeypatch):
+    products = []
+    mul = QuadElem.__mul__
+
+    def counting_mul(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(QuadElem, "__mul__", counting_mul)
+    for k in range(41):
+        products.clear()
+        x**k
+        expected = 0 if k == 0 else k.bit_length() - 1 + bin(k).count("1") - 1
+        assert len(products) == expected, k
+
+
+def test_sub_refuses_a_float_like_add():
+    with pytest.raises(TypeError):
+        q(2, 1, 1) - 1.5
+    with pytest.raises(TypeError):
+        q(2, 1, 1) + 1.5
+    assert q(2, 1, 1) - F(1, 2) == q(2, F(1, 2), 1)
+
+
 def test_pow_of_zero_norm_rejected():
     with pytest.raises(ZeroDivisionError):
         q(2, 0, 0) ** -1
