@@ -14,7 +14,6 @@ from dataclasses import asdict
 from fractions import Fraction
 from math import gcd
 
-from . import bisector, oracle, rationalpell, solver
 from .arith import factorize, primes_upto
 from .pellcore import make_context
 from .quadfield import render, render_rat, render_signed_power
@@ -168,6 +167,7 @@ _FIGURE_COLORS = ("#1f77b4", "#2ca02c", "#d62728", "#9467bd")
 def render_figure(a: Fraction, b: Fraction) -> str:
     """SVG with the two lines and both bisectors through the origin on a
     fixed 512x512 viewport; raises NoRationalBisector when c is irrational."""
+    from . import bisector
     c_plus, c_minus = bisector.bisect(a, b)
     slopes = [("a", a), ("b", b), ("c+", c_plus), ("c-", c_minus)]
     half = 238.0
@@ -273,8 +273,7 @@ def _build_parser() -> _Parser:
     p = add_parser("oracle", None, help="brute-force reference sweeps")  # run set per sweep
     osub = p.add_subparsers(dest="oracle_command", required=True)
     q = osub.add_parser("solutions")
-    q.set_defaults(run=lambda args: [asdict(h) for h in oracle.brute_solutions(
-        args.d, args.z, oracle.SearchBox(y_bound=args.ymax))])
+    q.set_defaults(run=_cmd_oracle_solutions)
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--z", type=int, required=True)
     q.add_argument("--ymax", type=int, default=1000)
@@ -291,8 +290,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--zmax", type=int, default=20)
     q.add_argument("--ymax", type=int, default=1000)
     q = osub.add_parser("tangent")
-    q.set_defaults(run=lambda args: {
-        "bisects": oracle.tangent_bisector_check(args.a, args.b, args.c)})
+    q.set_defaults(run=_cmd_oracle_tangent)
     q.add_argument("--a", type=_rat, required=True)
     q.add_argument("--b", type=_rat, required=True)
     q.add_argument("--c", type=_rat, required=True)
@@ -309,6 +307,7 @@ def _spectrum_of_primes_of(ctx, z: int) -> Spectrum:
 
 
 def _cmd_solve(args) -> dict:
+    from . import solver
     if args.z <= 1:
         raise ValueError("z must be an integer > 1")
     ctx = make_context(args.d)
@@ -331,6 +330,7 @@ def _cmd_solve(args) -> dict:
 
 
 def _cmd_decompose(args) -> dict:
+    from . import solver
     ctx = make_context(args.d)
     x, y = args.x, args.y
     z = abs(x * x - args.d * y * y)
@@ -348,6 +348,7 @@ def _cmd_decompose(args) -> dict:
 
 def _rational_candidates(ctx, spec, max_terms: int, n_range) -> list[solver.Representation]:
     """Small deterministic family of representations with square moduli."""
+    from . import solver
     usable = []
     for entry in spec.entries:
         if entry.p == 2 and ctx.d % 8 == 1:
@@ -370,14 +371,15 @@ def _rational_candidates(ctx, spec, max_terms: int, n_range) -> list[solver.Repr
 
 
 def _cmd_rational(args) -> list:
+    from . import rationalpell
     ctx = make_context(args.d)
     spec = spectrum(ctx, args.pmax)
     want_r = 1 if args.sign == -1 else 0
     seen = {}
     for rep in _rational_candidates(ctx, spec, args.max_terms, args.n_range):
-        pt = rationalpell.generate_rational(ctx, spec, rep)
-        if pt.r != want_r:
+        if rationalpell._parity_r(ctx, rep) != want_r:  # the point's r, without evaluating it
             continue
+        pt = rationalpell.generate_rational(ctx, spec, rep)
         key = (pt.x, pt.y)
         if key not in seen:
             seen[key] = (pt, rep)
@@ -391,6 +393,7 @@ def _cmd_rational(args) -> list:
 
 
 def _cmd_bisect(args) -> dict:
+    from . import bisector
     cls = bisector.classify_pair(args.a, args.b)
     c_plus, c_minus = bisector.from_pell_points(args.a, cls.a2, args.b, cls.b2, cls.d)
     return {
@@ -413,6 +416,7 @@ def _triple_doc(t: bisector.BisectorTriple, source: dict) -> dict:
 
 
 def _cmd_triples(args) -> list:
+    from . import bisector
     docs = []
     if args.mode == "case1":
         for l in range(1, args.box + 1):
@@ -457,7 +461,13 @@ def _cmd_triples(args) -> list:
     return docs
 
 
+def _cmd_oracle_solutions(args) -> list:
+    from . import oracle
+    return [asdict(h) for h in oracle.brute_solutions(args.d, args.z, oracle.SearchBox(y_bound=args.ymax))]
+
+
 def _cmd_oracle_xi(args) -> dict:
+    from . import oracle
     hit = oracle.brute_xi(args.d, args.p, args.lmax, oracle.SearchBox(y_bound=args.ymax))
     if hit is None:
         return {"d": args.d, "p": args.p, "found": False}
@@ -466,9 +476,15 @@ def _cmd_oracle_xi(args) -> dict:
 
 
 def _cmd_oracle_rational(args) -> list:
+    from . import oracle
     box = oracle.SearchBox(y_bound=args.ymax, denominator_bound=args.zmax)
     pts = oracle.brute_rational_pell(args.d, args.r, box)
     return [{"x": render_rat(x), "y": render_rat(y)} for x, y in pts]
+
+
+def _cmd_oracle_tangent(args) -> dict:
+    from . import oracle
+    return {"bisects": oracle.tangent_bisector_check(args.a, args.b, args.c)}
 
 
 def _merge_dash_values(argv: list[str]) -> list[str]:

@@ -59,22 +59,30 @@ class QuadElem:
     def from_int_pair(cls, d: int, x: int, y: int) -> QuadElem:
         return cls(d, x, y)
 
+    @staticmethod
+    def _of(d: int, a: Fraction, b: Fraction) -> QuadElem:
+        """Result of arithmetic on validated operands: d is already checked
+        and a, b are already Fractions, so both checks are skipped."""
+        elem = object.__new__(QuadElem)
+        elem.__dict__.update(d=d, a=a, b=b)
+        return elem
+
     def _check_same_field(self, other: QuadElem) -> None:
         if self.d != other.d:
             raise FieldMismatchError(f"cannot mix sqrt({self.d}) with sqrt({other.d})")
 
     def __add__(self, other: QuadElem | int | Fraction) -> QuadElem:
         if isinstance(other, (int, Fraction)):
-            return QuadElem(self.d, self.a + other, self.b)
+            return QuadElem._of(self.d, self.a + other, self.b)
         if isinstance(other, QuadElem):
             self._check_same_field(other)
-            return QuadElem(self.d, self.a + other.a, self.b + other.b)
+            return QuadElem._of(self.d, self.a + other.a, self.b + other.b)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self) -> QuadElem:
-        return QuadElem(self.d, -self.a, -self.b)
+        return QuadElem._of(self.d, -self.a, -self.b)
 
     def __sub__(self, other: QuadElem | int | Fraction) -> QuadElem:
         return self + (-other)
@@ -84,18 +92,18 @@ class QuadElem:
 
     def __mul__(self, other: QuadElem | int | Fraction) -> QuadElem:
         if isinstance(other, (int, Fraction)):
-            return QuadElem(self.d, self.a * other, self.b * other)
+            return QuadElem._of(self.d, self.a * other, self.b * other)
         if isinstance(other, QuadElem):
             self._check_same_field(other)
             a1, a2, b1, b2 = self.a, self.b, other.a, other.b
-            return QuadElem(self.d, a1 * b1 + self.d * a2 * b2, a1 * b2 + a2 * b1)
+            return QuadElem._of(self.d, a1 * b1 + self.d * a2 * b2, a1 * b2 + a2 * b1)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: QuadElem | int | Fraction) -> QuadElem:
         if isinstance(other, (int, Fraction)):
-            return QuadElem(self.d, self.a / other, self.b / other)
+            return QuadElem._of(self.d, self.a / other, self.b / other)
         if isinstance(other, QuadElem):
             return self * other.inverse()
         return NotImplemented
@@ -105,7 +113,7 @@ class QuadElem:
         if k < 0:
             return self.inverse() ** (-k)
         if k == 0:
-            return QuadElem(self.d, 1, 0)
+            return QuadElem._of(self.d, Fraction(1), Fraction(0))
         result = self
         for bit in bin(k)[3:]:
             result = result * result
@@ -120,7 +128,7 @@ class QuadElem:
         return self.conj() / n
 
     def conj(self) -> QuadElem:
-        return QuadElem(self.d, self.a, -self.b)
+        return QuadElem._of(self.d, self.a, -self.b)
 
     def norm(self) -> Fraction:
         return self.a * self.a - self.d * self.b * self.b

@@ -12,7 +12,7 @@ at p = 2.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -58,7 +58,11 @@ class Representation:
     scale: Fraction = Fraction(1)
 
     def to_json(self) -> dict:
-        return {**asdict(self), "scale": render_rat(self.scale)}
+        """The fields in order, terms and core as dicts of their own fields."""
+        core = None if self.core is None else dict(vars(self.core))
+        return {"d": self.d, "sign": self.sign, "m": self.m, "n": self.n,
+                "terms": [dict(vars(t)) for t in self.terms], "core": core,
+                "scale": render_rat(self.scale)}
 
 
 @dataclass(frozen=True)

@@ -111,13 +111,15 @@ def xi(ctx: PellContext, p: int) -> XiEntry | None:
     return _xi_cached(ctx.d, p)
 
 
+@lru_cache(maxsize=256)
+def _spectrum_cached(d: int, pmax: int) -> Spectrum:
+    entries = (_xi_cached(d, p) for p in primes_upto(pmax))
+    return Spectrum(d=d, pmax=pmax, entries=tuple(e for e in entries if e is not None))
+
+
 def spectrum(ctx: PellContext, pmax: int) -> Spectrum:
-    """All spectrum entries with p <= pmax, ordered by p."""
+    """All spectrum entries with p <= pmax, ordered by p; memoized per
+    (d, pmax), so repeated calls return the same Spectrum."""
     if pmax < 2:
         raise ValueError("pmax must be at least 2")
-    entries = []
-    for p in primes_upto(pmax):
-        entry = _xi_cached(ctx.d, p)
-        if entry is not None:
-            entries.append(entry)
-    return Spectrum(d=ctx.d, pmax=pmax, entries=tuple(entries))
+    return _spectrum_cached(ctx.d, pmax)

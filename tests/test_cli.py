@@ -300,3 +300,18 @@ def test_run_table_defaults():
     assert params["format"].default == "text"
     text = run_table(format="csv", ascii_mode=True)
     assert text == (DATA / "reference_table.csv").read_text()
+
+
+@pytest.mark.parametrize("d", (2, 5, 13, 17, 34, 41))
+def test_rational_parity_filter_agrees_with_evaluation(d):
+    """The rational handler drops candidates by _parity_r before evaluating
+    them; that is exact only if it is the r of every evaluated point."""
+    from pellbisect.cli import _rational_candidates
+    from pellbisect.pellcore import make_context
+    from pellbisect.rationalpell import _parity_r, generate_rational
+    from pellbisect.spectrum import spectrum
+
+    ctx = make_context(d)
+    spec = spectrum(ctx, 31)
+    for rep in _rational_candidates(ctx, spec, 2, range(-1, 2)):
+        assert _parity_r(ctx, rep) == generate_rational(ctx, spec, rep).r, rep

@@ -1,0 +1,98 @@
+"""The package surface: what `import pellbisect` loads, what it exports, and
+that lazily loaded names are the objects of their home modules.
+
+Each check that depends on import order runs in a fresh interpreter, since
+this test process has long since imported every module.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import pellbisect
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+LAZY_MODULES = ("pellbisect.solver", "pellbisect.rationalpell", "pellbisect.bisector", "pellbisect.oracle")
+
+# every name the package exported when it imported all of its modules eagerly
+EXPORTS = {
+    "bisector": ("BisectorTriple", "NoRationalBisector", "PairClassification", "TrivialPairError",
+                 "bisect", "case1_generate", "case2_generate", "classify_pair", "from_pell_points",
+                 "integral_generate", "integral_generate2", "verify_star"),
+    "oracle": ("SearchBox", "brute_rational_pell", "brute_solutions", "brute_xi", "tangent_bisector_check"),
+    "pellcore": ("CFExpansion", "PellContext", "class_number", "continued_fraction_sqrt", "make_context",
+                 "neg_pell_rational", "pell_sequence", "splits"),
+    "quadfield": ("FieldMismatchError", "NotSquareFreeError", "QuadElem", "RingTag", "exact_div",
+                  "in_ring", "render"),
+    "rationalpell": ("RationalPellPoint", "decompose_rational", "generate_rational"),
+    "solver": ("CoreFactor", "ExistenceVerdict", "Representation", "XiPower", "decompose_square",
+               "decompose_strict", "evaluate_representation", "generate_strict", "strict_exists",
+               "validate_representation"),
+    "spectrum": ("Spectrum", "XiEntry", "in_s", "spectrum", "xi"),
+}
+
+
+def fresh(code: str):
+    """Run code in a new interpreter; it prints one JSON value last."""
+    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    return json.loads(r.stdout.splitlines()[-1])
+
+
+def test_context_command_loads_only_the_field_core():
+    loaded = fresh(
+        "import contextlib, io, json, sys\n"
+        "import pellbisect\n"
+        "after_import = sorted(sys.modules)\n"
+        "from pellbisect import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['context', '--d', '34']) == 0\n"
+        "print(json.dumps([after_import, sorted(sys.modules)]))\n"
+    )
+    for modules in loaded:
+        assert not set(LAZY_MODULES) & set(modules)
+        assert "pellbisect.spectrum" in modules
+
+
+def test_every_export_is_in_all_and_is_its_home_object():
+    for module, names in EXPORTS.items():
+        home = importlib.import_module(f"pellbisect.{module}")
+        for name in names:
+            assert name in pellbisect.__all__
+            assert getattr(pellbisect, name) is getattr(home, name), name
+    assert all(hasattr(pellbisect, name) for name in pellbisect.__all__)
+    assert set(pellbisect.__all__) <= set(dir(pellbisect))
+
+
+def test_lazy_name_loads_its_module_on_first_use():
+    loaded = fresh(
+        "import json, sys\n"
+        "import pellbisect\n"
+        "before = 'pellbisect.bisector' in sys.modules\n"
+        "pellbisect.bisect\n"
+        "print(json.dumps([before, 'pellbisect.bisector' in sys.modules, 'pellbisect.solver' in sys.modules]))\n"
+    )
+    assert loaded == [False, True, False]
+
+
+def test_spectrum_stays_the_function_after_submodule_imports():
+    kinds = fresh(
+        "import json\n"
+        "import pellbisect\n"
+        "import pellbisect.solver, pellbisect.rationalpell, pellbisect.spectrum\n"
+        "from pellbisect import bisector, oracle\n"
+        "f = pellbisect.spectrum\n"
+        "print(json.dumps([callable(f), f.__module__, f.__name__]))\n"
+    )
+    assert kinds == [True, "pellbisect.spectrum", "spectrum"]
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pellbisect.no_such_name

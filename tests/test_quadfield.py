@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -168,3 +169,40 @@ def test_exact_div_recovers_factor(d, a1, b1, a2, b2):
     beta, gamma = QuadElem(d, a1, b1), QuadElem(d, a2, b2)
     if beta.norm() != 0 and gamma.a.denominator == 1 and gamma.b.denominator == 1:
         assert exact_div(beta * gamma, beta, RingTag.ZSQRTD) == gamma
+
+
+def _seeded_elems(d, count=6, seed=7):
+    rng = random.Random(seed * 1000 + d)
+    coord = lambda: F(rng.randint(-40, 40), rng.randint(1, 9))
+    elems = [q(d, coord(), coord()) for _ in range(count)]
+    return [e for e in elems if e.a or e.b]
+
+
+@pytest.mark.parametrize("d", (2, 5, 34))
+def test_arithmetic_results_equal_validated_elements(d):
+    """Results skip the constructor's checks; each must still be the element
+    the public constructor builds from its coordinates."""
+    elems = _seeded_elems(d)
+    results = [-x for x in elems] + [x.conj() for x in elems] + [x.inverse() for x in elems]
+    results += [x**k for x in elems for k in range(-2, 4)]
+    for x in elems:
+        for y in elems:
+            results += [x + y, x - y, x * y, x / y]
+        for s in (3, F(-2, 5)):
+            results += [x + s, s + x, x - s, s - x, x * s, s * x, x / s]
+    for r in results:
+        assert r.d == d
+        assert type(r.a) is F and type(r.b) is F
+        rebuilt = QuadElem(d, r.a, r.b)
+        assert r == rebuilt and hash(r) == hash(rebuilt)
+
+
+def test_public_constructor_and_mixed_fields_still_checked():
+    with pytest.raises(NotSquareFreeError):
+        QuadElem(4, 1, 1)
+    with pytest.raises(NotSquareFreeError):
+        QuadElem.from_int_pair(4, 1, 1)
+    x, y = q(2, 1, 1), q(5, 3, 1)
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y):
+        with pytest.raises(FieldMismatchError):
+            op()

@@ -1,3 +1,5 @@
+import json
+from dataclasses import asdict
 from fractions import Fraction as F
 from math import gcd
 
@@ -341,3 +343,17 @@ def test_powers_of_two_outside_the_xi_2_ladder_go_to_the_core(d):
             rep = decompose_strict(ctx, spec, x, y)
             assert evaluate_representation(rep) == QuadElem.from_int_pair(d, x, y)
     assert cored
+
+
+def test_to_json_matches_the_dataclass_fields():
+    reps = [
+        Representation(d=34),
+        Representation(d=34, sign=-1, m=1, n=-2, terms=(XiPower(3, 2), XiPower(11, 1, conj=True)),
+                       core=CoreFactor(modulus=15, x=7, y=1, conj=True), scale=F(2, 3)),
+    ]
+    ctx, spec = ctx_spec(34)
+    reps += [decompose_strict(ctx, spec, x, y) for z in (9, 15) for x, y in generate_strict(ctx, spec, z, range(2))]
+    reps.append(decompose_square(ctx, spec, 405, 75))
+    for rep in reps:
+        expected = {**asdict(rep), "scale": str(rep.scale)}
+        assert json.dumps(rep.to_json()) == json.dumps(expected)

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from pellbisect.arith import primes_upto
@@ -156,3 +158,22 @@ def test_level_bounds_on_reference_range():
                 assert e.l == 2
             else:
                 assert 3 <= e.l <= ctx.h + 2
+
+
+def test_spectrum_is_memoized_per_d_and_pmax():
+    # the package binds `spectrum` to the function, so fetch the module itself
+    spectrum_module = importlib.import_module("pellbisect.spectrum")
+    ctx = make_context(34)
+    s97 = spectrum(ctx, 97)
+    assert spectrum(ctx, 97) is s97
+    assert spectrum(make_context(34), 97) is s97
+    assert spectrum(ctx, 89) is not s97 and spectrum(make_context(13), 97) is not s97
+    cache = spectrum_module._spectrum_cached
+    assert cache.cache_info().maxsize is not None  # bounded
+    # what a sweep over every module-level cache_clear does: the next call is cold
+    for obj in vars(spectrum_module).values():
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
+    assert cache.cache_info().currsize == 0
+    fresh = spectrum(ctx, 97)
+    assert fresh is not s97 and fresh == s97
