@@ -96,6 +96,8 @@ def test_case2_degenerate_inputs():
         case2_generate(ctx, alpha, alpha.conj())  # trivial pair a = b
     with pytest.raises(ValueError):
         case2_generate(ctx, alpha, ctx.eta**2)  # norm +1
+    with pytest.raises(ValueError, match="must live in the context's field"):
+        case2_generate(make_context(5), alpha, alpha)
 
 
 def test_from_pell_points():

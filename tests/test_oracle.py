@@ -49,6 +49,10 @@ def test_box_growth_only_adds_results():
 def test_box_validation():
     with pytest.raises(ValueError):
         SearchBox(0)
+    with pytest.raises(ValueError, match="z must be >= 1"):
+        brute_solutions(2, 0, SearchBox(10))
+    with pytest.raises(ValueError, match="r must be 0 or 1"):
+        brute_rational_pell(2, 2, SearchBox(10))
 
 
 def test_tangent_bisector_check():

@@ -81,12 +81,20 @@ def test_sub_refuses_a_float_like_add():
         q(2, 1, 1) - 1.5
     with pytest.raises(TypeError):
         q(2, 1, 1) + 1.5
+    with pytest.raises(TypeError):
+        q(2, 1, 1) * "x"
     assert q(2, 1, 1) - F(1, 2) == q(2, F(1, 2), 1)
 
 
 def test_pow_of_zero_norm_rejected():
     with pytest.raises(ZeroDivisionError):
         q(2, 0, 0) ** -1
+
+
+def test_int_coords():
+    assert q(34, 35, 6).int_coords() == (35, 6)
+    with pytest.raises(ValueError, match="does not have integer coordinates"):
+        q(5, F(1, 2), F(1, 2)).int_coords()
 
 
 def test_in_ring():

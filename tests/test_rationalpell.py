@@ -37,6 +37,8 @@ def test_generate_rejects_odd_parity():
 def test_point_invariant_enforced():
     with pytest.raises(ValueError):
         RationalPellPoint(2, F(1, 2), F(1, 2), 1)
+    with pytest.raises(ValueError, match="r must be 0 or 1"):
+        RationalPellPoint(2, 1, 0, 2)
 
 
 def test_decompose_examples():
@@ -51,6 +53,8 @@ def test_decompose_examples():
 
     rep = decompose_rational(ctx, spec, RationalPellPoint(2, F(1), F(0), 0))
     assert rep.n == 0 and rep.terms == () and rep.scale == 1
+    with pytest.raises(ValueError, match="point and context disagree on d"):
+        decompose_rational(ctx, spec, RationalPellPoint(34, F(5, 3), F(1, 3), 1))
 
 
 def test_decompose_integral_point_is_a_unit_power():

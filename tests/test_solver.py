@@ -48,6 +48,8 @@ def test_strict_exists_rejects_small_z():
     ctx, spec = ctx_spec(2)
     with pytest.raises(ValueError):
         strict_exists(ctx, spec, 1)
+    with pytest.raises(ValueError, match=r"need \|x\^2 - d y\^2\| > 1"):
+        decompose_strict(ctx, spec, 1, 0)
 
 
 def test_spectrum_of_another_d_is_rejected():
@@ -178,6 +180,10 @@ def test_validate_representation():
     assert not validate_representation(Representation(d=2, terms=(XiPower(3, 1),)))
     ev = evaluate_representation(Representation(d=2, n=-1, terms=(XiPower(7, 1),)))
     assert ev == QuadElem.from_int_pair(2, -1, 2)
+    with pytest.raises(ValueError, match="prime 7 is not in the spectrum of d=34"):
+        evaluate_representation(Representation(d=34, terms=(XiPower(7, 1),)))
+    report = validate_representation(Representation(d=34, sign=2, m=2))
+    assert report.problems == ("sign must be +-1, got 2", "m must be 0 or 1, got 2")
 
 
 def test_validate_reports_negative_exponent_without_evaluating():

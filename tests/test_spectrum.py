@@ -67,6 +67,8 @@ def test_spectrum_get_bound():
     s = spectrum(make_context(2), 31)
     with pytest.raises(ValueError):
         s.get(37)
+    with pytest.raises(ValueError, match="pmax must be at least 2"):
+        spectrum(make_context(2), 1)
 
 
 @pytest.mark.parametrize("d", TABLE_DS)
