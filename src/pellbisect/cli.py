@@ -430,16 +430,15 @@ def _cmd_triples(args) -> list:
         if args.d is None:
             raise ValueError("--d is required for case2")
         ctx = make_context(args.d)
-        spec = spectrum(ctx, 31)
         if ctx.neg_pell_integral:
             alphas = [ctx.eta ** (2 * k + 1) for k in range(args.box)]
         else:
-            seeds = [e for e in spec.entries if e.norm_sign == -1 and e.l % 2 == 0]
-            if not seeds:
+            entries = filter(None, (xi(ctx, p) for p in primes_upto(31)))  # up to the first seed
+            seed = next((e for e in entries if e.norm_sign == -1 and e.l % 2 == 0), None)
+            if seed is None:
                 raise bisector.NoRationalBisector(
                     f"x^2-{args.d}y^2 = -1 has no rational solutions to pair up"
                 )
-            seed = seeds[0]
             alpha0 = seed.elem / seed.p ** (seed.l // 2)
             alphas = [alpha0 * ctx.eta**k for k in range(args.box + 1)]
         for i, alpha in enumerate(alphas):

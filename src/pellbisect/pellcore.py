@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt
 
 from .arith import divisors, factorize, icbrt, is_prime, legendre
@@ -41,17 +41,12 @@ def continued_fraction_sqrt(d: int) -> CFExpansion:
 
 @dataclass(frozen=True)
 class PellContext:
-    """Everything the solvers need to know about a single d."""
+    """The units of d: eta, fundamental in O_K, and eps = f1 + g1*sqrt(d) = eta or
+    eta^3, least in Z[sqrt(d)].  The rest is derived on first read, then kept."""
 
     d: int
-    disc: int
     eta: QuadElem
     eps: QuadElem
-    norm_eta: int
-    eta_in_zd: bool
-    neg_pell_integral: bool
-    neg_pell_rational: bool
-    h: int
 
     @property
     def f1(self) -> int:
@@ -60,6 +55,35 @@ class PellContext:
     @property
     def g1(self) -> int:
         return int(self.eps.b)
+
+    @cached_property
+    def disc(self) -> int:
+        return self.d if self.d % 4 == 1 else 4 * self.d
+
+    @cached_property
+    def norm_eta(self) -> int:
+        return int(self.eta.norm())
+
+    @cached_property
+    def eta_in_zd(self) -> bool:
+        return self.eta.b.denominator == 1  # a half-coordinate eta has v/2, v odd
+
+    @cached_property
+    def neg_pell_integral(self) -> bool:
+        return self.norm_eta == -1
+
+    @cached_property
+    def neg_pell_rational(self) -> bool:
+        return neg_pell_rational(self.d)  # the module-level test
+
+    @cached_property
+    def h(self) -> int:
+        """Class number: the narrow one h+, halved unless N(eta) = -1."""
+        h_plus = _narrow_class_number(self.disc)
+        if self.neg_pell_integral:
+            return h_plus
+        assert h_plus % 2 == 0
+        return h_plus // 2
 
 
 def _half_coordinate_unit(d: int, f1: int, norm: int) -> QuadElem | None:
@@ -84,7 +108,7 @@ def _half_coordinate_unit(d: int, f1: int, norm: int) -> QuadElem | None:
 
 @lru_cache(maxsize=None)
 def make_context(d: int) -> PellContext:
-    """Build the per-d bundle; memoized, safe for concurrent readers."""
+    """Find the units of d; memoized, safe for concurrent readers."""
     cf = continued_fraction_sqrt(d)
     # eps = f1 + g1*sqrt(d) is the convergent just before the period closes
     f0, f1, g0, g1 = 1, cf.a0, 0, 1
@@ -93,35 +117,11 @@ def make_context(d: int) -> PellContext:
     eps = QuadElem(d, f1, g1)
     norm_eps = int(eps.norm())
     assert norm_eps in (1, -1)
-
     eta = _half_coordinate_unit(d, f1, norm_eps)
-    eta_in_zd = eta is None
-    if eta_in_zd:
-        eta = eps
-    else:
-        assert eta ** 3 == eps
-    norm_eta = int(eta.norm())
-    assert norm_eta == norm_eps
-
-    neg_pell_integral = norm_eta == -1
-    disc = d if d % 4 == 1 else 4 * d
-    h_plus = _narrow_class_number(disc)
-    if neg_pell_integral:
-        h = h_plus
-    else:
-        assert h_plus % 2 == 0
-        h = h_plus // 2
-    return PellContext(
-        d=d,
-        disc=disc,
-        eta=eta,
-        eps=eps,
-        norm_eta=norm_eta,
-        eta_in_zd=eta_in_zd,
-        neg_pell_integral=neg_pell_integral,
-        neg_pell_rational=neg_pell_rational(d),
-        h=h,
-    )
+    if eta is None:
+        return PellContext(d, eps, eps)
+    assert eta ** 3 == eps and eta.norm() == norm_eps
+    return PellContext(d, eta, eps)
 
 
 def pell_sequence(d: int, n: int) -> tuple[int, int]:

@@ -20,7 +20,7 @@ from math import gcd, isqrt
 from .arith import factorize, is_prime, is_square, strict_hits
 from .pellcore import PellContext, make_context
 from .quadfield import QuadElem, RingTag, exact_div, in_ring, render_rat
-from .spectrum import Spectrum, xi
+from .spectrum import Spectrum, XiEntry, xi
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,8 @@ def _fundamental_window(d: int, modulus: int) -> tuple[tuple[int, int, int], ...
     return tuple(sorted(hits, key=lambda h: (h[1], h[0], -h[2])))
 
 
-def _case_tag(ctx: PellContext, spec: Spectrum, p: int) -> str:
-    in_spectrum = spec.get(p) is not None
+def _case_tag(ctx: PellContext, p: int, entry: XiEntry | None) -> str:
+    in_spectrum = entry is not None
     if ctx.d % 8 == 5 and ctx.eta_in_zd:
         return "B1" if (p != 2 and in_spectrum) else "B2"
     if p == 2:
@@ -160,12 +160,13 @@ def strict_exists(ctx: PellContext, spec: Spectrum, z: int) -> ExistenceVerdict:
     if spec.d != ctx.d:
         raise ValueError(f"the spectrum of d={spec.d} does not belong to d={ctx.d}")
     factors = factorize(z)
-    tags = {p: _case_tag(ctx, spec, p) for p in factors}
+    entries = {p: spec.get(p) for p in factors}
+    tags = {p: _case_tag(ctx, p, entry) for p, entry in entries.items()}
     m = 0
     exponents: dict[int, int] = {}
     core = 1
     for p, e in sorted(factors.items()):
-        entry = spec.get(p)
+        entry = entries[p]
         if p == 2:
             if not _two_adic_admissible(ctx, e):
                 return ExistenceVerdict(exists=False, case_tags=tags)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from pellbisect import pellcore
 from pellbisect.cli import main, render_figure, run_table
 
 DATA = Path(__file__).parent / "data"
@@ -127,6 +128,37 @@ def test_solve_and_decompose_build_xi_only_for_the_primes_of_z(capsys):
             "core": None, "scale": "1",
         },
     }
+
+
+def test_answers_that_need_no_class_number_do_not_compute_it(capsys, monkeypatch):
+    """The class number of d = 10^9+7 takes about 10 s; the unit, its powers
+    and an inert z need none of it."""
+    def refuse(disc):
+        raise RuntimeError(f"class number of {disc} computed")
+
+    monkeypatch.setattr(pellcore, "_narrow_class_number", refuse)
+    d = 10**9 + 7
+    with _within_one_second():
+        ctx = pellcore.make_context(d)
+        assert pellcore.pell_sequence(d, 1) == (ctx.f1, ctx.g1)
+        code, out = run(capsys, "solve", "--d", str(d), "--z", "3")
+    assert code == 0
+    assert json.loads(out) == {
+        "d": d, "z": 3, "exists": False, "case_tags": {"3": "A2"}, "solutions": [],
+    }
+    with pytest.raises(RuntimeError, match="class number"):
+        ctx.h
+
+
+def test_triples_case2_with_integral_negative_pell_builds_no_spectrum(capsys):
+    """d = 181 pairs up powers of eta; its xi_29 alone takes seconds."""
+    with _within_one_second():
+        code, out = run(capsys, "triples", "--mode", "case2", "--d", "181", "--range", "2")
+    assert code == 0
+    source = {"alpha": "(1305+97\u221a181)/2", "beta": "1111225770+82596761\u221a181"}
+    assert json.loads(out) == [
+        {"a": "1305/2", "b": "1111225770", "c": c, "source": source} for c in ("1305", "-1/1305")
+    ]
 
 
 def test_rational_contains_reference_point(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 from math import isqrt
 
@@ -6,6 +7,7 @@ from sympy.solvers.diophantine.diophantine import diop_DN
 
 from pellbisect.arith import factorize, is_prime, is_square, is_squarefree, legendre, primes_upto
 from pellbisect.pellcore import (
+    PellContext,
     class_number,
     continued_fraction_sqrt,
     make_context,
@@ -66,6 +68,10 @@ def test_context_34_flags():
 def test_disc_convention():
     assert make_context(13).disc == 13
     assert make_context(2).disc == 8
+
+
+def test_a_context_stores_only_its_units():
+    assert [f.name for f in dataclasses.fields(PellContext)] == ["d", "eta", "eps"]
 
 
 @pytest.mark.parametrize("d", TABLE_DS + (3, 6, 7, 15, 21, 30, 33, 37))
