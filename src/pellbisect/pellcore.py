@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .arith import divisors, factorize, icbrt, is_prime, legendre
@@ -42,7 +42,7 @@ def continued_fraction_sqrt(d: int) -> CFExpansion:
 @dataclass(frozen=True)
 class PellContext:
     """The units of d: eta, fundamental in O_K, and eps = f1 + g1*sqrt(d) = eta or
-    eta^3, least in Z[sqrt(d)].  The rest is derived on first read, then kept."""
+    eta^3, least in Z[sqrt(d)].  The rest is derived on each read; h is memoized."""
 
     d: int
     eta: QuadElem
@@ -56,34 +56,29 @@ class PellContext:
     def g1(self) -> int:
         return int(self.eps.b)
 
-    @cached_property
+    @property
     def disc(self) -> int:
         return self.d if self.d % 4 == 1 else 4 * self.d
 
-    @cached_property
+    @property
     def norm_eta(self) -> int:
-        return int(self.eta.norm())
+        return self.f1 * self.f1 - self.d * self.g1 * self.g1  # N(eps), which is N(eta)
 
-    @cached_property
+    @property
     def eta_in_zd(self) -> bool:
         return self.eta.b.denominator == 1  # a half-coordinate eta has v/2, v odd
 
-    @cached_property
+    @property
     def neg_pell_integral(self) -> bool:
         return self.norm_eta == -1
 
-    @cached_property
+    @property
     def neg_pell_rational(self) -> bool:
         return neg_pell_rational(self.d)  # the module-level test
 
-    @cached_property
+    @property
     def h(self) -> int:
-        """Class number: the narrow one h+, halved unless N(eta) = -1."""
-        h_plus = _narrow_class_number(self.disc)
-        if self.neg_pell_integral:
-            return h_plus
-        assert h_plus % 2 == 0
-        return h_plus // 2
+        return class_number(self.d)
 
 
 def _half_coordinate_unit(d: int, f1: int, norm: int) -> QuadElem | None:
@@ -143,9 +138,15 @@ def splits(d: int, p: int) -> bool:
     return legendre(d, p) == 1
 
 
+@lru_cache(maxsize=None)
 def class_number(d: int) -> int:
-    """Ideal class number h of Q(sqrt(d))."""
-    return make_context(d).h
+    """Class number h of Q(sqrt(d)): narrow h+, halved unless N(eta) = -1; memoized."""
+    ctx = make_context(d)
+    h_plus = _narrow_class_number(ctx.disc)
+    if ctx.neg_pell_integral:
+        return h_plus
+    assert h_plus % 2 == 0
+    return h_plus // 2
 
 
 def neg_pell_rational(d: int) -> bool:

@@ -316,8 +316,8 @@ def decompose_square(ctx, spec: Spectrum, x: int, y: int) -> Representation:
 
 def validate_representation(rep: Representation) -> ValidationReport:
     """Structural checks: sign, m, a positive scale, spectrum membership, the
-    core's modulus, the unit-exponent congruence for odd moduli, and the
-    parity/cap conditions when a scale is present."""
+    core's modulus and strict primitivity, the unit-exponent congruence for
+    odd moduli, and the parity/cap conditions when a scale is present."""
     ctx = make_context(rep.d)
     problems: list[str] = []
     if rep.sign not in (1, -1):
@@ -335,6 +335,8 @@ def validate_representation(rep: Representation) -> ValidationReport:
         c = rep.core
         if abs(c.x * c.x - rep.d * c.y * c.y) != c.modulus:
             problems.append(f"core ({c.x}, {c.y}) does not have modulus {c.modulus}")
+        if gcd(c.x, rep.d * c.y) != 1:
+            problems.append(f"core ({c.x}, {c.y}) is not strictly primitive")
     if problems:
         return ValidationReport(False, tuple(problems))
 

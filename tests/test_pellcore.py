@@ -1,10 +1,14 @@
 import dataclasses
+import sys
+import threading
+import time
 from fractions import Fraction as F
 from math import isqrt
 
 import pytest
 from sympy.solvers.diophantine.diophantine import diop_DN
 
+from pellbisect import pellcore
 from pellbisect.arith import factorize, is_prime, is_square, is_squarefree, legendre, primes_upto
 from pellbisect.pellcore import (
     PellContext,
@@ -72,6 +76,60 @@ def test_disc_convention():
 
 def test_a_context_stores_only_its_units():
     assert [f.name for f in dataclasses.fields(PellContext)] == ["d", "eta", "eps"]
+    ctx = make_context(34)
+    derived = (ctx.disc, ctx.norm_eta, ctx.eta_in_zd, ctx.neg_pell_integral,
+               ctx.neg_pell_rational, ctx.h)
+    assert derived == (136, 1, True, False, True, 2)
+    assert set(getattr(ctx, "__dict__", {})) <= {"d", "eta", "eps"}
+
+
+def _clear_program_caches():
+    """Empty every functools cache in the package, as the benchmark does
+    before each cold round."""
+    for name, mod in list(sys.modules.items()):
+        if name == "pellbisect" or name.startswith("pellbisect."):
+            for obj in list(vars(mod).values()):
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+def test_the_class_number_is_memoized_per_d_until_a_cache_sweep(monkeypatch):
+    calls: list[int] = []
+    real = pellcore._narrow_class_number
+    monkeypatch.setattr(pellcore, "_narrow_class_number", lambda D: calls.append(D) or real(D))
+    _clear_program_caches()
+    assert make_context(34).h == 2 and class_number(34) == 2
+    assert calls == [136]
+    _clear_program_caches()
+    assert make_context(34).h == 2
+    assert calls == [136, 136]
+
+
+def test_reading_h_does_not_wait_for_another_d(monkeypatch):
+    """While one thread computes h for d = 7, h of d = 34 is answered at once."""
+    _clear_program_caches()
+    entered, gate = threading.Event(), threading.Event()
+    real = pellcore._narrow_class_number
+
+    def slow(D):
+        if D == 28:
+            entered.set()
+            gate.wait(2.0)
+        return real(D)
+
+    monkeypatch.setattr(pellcore, "_narrow_class_number", slow)
+    seen = []
+    worker = threading.Thread(target=lambda: seen.append(make_context(7).h))
+    worker.start()
+    try:
+        assert entered.wait(5.0)
+        start = time.perf_counter()
+        assert make_context(34).h == 2
+        assert time.perf_counter() - start < 0.5
+    finally:
+        gate.set()
+        worker.join()
+    assert seen == [1]
 
 
 @pytest.mark.parametrize("d", TABLE_DS + (3, 6, 7, 15, 21, 30, 33, 37))

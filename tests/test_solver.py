@@ -195,6 +195,10 @@ def test_validate_flags_a_core_with_the_wrong_modulus():
     report = validate_representation(Representation(d=34, core=CoreFactor(modulus=4, x=5, y=1)))
     assert report.problems == ("core (5, 1) does not have modulus 4",)  # |25 - 34| = 9
     assert validate_representation(Representation(d=34, core=CoreFactor(modulus=9, x=5, y=1)))
+    report = validate_representation(Representation(d=34, core=CoreFactor(modulus=0, x=0, y=0)))
+    assert report.problems == ("core (0, 0) is not strictly primitive",)  # it evaluates to 0
+    report = validate_representation(Representation(d=34, core=CoreFactor(modulus=4, x=2, y=0)))
+    assert report.problems == ("core (2, 0) is not strictly primitive",)  # gcd(2, 0) = 2
 
 
 def test_validate_reports_a_composite_prime_as_outside_the_spectrum():
