@@ -25,6 +25,10 @@ class FieldMismatchError(ValueError):
     """Operands live in different quadratic fields."""
 
 
+class InvariantError(RuntimeError):
+    """A self-check on a computed result failed: a defect, not a bad input."""
+
+
 def check_field_index(d: int) -> int:
     if d <= 1 or not is_squarefree(d):
         raise NotSquareFreeError(f"need a square-free integer > 1, got {d}")
@@ -133,6 +137,11 @@ class QuadElem:
     def norm(self) -> Fraction:
         return self.a * self.a - self.d * self.b * self.b
 
+    def scaled_coords(self) -> tuple[int, int, int]:
+        """(x, y, m) with self = (x + y*sqrt(d))/m and m the least common denominator."""
+        m = lcm(self.a.denominator, self.b.denominator)
+        return self.a.numerator * (m // self.a.denominator), self.b.numerator * (m // self.b.denominator), m
+
     def int_coords(self) -> tuple[int, int]:
         """(x, y) as plain integers; raises if not in Z[sqrt(d)]."""
         if self.a.denominator != 1 or self.b.denominator != 1:
@@ -158,9 +167,21 @@ def in_ring(alpha: QuadElem, tag: RingTag) -> bool:
 
 
 def exact_div(alpha: QuadElem, beta: QuadElem, tag: RingTag) -> QuadElem | None:
-    """gamma with beta*gamma == alpha and gamma in the given ring, else None."""
-    gamma = alpha / beta
-    return gamma if in_ring(gamma, tag) else None
+    """gamma with beta*gamma == alpha and gamma in the given ring, else None.  With
+    alpha = (x1 + y1*sqrt(d))/m1, beta = (x2 + y2*sqrt(d))/m2 and N = x2^2 - d*y2^2, the
+    pair h*m2*(x1 + y1*sqrt(d))*(x2 - y2*sqrt(d))/(m1*N) = (s, t) must be integral, where
+    h = 2 and s = t mod 2 admit the halves of O_K when d = 1 mod 4, and h = 1 otherwise."""
+    x2, y2, m2 = beta.scaled_coords()
+    n = x2 * x2 - beta.d * y2 * y2
+    if n == 0:
+        raise ZeroDivisionError("zero-norm element has no inverse")
+    alpha._check_same_field(beta)
+    d = alpha.d
+    x1, y1, m1 = alpha.scaled_coords()
+    h = 2 if tag is RingTag.OK and d % 4 == 1 else 1
+    s, rs = divmod(h * m2 * (x1 * x2 - d * y1 * y2), m1 * n)
+    t, rt = divmod(h * m2 * (y1 * x2 - x1 * y2), m1 * n)
+    return None if rs or rt or (s - t) % h else QuadElem._of(d, Fraction(s, h), Fraction(t, h))
 
 
 def _int_part_str(x: int, y: int, d: int, ascii_mode: bool) -> str:
@@ -177,9 +198,7 @@ def _int_part_str(x: int, y: int, d: int, ascii_mode: bool) -> str:
 
 def render(alpha: QuadElem, ascii_mode: bool = False) -> str:
     """Textual form like "35+6√34" or "(1+√5)/2", reduced."""
-    lcd = lcm(alpha.a.denominator, alpha.b.denominator)
-    x = int(alpha.a * lcd)
-    y = int(alpha.b * lcd)
+    x, y, lcd = alpha.scaled_coords()
     core = _int_part_str(x, y, alpha.d, ascii_mode)
     if lcd == 1:
         return core

@@ -19,7 +19,7 @@ from math import gcd, isqrt
 
 from .arith import factorize, is_prime, is_square, strict_hits
 from .pellcore import PellContext, make_context
-from .quadfield import QuadElem, RingTag, exact_div, in_ring, render_rat
+from .quadfield import InvariantError, QuadElem, RingTag, exact_div, in_ring, render_rat
 from .spectrum import Spectrum, XiEntry, xi
 
 
@@ -231,7 +231,8 @@ def generate_strict(ctx, spec: Spectrum, z: int, n_range) -> list[tuple[int, int
             x, y = cand.int_coords()
             if gcd(x, ctx.d * y) != 1:  # also rules out y = 0, since z > 1
                 continue
-            assert abs(x * x - ctx.d * y * y) == z
+            if abs(x * x - ctx.d * y * y) != z:
+                raise InvariantError(f"generated ({x}, {y}) does not have modulus {z}")
             results.add((x, y) if y > 0 else (-x, -y))
     return sorted(results, key=lambda xy: (xy[1], xy[0]))
 
@@ -239,16 +240,22 @@ def generate_strict(ctx, spec: Spectrum, z: int, n_range) -> list[tuple[int, int
 def _unit_exponent(ctx: PellContext, u: QuadElem) -> tuple[int, int]:
     """Write a unit u of O_K as sign * eta^n by exact division, no logs: one
     step per power of eta, towards +-1.  |u| > 1 exactly when u's two
-    coordinates share a sign, since |u * conj(u)| = 1."""
-    if not in_ring(u, RingTag.OK) or abs(u.norm()) != 1:
+    coordinates share a sign, since |u * conj(u)| = 1.  It walks the integer
+    pairs 2u and 2*eta, whose product halves exactly; eta^-1 = N(eta)*conj(eta)."""
+    d = ctx.d
+    x, y, m = u.scaled_coords()
+    if not in_ring(u, RingTag.OK) or abs(x * x - d * y * y) != m * m:
         raise ValueError(f"residual {u} is not a unit of O_K; inconsistent decomposition")
-    n, eta_inv = 0, ctx.eta.inverse()
-    while u.b != 0:
-        if u.a * u.b > 0:
-            u, n = u * eta_inv, n + 1
+    s, t = 2 * x // m, 2 * y // m
+    x, y, m = ctx.eta.scaled_coords()
+    e, f = 2 * x // m, 2 * y // m
+    n, norm = 0, (e * e - d * f * f) // 4
+    while t:
+        if s * t > 0:
+            s, t, n = norm * (s * e - d * t * f) // 2, norm * (t * e - s * f) // 2, n + 1
         else:
-            u, n = u * ctx.eta, n - 1
-    return n, int(u.a)
+            s, t, n = (s * e + d * t * f) // 2, (s * f + t * e) // 2, n - 1
+    return n, s // 2
 
 
 def decompose_strict(ctx, spec: Spectrum, x: int, y: int) -> Representation:
@@ -266,7 +273,8 @@ def decompose_strict(ctx, spec: Spectrum, x: int, y: int) -> Representation:
     if gcd(x, d * y) != 1:
         raise ValueError(f"({x}, {y}) is not strictly primitive for d={d}")
     plan = strict_exists(ctx, spec, z)
-    assert plan.exists, "a live solution contradicts the existence verdict"
+    if not plan.exists:
+        raise InvariantError(f"({x}, {y}) is a solution, yet the verdict says none exists")
 
     alpha = QuadElem.from_int_pair(d, x, y)
     peeled: list[XiPower | CoreFactor] = []
@@ -281,13 +289,14 @@ def decompose_strict(ctx, spec: Spectrum, x: int, y: int) -> Representation:
                 peeled.append(label)
                 break
         else:
-            raise AssertionError(f"no choice of {group[0]} divides the input")
+            raise InvariantError(f"no choice of {group[0]} divides ({x}, {y})")
 
     n, sign = _unit_exponent(ctx, alpha)
     terms = tuple(sorted((t for t in peeled if isinstance(t, XiPower)), key=lambda t: t.p))
     core = peeled[-1] if plan.core_modulus > 1 else None
     rep = Representation(d=d, sign=sign, m=plan.m, n=n, terms=terms, core=core)
-    assert evaluate_representation(rep) == QuadElem.from_int_pair(d, x, y)
+    if evaluate_representation(rep) != QuadElem.from_int_pair(d, x, y):
+        raise InvariantError(f"{rep} does not evaluate to ({x}, {y})")
     return rep
 
 
@@ -299,7 +308,8 @@ def _decompose_scaled(ctx, spec: Spectrum, x: int, y: int, scale: Fraction) -> R
         rep = Representation(d=ctx.d, sign=sign, n=n, scale=scale)
     else:
         rep = replace(decompose_strict(ctx, spec, x, y), scale=scale)
-    assert evaluate_representation(rep) == QuadElem.from_int_pair(ctx.d, x, y) * scale
+    if evaluate_representation(rep) != QuadElem.from_int_pair(ctx.d, x, y) * scale:
+        raise InvariantError(f"{rep} does not evaluate to ({x}, {y}) * {scale}")
     return rep
 
 

@@ -5,12 +5,13 @@ the fundamental element xi_p for each of them."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
 from .arith import primes_upto, strict_hits
 from .pellcore import PellContext, make_context, splits
-from .quadfield import QuadElem
+from .quadfield import QuadElem, check_field_index
 
 
 @dataclass(frozen=True)
@@ -30,13 +31,14 @@ class XiEntry:
     norm_sign: int
 
     def __post_init__(self) -> None:
+        check_field_index(self.d)
         assert self.x > 0 and self.y > 0
         assert self.x * self.x - self.d * self.y * self.y == self.norm_sign * self.p**self.l
         assert gcd(self.x, self.d * self.y) == 1
 
     @property
     def elem(self) -> QuadElem:
-        return QuadElem.from_int_pair(self.d, self.x, self.y)
+        return QuadElem._of(self.d, Fraction(self.x), Fraction(self.y))
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ EXPORTS = {
     "oracle": ("SearchBox", "brute_rational_pell", "brute_solutions", "brute_xi", "tangent_bisector_check"),
     "pellcore": ("CFExpansion", "PellContext", "class_number", "continued_fraction_sqrt", "make_context",
                  "neg_pell_rational", "pell_sequence", "splits"),
-    "quadfield": ("FieldMismatchError", "NotSquareFreeError", "QuadElem", "RingTag", "exact_div",
-                  "in_ring", "render"),
+    "quadfield": ("FieldMismatchError", "InvariantError", "NotSquareFreeError", "QuadElem", "RingTag",
+                  "exact_div", "in_ring", "render"),
     "rationalpell": ("RationalPellPoint", "decompose_rational", "generate_rational"),
     "solver": ("CoreFactor", "ExistenceVerdict", "Representation", "XiPower", "decompose_square",
                "decompose_strict", "evaluate_representation", "generate_strict", "strict_exists",

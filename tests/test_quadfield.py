@@ -118,6 +118,44 @@ def test_exact_div_zero_norm_divisor():
         exact_div(q(2, 1, 1), q(2, 0, 0), RingTag.ZSQRTD)
 
 
+def test_exact_div_checks_the_divisor_before_the_field():
+    with pytest.raises(ZeroDivisionError):
+        exact_div(q(2, 1, 1), q(5, 0, 0), RingTag.OK)
+    with pytest.raises(FieldMismatchError):
+        exact_div(q(2, 1, 1), q(5, 1, 1), RingTag.OK)
+
+
+@pytest.mark.parametrize("tag", tuple(RingTag))
+@pytest.mark.parametrize("d", (2, 3, 5, 13, 17, 21, 34))
+def test_exact_div_matches_division_in_the_field(d, tag):
+    """The integer divisibility test returns what dividing in the field and
+    testing the quotient returns, on integral, half-odd and other rational
+    operands, and on products beta*gamma, which mostly divide."""
+    rng = random.Random(100 * d + (tag is RingTag.OK))
+    odd = lambda: 2 * rng.randint(-15, 15) + 1
+    makers = (
+        lambda: q(d, rng.randint(-30, 30), rng.randint(-30, 30)),
+        lambda: q(d, F(odd(), 2), F(odd(), 2)),
+        lambda: q(d, F(rng.randint(-30, 30), rng.randint(1, 9)), F(rng.randint(-30, 30), rng.randint(1, 9))),
+    )
+    elems = [e for e in (rng.choice(makers)() for _ in range(30)) if e.a or e.b]
+    pairs = [(rng.choice(elems), beta) for beta in elems]
+    pairs += [(beta * gamma, beta) for beta in elems for gamma in rng.sample(elems, 5)]
+    divided = halves = 0
+    for alpha, beta in pairs:
+        reference = alpha / beta
+        reference = reference if in_ring(reference, tag) else None
+        got = exact_div(alpha, beta, tag)
+        assert got == reference, (alpha, beta)
+        if got is not None:
+            divided += 1
+            halves += got.a.denominator == 2
+            assert type(got.a) is F and type(got.b) is F
+            assert hash(got) == hash(reference)
+    assert len(pairs) // 5 <= divided < len(pairs)
+    assert bool(halves) == (tag is RingTag.OK and d % 4 == 1)
+
+
 def test_squarefree_validation():
     for bad in (0, 1, 4, 8, 9, 12, 18, 45, -2):
         with pytest.raises(NotSquareFreeError):

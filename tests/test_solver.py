@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 from fractions import Fraction as F
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,9 @@ from pellbisect.solver import (
     validate_representation,
 )
 from pellbisect.spectrum import spectrum, xi
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def ctx_spec(d, pmax=97):
@@ -316,12 +323,36 @@ def test_sign_rigidity_without_negative_pell():
     assert both == {1, -1}
 
 
-@pytest.mark.parametrize("d", (2, 5, 13, 34, 601))
+@pytest.mark.parametrize("d", (2, 5, 13, 17, 21, 34, 77, 601))
 def test_unit_exponent_walks_every_power_of_eta(d):
     ctx = make_context(d)
     for n in range(-30, 31):
         for sign in (1, -1):
             assert _unit_exponent(ctx, sign * ctx.eta**n) == (n, sign)
+
+
+def test_decompose_self_check_survives_optimize():
+    """Under python -O the asserts are gone; a wrong unit exponent must still
+    fail the field-product self-check of decompose_strict."""
+    code = (
+        "import pellbisect.solver as solver\n"
+        "from pellbisect import InvariantError, make_context, spectrum\n"
+        "walk = solver._unit_exponent\n"
+        "def off_by_one(ctx, u):\n"
+        "    n, sign = walk(ctx, u)\n"
+        "    return n + 1, sign\n"
+        "solver._unit_exponent = off_by_one\n"
+        "ctx = make_context(34)\n"
+        "print(__debug__)\n"
+        "try:\n"
+        "    print(solver.decompose_strict(ctx, spectrum(ctx, 97), 5, 1))\n"
+        "except InvariantError:\n"
+        "    print('InvariantError')\n"
+    )
+    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert r.stdout.split() == ["False", "InvariantError"], r.stdout + r.stderr
 
 
 def test_unit_exponent_rejects_norm_one_elements_outside_the_ring():

@@ -1,12 +1,13 @@
 import importlib
+from fractions import Fraction
 
 import pytest
 
 from pellbisect.arith import primes_upto
 from pellbisect.oracle import SearchBox, brute_xi
 from pellbisect.pellcore import make_context
-from pellbisect.quadfield import RingTag, in_ring
-from pellbisect.spectrum import in_s, spectrum, xi
+from pellbisect.quadfield import NotSquareFreeError, QuadElem, RingTag, in_ring
+from pellbisect.spectrum import XiEntry, in_s, spectrum, xi
 
 TABLE_DS = (2, 5, 10, 13, 17, 26, 29, 34)
 
@@ -140,6 +141,15 @@ def test_d37_spectrum_needs_levels_beyond_h():
     e = xi(ctx, 3)
     assert ctx.h == 1
     assert (e.l, e.x, e.y, e.norm_sign) == (3, 8, 1, 1)
+
+
+def test_xi_entry_checks_its_field_at_construction():
+    with pytest.raises(NotSquareFreeError):
+        XiEntry(4, 5, 1, 3, 1, 1)  # 3^2 - 4 * 1^2 = 5, but 4 is not square-free
+    e = xi(make_context(34), 3)
+    built = QuadElem.from_int_pair(34, e.x, e.y)
+    assert e.elem == built and hash(e.elem) == hash(built)
+    assert type(e.elem.a) is Fraction and type(e.elem.b) is Fraction
 
 
 def test_xi_entry_elem_is_integral():
