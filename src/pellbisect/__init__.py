@@ -12,7 +12,7 @@ from .pellcore import (CFExpansion, PellContext, class_number, continued_fractio
 from .quadfield import (FieldMismatchError, InvariantError, NotSquareFreeError, QuadElem, RingTag, exact_div,
                         in_ring, render)
 # bound after the submodule import, so `spectrum` is the function and not the module
-from .spectrum import Spectrum, XiEntry, in_s, spectrum, xi
+from .spectrum import Spectrum, XiEntry, XiEntryError, in_s, spectrum, xi
 
 _LAZY = {
     "bisector": ("BisectorTriple", "NoRationalBisector", "PairClassification", "TrivialPairError",
@@ -29,7 +29,7 @@ _HOME = {name: module for module, names in _LAZY.items() for name in names}
 __all__ = ["CFExpansion", "PellContext", "class_number", "continued_fraction_sqrt", "make_context",
            "neg_pell_rational", "pell_sequence", "splits", "FieldMismatchError", "InvariantError",
            "NotSquareFreeError", "QuadElem", "RingTag", "exact_div", "in_ring", "render", "Spectrum",
-           "XiEntry", "in_s", "spectrum", "xi", *_HOME]
+           "XiEntry", "XiEntryError", "in_s", "spectrum", "xi", *_HOME]
 __version__ = "0.1.0"
 
 

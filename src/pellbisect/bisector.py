@@ -13,7 +13,7 @@ from math import isqrt, lcm
 
 from .arith import factorize
 from .pellcore import PellContext
-from .quadfield import QuadElem
+from .quadfield import InvariantError, QuadElem
 
 
 class NoRationalBisector(ValueError):
@@ -25,9 +25,10 @@ class TrivialPairError(ValueError):
 
 
 def verify_star(a: Fraction, b: Fraction, c: Fraction) -> bool:
-    """Exact check of (a-c)^2 (b^2+1) == (b-c)^2 (a^2+1)."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    return (a - c) ** 2 * (b * b + 1) == (b - c) ** 2 * (a * a + 1)
+    """Exact check of (a-c)^2 (b^2+1) == (b-c)^2 (a^2+1) on numerators: with a = an/ad
+    and so on, both sides share the denominator (ad*bd*cd)^2."""
+    (an, ad), (bn, bd), (cn, cd) = a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
+    return (an * cd - cn * ad) ** 2 * (bn * bn + bd * bd) == (bn * cd - cn * bd) ** 2 * (an * an + ad * ad)
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,8 @@ def classify_pair(a: Fraction, b: Fraction) -> PairClassification:
         )
     a2 = Fraction(isqrt(na // da), den)
     b2 = Fraction(isqrt(nb // da), den)
-    assert a * a + 1 == da * a2 * a2 and b * b + 1 == da * b2 * b2
+    if a * a + 1 != da * a2 * a2 or b * b + 1 != da * b2 * b2:
+        raise InvariantError(f"({a}, {b}) do not lie on x^2 - {da} y^2 = -1 with ({a2}, {b2})")
     return PairClassification(d=da, a2=a2, b2=b2)
 
 
@@ -102,7 +104,8 @@ def from_pell_points(
             raise ValueError(f"({x}, {y}) is not on x^2 - {d} y^2 = -1")
     c_plus = (a1 * b2 + a2 * b1) / (b2 + a2) if b2 != -a2 else None
     c_minus = (a1 * b2 - a2 * b1) / (b2 - a2) if b2 != a2 else None
-    assert c_plus is None or c_minus is None or c_plus * c_minus == -1
+    if c_plus is not None and c_minus is not None and c_plus * c_minus != -1:
+        raise InvariantError(f"bisector slopes {c_plus} and {c_minus} are not perpendicular")
     return c_plus, c_minus
 
 
@@ -111,8 +114,8 @@ def bisect(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
     a, b = Fraction(a), Fraction(b)
     cls = classify_pair(a, b)
     c_plus, c_minus = from_pell_points(a, cls.a2, b, cls.b2, cls.d)
-    # a2, b2 > 0 and |a| != |b| rule both degenerate denominators out
-    assert c_plus is not None and c_minus is not None
+    if c_plus is None or c_minus is None:  # a2, b2 > 0 and |a| != |b| rule both out
+        raise InvariantError(f"degenerate bisector denominator for ({a}, {b})")
     return c_plus, c_minus
 
 
@@ -141,14 +144,15 @@ def case2_generate(
     alpha*beta and alpha+beta."""
     if alpha.d != ctx.d or beta.d != ctx.d:
         raise ValueError("alpha and beta must live in the context's field")
-    if alpha.norm() != -1 or beta.norm() != -1:
+    (x1, y1, m1), (x2, y2, m2) = alpha.scaled_coords(), beta.scaled_coords()
+    if x1 * x1 - ctx.d * y1 * y1 != -m1 * m1 or x2 * x2 - ctx.d * y2 * y2 != -m2 * m2:
         raise ValueError("need N(alpha) = N(beta) = -1")
-    if beta in (alpha, -alpha) or beta in (alpha.conj(), -alpha.conj()):
+    # beta = +-alpha or +-alpha' iff the scaled coordinates agree up to signs; m1 = m2 follows from the norms
+    if abs(x1) == abs(x2) and abs(y1) == abs(y2):
         raise ValueError("beta = +-alpha or +-alpha' is degenerate")
-    a, b = alpha.a, beta.a
-    c_plus = (alpha * beta).b / (alpha + beta).b
+    c_plus = Fraction(x1 * y2 + y1 * x2, y1 * m2 + y2 * m1)  # both parts are over m1*m2
     c_minus = -1 / c_plus
-    return BisectorTriple(a, b, c_plus), BisectorTriple(a, b, c_minus)
+    return BisectorTriple(alpha.a, beta.a, c_plus), BisectorTriple(alpha.a, beta.a, c_minus)
 
 
 def integral_generate(ctx: PellContext, m: int, n: int) -> BisectorTriple:
@@ -164,7 +168,8 @@ def integral_generate(ctx: PellContext, m: int, n: int) -> BisectorTriple:
     a = powers[k * (2 * n - 1)].a
     b = powers[k * (2 * n + 1)].a
     c = powers[k * 2 * n].b / powers[k].b
-    assert c.denominator == 1
+    if c.denominator != 1:
+        raise InvariantError(f"integral triple has non-integral slope {c}")
     return BisectorTriple(a, b, c)
 
 

@@ -10,7 +10,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .arith import divisors, factorize, icbrt, is_prime, legendre
-from .quadfield import QuadElem, check_field_index
+from .quadfield import InvariantError, QuadElem, check_field_index
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,8 @@ def continued_fraction_sqrt(d: int) -> CFExpansion:
         q = (d - p * p) // q
         if (p, q) == start:
             break
-    assert terms[-1] == 2 * a0
+    if terms[-1] != 2 * a0:
+        raise InvariantError(f"period of sqrt({d}) does not close on 2*a0")
     return CFExpansion(a0, tuple(terms))
 
 
@@ -111,11 +112,13 @@ def make_context(d: int) -> PellContext:
         f0, f1, g0, g1 = f1, a * f1 + f0, g1, a * g1 + g0
     eps = QuadElem(d, f1, g1)
     norm_eps = int(eps.norm())
-    assert norm_eps in (1, -1)
+    if norm_eps not in (1, -1):
+        raise InvariantError(f"convergent of sqrt({d}) has norm {norm_eps}, not +-1")
     eta = _half_coordinate_unit(d, f1, norm_eps)
     if eta is None:
         return PellContext(d, eps, eps)
-    assert eta ** 3 == eps and eta.norm() == norm_eps
+    if eta ** 3 != eps or eta.norm() != norm_eps:
+        raise InvariantError(f"half-coordinate unit {eta} does not cube to {eps}")
     return PellContext(d, eta, eps)
 
 
@@ -145,7 +148,8 @@ def class_number(d: int) -> int:
     h_plus = _narrow_class_number(ctx.disc)
     if ctx.neg_pell_integral:
         return h_plus
-    assert h_plus % 2 == 0
+    if h_plus % 2:
+        raise InvariantError(f"odd narrow class number {h_plus} with N(eta) = 1 for d = {d}")
     return h_plus // 2
 
 

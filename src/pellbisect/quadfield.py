@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .arith import is_squarefree
 
@@ -113,29 +113,33 @@ class QuadElem:
         return NotImplemented
 
     def __pow__(self, k: int) -> QuadElem:
-        """Left-to-right square-and-multiply, starting from self."""
-        if k < 0:
-            return self.inverse() ** (-k)
+        """Left-to-right square-and-multiply on the integer triple of scaled_coords()."""
+        if k == 1:
+            return self
         if k == 0:
             return QuadElem._of(self.d, Fraction(1), Fraction(0))
-        result = self
+        base = x, y, m = self.scaled_coords()
+        if k < 0:  # start from the conjugate over the norm
+            n = x * x - self.d * y * y
+            if n == 0:
+                raise ZeroDivisionError("zero-norm element has no inverse")
+            base = x, y, m = m * x, -m * y, n
+            k = -k
         for bit in bin(k)[3:]:
-            result = result * result
+            x, y, m = _mul_scaled(self.d, x, y, m, x, y, m)
             if bit == "1":
-                result = result * self
-        return result
+                x, y, m = _mul_scaled(self.d, x, y, m, *base)
+        return QuadElem._of(self.d, Fraction(x, m), Fraction(y, m))
 
     def inverse(self) -> QuadElem:
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("zero-norm element has no inverse")
-        return self.conj() / n
+        return self**-1
 
     def conj(self) -> QuadElem:
         return QuadElem._of(self.d, self.a, -self.b)
 
     def norm(self) -> Fraction:
-        return self.a * self.a - self.d * self.b * self.b
+        x, y, m = self.scaled_coords()
+        return Fraction(x * x - self.d * y * y, m * m)
 
     def scaled_coords(self) -> tuple[int, int, int]:
         """(x, y, m) with self = (x + y*sqrt(d))/m and m the least common denominator."""
@@ -153,6 +157,13 @@ class QuadElem:
 
     def __repr__(self) -> str:
         return f"QuadElem(d={self.d}, {self.a}, {self.b})"
+
+
+def _mul_scaled(d: int, x1: int, y1: int, m1: int, x2: int, y2: int, m2: int) -> tuple[int, int, int]:
+    """(x1 + y1*sqrt(d))/m1 * (x2 + y2*sqrt(d))/m2 as a triple (x, y, m) in lowest terms."""
+    x, y, m = x1 * x2 + d * y1 * y2, x1 * y2 + y1 * x2, m1 * m2
+    g = gcd(m, x, y)
+    return x // g, y // g, m // g
 
 
 def in_ring(alpha: QuadElem, tag: RingTag) -> bool:

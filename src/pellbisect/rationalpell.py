@@ -10,6 +10,7 @@ from math import isqrt, lcm
 
 from .arith import is_square
 from .pellcore import PellContext
+from .quadfield import InvariantError
 from .solver import Representation, Spectrum, _decompose_scaled, evaluate_representation
 from .spectrum import xi
 
@@ -56,7 +57,8 @@ def generate_rational(ctx: PellContext, spec: Spectrum, rep: Representation) -> 
         )
     elem = elem / isqrt(z_core.numerator)
     r = 0 if norm > 0 else 1
-    assert r == _parity_r(ctx, rep)
+    if r != _parity_r(ctx, rep):
+        raise InvariantError(f"norm sign {r} disagrees with the parity of the representation")
     return RationalPellPoint(d=ctx.d, x=elem.a, y=elem.b, r=r)
 
 

@@ -11,7 +11,11 @@ from math import gcd, isqrt
 
 from .arith import primes_upto, strict_hits
 from .pellcore import PellContext, make_context, splits
-from .quadfield import QuadElem, check_field_index
+from .quadfield import InvariantError, QuadElem, check_field_index
+
+
+class XiEntryError(ValueError):
+    """The (x, y) of an XiEntry does not solve x^2 - d y^2 = norm_sign * p^l strictly primitively."""
 
 
 @dataclass(frozen=True)
@@ -32,9 +36,9 @@ class XiEntry:
 
     def __post_init__(self) -> None:
         check_field_index(self.d)
-        assert self.x > 0 and self.y > 0
-        assert self.x * self.x - self.d * self.y * self.y == self.norm_sign * self.p**self.l
-        assert gcd(self.x, self.d * self.y) == 1
+        x, y, d = self.x, self.y, self.d
+        if x <= 0 or y <= 0 or x * x - d * y * y != self.norm_sign * self.p**self.l or gcd(x, d * y) != 1:
+            raise XiEntryError(f"{self} is not a positive strictly primitive solution")
 
     @property
     def elem(self) -> QuadElem:
@@ -104,7 +108,7 @@ def _xi_cached(d: int, p: int) -> XiEntry | None:
         if hit is not None:
             x, y, sign = hit
             return XiEntry(d=d, p=p, l=l, x=x, y=y, norm_sign=sign)
-    raise AssertionError(f"no fundamental element found for d={d}, p={p} within level bound")
+    raise InvariantError(f"no fundamental element found for d={d}, p={p} within level bound")
 
 
 def xi(ctx: PellContext, p: int) -> XiEntry | None:

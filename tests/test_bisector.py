@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from pellbisect import bisector
 from pellbisect.bisector import (
     BisectorTriple,
     NoRationalBisector,
@@ -18,7 +19,9 @@ from pellbisect.bisector import (
 )
 from pellbisect.oracle import tangent_bisector_check
 from pellbisect.pellcore import make_context
-from pellbisect.quadfield import QuadElem
+from pellbisect.quadfield import InvariantError, QuadElem
+
+CASE2_DS = (2, 5, 10, 13, 17, 26, 29, 37, 41, 53)
 
 
 def test_verify_star_fixtures():
@@ -27,6 +30,49 @@ def test_verify_star_fixtures():
     assert verify_star(1, 7, 2)
     assert verify_star(F(5), F(5), F(123, 7))  # trivial pairs always satisfy it
     assert not verify_star(1, 7, 3)
+
+
+def _star_fraction(a, b, c):
+    a, b, c = F(a), F(b), F(c)
+    return (a - c) ** 2 * (b * b + 1) == (b - c) ** 2 * (a * a + 1)
+
+
+def test_verify_star_matches_the_fraction_formula():
+    """2000 seeded triples: true triples from case I, perturbed ones, and random
+    slopes that are zero, negative, equal, or have up to 60 digits."""
+    rng = random.Random(2023)
+
+    def slope():
+        digits = rng.choice((1, 3, 20, 60))
+        kind = rng.random()
+        if kind < 0.1:
+            return F(0)
+        if kind < 0.2:
+            return F(rng.randint(-9, 9))
+        return F(rng.randint(-10**digits, 10**digits), rng.randint(1, 10**digits))
+
+    triples = []
+    while len(triples) < 2000:
+        shape = rng.randrange(4)
+        if shape == 0:
+            size = rng.choice((10, 10**10, 10**30))
+            l, m, n = (rng.randint(1, size) for _ in range(3))
+            if abs(l) == abs(m) or l * m == n * n:
+                continue
+            t = case1_generate(l, m, rng.choice((n, -n)))[rng.randrange(2)]
+            triples.append((t.a, t.b, t.c))
+            triples.append((t.a, t.b, t.c + F(rng.choice((1, -1)), rng.randint(1, 10**6))))
+        elif shape == 1:
+            a, c = slope(), slope()
+            triples += [(a, a, c), (a, c, a), (c, a, a), (a, -a, c), (a, a, a)]
+        else:
+            triples.append((slope(), slope(), slope()))
+    holds = 0
+    for a, b, c in triples:
+        expected = _star_fraction(a, b, c)
+        assert verify_star(a, b, c) is expected, (a, b, c)
+        holds += expected
+    assert 500 < holds < len(triples) - 500
 
 
 def test_triple_invariant_enforced():
@@ -98,6 +144,86 @@ def test_case2_degenerate_inputs():
         case2_generate(ctx, alpha, ctx.eta**2)  # norm +1
     with pytest.raises(ValueError, match="must live in the context's field"):
         case2_generate(make_context(5), alpha, alpha)
+
+
+def _case2_reference(ctx, alpha, beta):
+    """case2_generate on Fraction coordinates: norms, degeneracy and both parts
+    from field arithmetic."""
+    if alpha.d != ctx.d or beta.d != ctx.d:
+        raise ValueError("alpha and beta must live in the context's field")
+    if any(x.a * x.a - ctx.d * x.b * x.b != -1 for x in (alpha, beta)):
+        raise ValueError("need N(alpha) = N(beta) = -1")
+    if beta in (alpha, -alpha, alpha.conj(), -alpha.conj()):
+        raise ValueError("beta = +-alpha or +-alpha' is degenerate")
+    c_plus = (alpha * beta).b / (alpha + beta).b
+    return alpha.a, beta.a, c_plus, -1 / c_plus
+
+
+def _generated(ctx, alpha, beta):
+    t1, t2 = case2_generate(ctx, alpha, beta)
+    assert (t1.a, t1.b) == (t2.a, t2.b)
+    return t1.a, t1.b, t1.c, t2.c
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("d", CASE2_DS)
+def test_case2_matches_the_fraction_reference(d):
+    ctx = make_context(d)
+    for j in range(1, 9):
+        for i in range(j):
+            alpha, beta = ctx.eta ** (2 * i + 1), ctx.eta ** (2 * j + 1)
+            assert _generated(ctx, alpha, beta) == _case2_reference(ctx, alpha, beta), (i, j)
+
+
+@pytest.mark.parametrize("d", CASE2_DS)
+def test_case2_errors_match_the_fraction_reference(d):
+    ctx = make_context(d)
+    other = make_context(3)
+    for i in range(4):
+        alpha = ctx.eta ** (2 * i + 1)
+        bad = [
+            (alpha, alpha), (alpha, -alpha), (alpha, alpha.conj()), (alpha, -alpha.conj()),
+            (-alpha.conj(), alpha), (alpha, ctx.eta ** (2 * i)), (ctx.eta ** (2 * i + 2), alpha),
+            (alpha, alpha * alpha), (alpha, QuadElem(d, 2, 0)), (alpha, other.eta),
+        ]
+        for x, y in bad:
+            got = _outcome(_generated, ctx, x, y)
+            assert got == _outcome(_case2_reference, ctx, x, y), (i, x, y)
+            assert got[0] is ValueError
+
+
+def test_case2_matches_the_fraction_reference_off_the_units():
+    """Elements with denominators: (1+5*sqrt(2))/7 and (5+sqrt(34))/3 times
+    eps^k, |k| <= 3, eps itself, and their negatives and conjugates. On d = 2,
+    N(eps) = -1, so the odd k give norm +1 elements, which must raise, and eps
+    = 1+sqrt(2) shares its scaled x = 1 with (1+5*sqrt(2))/7 without being
+    degenerate with it."""
+    for d, alpha in ((2, QuadElem(2, F(1, 7), F(5, 7))), (34, QuadElem(34, F(5, 3), F(1, 3)))):
+        ctx = make_context(d)
+        elems = [alpha * ctx.eps**k for k in range(-3, 4)] + [ctx.eps]
+        elems += [-x for x in elems] + [x.conj() for x in elems]
+        triples = 0
+        for x in elems:
+            for y in elems:
+                got = _outcome(_generated, ctx, x, y)
+                assert got == _outcome(_case2_reference, ctx, x, y), (x, y)
+                triples += len(got) == 4
+        assert 0 < triples < len(elems) ** 2
+
+
+def test_classify_pair_self_check_raises_a_typed_error(monkeypatch):
+    """A wrong square-free kernel fails the point check with InvariantError, an
+    if that also runs under python -O."""
+    monkeypatch.setattr(bisector, "_squarefree_kernel", lambda n: 1)
+    with pytest.raises(InvariantError):
+        classify_pair(F(1), F(7))
+    assert classify_pair(F(3, 4), F(12, 5)).d == 1  # a Pythagorean pair has kernel 1
 
 
 def test_from_pell_points():

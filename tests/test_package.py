@@ -5,6 +5,7 @@ Each check that depends on import order runs in a fresh interpreter, since
 this test process has long since imported every module.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -19,7 +20,8 @@ import pellbisect
 SRC = Path(__file__).resolve().parents[1] / "src"
 LAZY_MODULES = ("pellbisect.solver", "pellbisect.rationalpell", "pellbisect.bisector", "pellbisect.oracle")
 
-# every name the package exported when it imported all of its modules eagerly
+# every name the package exports, by home module (the set it exported when it imported
+# all of its modules eagerly, plus XiEntryError)
 EXPORTS = {
     "bisector": ("BisectorTriple", "NoRationalBisector", "PairClassification", "TrivialPairError",
                  "bisect", "case1_generate", "case2_generate", "classify_pair", "from_pell_points",
@@ -33,7 +35,7 @@ EXPORTS = {
     "solver": ("CoreFactor", "ExistenceVerdict", "Representation", "XiPower", "decompose_square",
                "decompose_strict", "evaluate_representation", "generate_strict", "strict_exists",
                "validate_representation"),
-    "spectrum": ("Spectrum", "XiEntry", "in_s", "spectrum", "xi"),
+    "spectrum": ("Spectrum", "XiEntry", "XiEntryError", "in_s", "spectrum", "xi"),
 }
 
 
@@ -96,3 +98,12 @@ def test_spectrum_stays_the_function_after_submodule_imports():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         pellbisect.no_such_name
+
+
+def test_no_assert_is_left_in_the_package():
+    """Self-checks raise typed errors, so they also run under python -O."""
+    for path in sorted((SRC / "pellbisect").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        names = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "AssertionError"]
+        assert not asserts and not names, (path.name, asserts, names)

@@ -4,7 +4,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from pellbisect import quadfield
 from pellbisect.arith import is_squarefree
+from pellbisect.pellcore import make_context
 from pellbisect.quadfield import (
     FieldMismatchError,
     NotSquareFreeError,
@@ -16,6 +18,7 @@ from pellbisect.quadfield import (
     render_rat,
     render_signed_power,
 )
+from pellbisect.spectrum import spectrum
 
 
 def q(d, a, b):
@@ -62,18 +65,60 @@ def test_pow():
 @pytest.mark.parametrize("x", (q(2, 1, 1), q(5, F(1, 2), F(1, 2)), q(34, 35, 6)))
 def test_pow_skips_the_product_by_one_and_the_last_squaring(x, monkeypatch):
     products = []
-    mul = QuadElem.__mul__
+    mul = quadfield._mul_scaled
 
-    def counting_mul(self, other):
-        products.append(other)
-        return mul(self, other)
+    def counting_mul(d, *coords):
+        products.append(coords)
+        return mul(d, *coords)
 
-    monkeypatch.setattr(QuadElem, "__mul__", counting_mul)
+    monkeypatch.setattr(quadfield, "_mul_scaled", counting_mul)
     for k in range(41):
         products.clear()
         x**k
         expected = 0 if k == 0 else k.bit_length() - 1 + bin(k).count("1") - 1
         assert len(products) == expected, k
+
+
+def _fraction_powers(x, lo, hi):
+    """{k: x**k} for lo <= k < hi by repeated Fraction-coordinate products, with
+    the inverse taken as conj/norm in Fractions."""
+    d, a, b = x.d, x.a, x.b
+    n = a * a - d * b * b
+    powers = {0: q(d, 1, 0)}
+    for k in range(1, max(hi, -lo + 1)):
+        powers[k] = powers[k - 1] * x
+        powers[-k] = powers[1 - k] * q(d, a / n, -b / n)
+    return {k: powers[k] for k in range(lo, hi)}
+
+
+@pytest.mark.parametrize("d", (2, 3, 5, 13, 17, 21, 34))
+def test_pow_matches_repeated_fraction_products(d):
+    """Integer square-and-multiply equals k-fold products for the units (with
+    half coordinates for d = 5, 13, 21), a half-odd element when d = 1 mod 4,
+    xi elements over p and other rational elements."""
+    ctx = make_context(d)
+    bases = [ctx.eta, ctx.eps, q(d, F(3, 7), F(-2, 5)), q(d, F(-11, 4), F(1, 6))]
+    bases += [e.elem / e.p for e in spectrum(ctx, 23).entries[:3]]
+    if d % 4 == 1:
+        bases.append(q(d, F(1, 2), F(-3, 2)))
+    for x in bases:
+        assert x**1 is x
+        for k, reference in _fraction_powers(x, -20, 41).items():
+            got = x**k
+            assert got == reference, (x, k)
+            assert type(got.a) is F and type(got.b) is F
+            assert got.norm() == got.a * got.a - d * got.b * got.b == x.norm() ** k
+
+
+def test_norm_matches_fraction_coordinates():
+    rng = random.Random(3)
+    for d in (2, 3, 5, 13, 17, 21, 34):
+        for _ in range(200):
+            a = F(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+            b = F(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+            x = q(d, a, b)
+            assert x.norm() == a * a - d * b * b
+            assert type(x.norm()) is F
 
 
 def test_sub_refuses_a_float_like_add():
@@ -87,8 +132,14 @@ def test_sub_refuses_a_float_like_add():
 
 
 def test_pow_of_zero_norm_rejected():
-    with pytest.raises(ZeroDivisionError):
-        q(2, 0, 0) ** -1
+    for d in (2, 5, 34):
+        zero = q(d, 0, 0)
+        assert zero**0 == q(d, 1, 0) and zero**1 is zero and zero**3 == zero
+        for k in (-1, -2, -7):
+            with pytest.raises(ZeroDivisionError, match="zero-norm element has no inverse"):
+                zero**k
+        with pytest.raises(ZeroDivisionError, match="zero-norm element has no inverse"):
+            zero.inverse()
 
 
 def test_int_coords():

@@ -1,5 +1,9 @@
 import importlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +11,9 @@ from pellbisect.arith import primes_upto
 from pellbisect.oracle import SearchBox, brute_xi
 from pellbisect.pellcore import make_context
 from pellbisect.quadfield import NotSquareFreeError, QuadElem, RingTag, in_ring
-from pellbisect.spectrum import XiEntry, in_s, spectrum, xi
+from pellbisect.spectrum import XiEntry, XiEntryError, in_s, spectrum, xi
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 TABLE_DS = (2, 5, 10, 13, 17, 26, 29, 34)
 
@@ -150,6 +156,34 @@ def test_xi_entry_checks_its_field_at_construction():
     built = QuadElem.from_int_pair(34, e.x, e.y)
     assert e.elem == built and hash(e.elem) == hash(built)
     assert type(e.elem.a) is Fraction and type(e.elem.b) is Fraction
+
+
+@pytest.mark.parametrize("args", (
+    (34, 3, 1, 5, 2, 1),  # 5^2 - 34*2^2 = -111
+    (2, 7, 1, -3, 1, 1),  # x <= 0
+    (2, 7, 1, 3, 0, 1),  # y <= 0
+    (2, 7, 2, 21, 14, 1),  # 21^2 - 2*14^2 = 7^2, but gcd(21, 28) = 7
+    (2, 7, 1, 3, 1, -1),  # wrong sign
+))
+def test_xi_entry_rejects_a_wrong_solution(args):
+    with pytest.raises(XiEntryError, match="not a positive strictly primitive solution"):
+        XiEntry(*args)
+    assert issubclass(XiEntryError, ValueError)
+
+
+def test_xi_entry_rejects_a_wrong_solution_under_optimize():
+    code = (
+        "from pellbisect import XiEntry, XiEntryError\n"
+        "print(__debug__)\n"
+        "try:\n"
+        "    print(XiEntry(34, 3, 1, 5, 2, 1))\n"
+        "except XiEntryError:\n"
+        "    print('XiEntryError')\n"
+    )
+    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert r.stdout.split() == ["False", "XiEntryError"], r.stdout + r.stderr
 
 
 def test_xi_entry_elem_is_integral():
