@@ -99,8 +99,8 @@ class QuadElem:
             return QuadElem._of(self.d, self.a * other, self.b * other)
         if isinstance(other, QuadElem):
             self._check_same_field(other)
-            a1, a2, b1, b2 = self.a, self.b, other.a, other.b
-            return QuadElem._of(self.d, a1 * b1 + self.d * a2 * b2, a1 * b2 + a2 * b1)
+            x, y, m = _mul_scaled(self.d, *self.scaled_coords(), *other.scaled_coords())
+            return QuadElem._of(self.d, Fraction(x, m), Fraction(y, m))
         return NotImplemented
 
     __rmul__ = __mul__

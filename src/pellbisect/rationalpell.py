@@ -47,14 +47,13 @@ def generate_rational(ctx: PellContext, spec: Spectrum, rep: Representation) -> 
     The scale is implied by the terms: the norm of the unscaled element must
     be a perfect square and its root is divided back out.
     """
+    if rep.d != ctx.d:
+        raise ValueError("representation and context disagree on d")
     elem = evaluate_representation(replace(rep, scale=Fraction(1)))
     norm = elem.norm()
     z_core = abs(norm)
     if z_core.denominator != 1 or not is_square(z_core.numerator):
-        raise ValueError(
-            "parity violation: term exponents must give a square modulus "
-            f"(got {z_core})"
-        )
+        raise ValueError(f"parity violation: term exponents must give a square modulus (got {z_core})")
     elem = elem / isqrt(z_core.numerator)
     r = 0 if norm > 0 else 1
     if r != _parity_r(ctx, rep):

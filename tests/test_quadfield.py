@@ -77,6 +77,17 @@ def test_pow_skips_the_product_by_one_and_the_last_squaring(x, monkeypatch):
         x**k
         expected = 0 if k == 0 else k.bit_length() - 1 + bin(k).count("1") - 1
         assert len(products) == expected, k
+    products.clear()
+    x * x.conj()
+    assert len(products) == 1
+    x * 3, F(2, 7) * x
+    assert len(products) == 1
+
+
+def _fraction_product(x, y):
+    """x * y by the Fraction-coordinate formula, independent of QuadElem.__mul__."""
+    a1, a2, b1, b2 = x.a, x.b, y.a, y.b
+    return q(x.d, a1 * b1 + x.d * a2 * b2, a1 * b2 + a2 * b1)
 
 
 def _fraction_powers(x, lo, hi):
@@ -86,9 +97,37 @@ def _fraction_powers(x, lo, hi):
     n = a * a - d * b * b
     powers = {0: q(d, 1, 0)}
     for k in range(1, max(hi, -lo + 1)):
-        powers[k] = powers[k - 1] * x
-        powers[-k] = powers[1 - k] * q(d, a / n, -b / n)
+        powers[k] = _fraction_product(powers[k - 1], x)
+        powers[-k] = _fraction_product(powers[1 - k], q(d, a / n, -b / n))
     return {k: powers[k] for k in range(lo, hi)}
+
+
+@pytest.mark.parametrize("d", (2, 3, 5, 13, 17, 21, 34))
+def test_mul_matches_the_fraction_formula(d):
+    """Integer products equal the Fraction formula, hash alike and keep Fraction
+    coordinates, on units, half-odd elements, xi elements over p, zero,
+    negative and 12-digit rational coordinates; scalar products stay
+    componentwise and other fields are refused."""
+    rng = random.Random(d)
+    ctx = make_context(d)
+    pool = [ctx.eta, ctx.eps, ctx.eta.conj(), -ctx.eta, q(d, 0, 0), q(d, 1, 0), q(d, F(-5, 3), F(-7, 2))]
+    pool += [e.elem / e.p for e in spectrum(ctx, 23).entries[:3]]
+    if d % 4 == 1:
+        pool += [q(d, F(1, 2), F(-3, 2)), q(d, F(-7, 2), F(5, 2))]
+    for _ in range(20):
+        pool.append(q(d, F(rng.randint(-10**12, 10**12), rng.randint(1, 10**12)),
+                    F(rng.randint(-10**12, 10**12), rng.randint(1, 10**12))))
+    for x in pool:
+        for y in pool:
+            got, reference = x * y, _fraction_product(x, y)
+            assert got == reference and hash(got) == hash(reference), (x, y)
+            assert type(got.a) is F and type(got.b) is F
+        for c in (0, -3, F(2, 7), F(-10**12 + 1, 10**12)):
+            scaled = q(d, x.a * c, x.b * c)
+            assert x * c == c * x == scaled and hash(x * c) == hash(scaled)
+            assert type((x * c).a) is F and type((c * x).b) is F
+        with pytest.raises(FieldMismatchError):
+            x * q(3 if d == 2 else 2, 1, 1)
 
 
 @pytest.mark.parametrize("d", (2, 3, 5, 13, 17, 21, 34))

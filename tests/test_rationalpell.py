@@ -34,6 +34,13 @@ def test_generate_rejects_odd_parity():
         generate_rational(ctx, spec, Representation(d=34, terms=(XiPower(47, 1),)))
 
 
+@pytest.mark.parametrize("n", (1, 2))
+def test_generate_rejects_a_representation_of_another_d(n):
+    ctx, spec = ctx_spec(2, 31)
+    with pytest.raises(ValueError, match="representation and context disagree on d"):
+        generate_rational(ctx, spec, Representation(d=34, n=n))
+
+
 def test_point_invariant_enforced():
     with pytest.raises(ValueError):
         RationalPellPoint(2, F(1, 2), F(1, 2), 1)
