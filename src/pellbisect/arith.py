@@ -85,13 +85,20 @@ def legendre(a: int, p: int) -> int:
 def strict_hits(
     d: int, n: int, y_bound: int, signs: tuple[int, ...]
 ) -> Iterator[tuple[int, int, int]]:
-    """Every (x, y, sign) with x^2 - d y^2 = sign * n, x > 0, 1 <= y <= y_bound
-    and gcd(x, d y) = 1, by ascending y and then in the order of signs."""
+    """Every (x, y, sign) with x^2 - d y^2 = sign * n, x > 0, 1 <= y <= y_bound and
+    gcd(x, d y) = 1, by ascending y, + before -; n >= 1 and signs is (1,) or (1, -1)."""
+    if n < 1 or signs not in ((1,), (1, -1)):
+        raise ValueError(f"strict_hits wants n >= 1 and signs (1,) or (1, -1), got {n}, {signs}")
+    minus = len(signs) == 2
+    t, step, d2 = 0, d, 2 * d  # t = d y^2, stepped by d (2y - 1)
     for y in range(1, y_bound + 1):
-        t = d * y * y
-        for sign in signs:
-            x2 = t + sign * n
-            if x2 > 0:
-                x = isqrt(x2)
-                if x * x == x2 and gcd(x, d * y) == 1:
-                    yield x, y, sign
+        t, step = t + step, step + d2
+        x2 = t + n
+        x = isqrt(x2)
+        if x * x == x2 and gcd(x, d * y) == 1:
+            yield x, y, 1
+        if minus and t > n:
+            x2 = t - n
+            x = isqrt(x2)
+            if x * x == x2 and gcd(x, d * y) == 1:
+                yield x, y, -1

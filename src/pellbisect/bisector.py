@@ -38,9 +38,9 @@ class BisectorTriple:
     c: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "c", Fraction(self.c))
+        for name in ("a", "b", "c"):
+            if type(getattr(self, name)) is not Fraction:
+                object.__setattr__(self, name, Fraction(getattr(self, name)))
         if not verify_star(self.a, self.b, self.c):
             raise ValueError(f"({self.a}, {self.b}, {self.c}) is not a bisector triple")
 

@@ -130,15 +130,21 @@ def pell_sequence(d: int, n: int) -> tuple[int, int]:
 
 
 def splits(d: int, p: int) -> bool:
-    """True iff p splits in Q(sqrt(d))."""
+    """True iff p splits in Q(sqrt(d)); raises ValueError when p is not prime."""
+    return prime_splits(d, check_prime(d, p))
+
+
+def check_prime(d: int, p: int) -> int:
+    """p, once d is checked as a field index and p as a prime (ValueError)."""
     check_field_index(d)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p == 2:
-        return d % 8 == 1
-    if d % p == 0:
-        return False
-    return legendre(d, p) == 1
+    return p
+
+
+def prime_splits(d: int, p: int) -> bool:
+    """splits() without its checks, for a p already known to be prime."""
+    return d % 8 == 1 if p == 2 else d % p != 0 and legendre(d, p) == 1
 
 
 @lru_cache(maxsize=None)

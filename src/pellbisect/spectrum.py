@@ -7,10 +7,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import gcd, isqrt
 
 from .arith import primes_upto, strict_hits
-from .pellcore import PellContext, make_context, splits
+from .pellcore import PellContext, check_prime, make_context, prime_splits
 from .quadfield import InvariantError, QuadElem, check_field_index
 
 
@@ -71,56 +72,42 @@ class Spectrum:
 
 
 def in_s(ctx: PellContext, p: int) -> bool:
-    """Closed-form membership: the split primes, plus 2 when d = 5 mod 8 and
-    the fundamental unit has half-integer coordinates; raises ValueError
-    when p is not prime."""
-    if p == 2 and ctx.d % 8 == 5 and not ctx.eta_in_zd:
-        return True
-    return splits(ctx.d, p)
+    """Split primes, plus 2 if d = 5 mod 8 and eta is half-integral; ValueError unless p is prime."""
+    return _in_s(ctx, check_prime(ctx.d, p))
 
 
-def _search_fundamental(ctx: PellContext, p: int, l: int) -> tuple[int, int, int] | None:
-    """Minimal-y strictly primitive solution of |x^2-dy^2| = p^l, or None.
-
-    y is bounded by (f1 + g1*ceil(sqrt(d))) * p^ceil(l/2): every solution
-    class has a representative within one eps-multiplication of its minimal
-    member, and that window is comfortably inside this bound.
-    """
-    y_bound = (ctx.f1 + ctx.g1 * (isqrt(ctx.d) + 1)) * p ** ((l + 1) // 2)
-    signs = (1,) if ctx.neg_pell_integral else (1, -1)
-    return next(strict_hits(ctx.d, p**l, y_bound, signs), None)
+def _in_s(ctx: PellContext, p: int) -> bool:
+    """in_s for a known prime: the one rule that in_s and the sieve share."""
+    return (p == 2 and ctx.d % 8 == 5 and not ctx.eta_in_zd) or prime_splits(ctx.d, p)
 
 
 @lru_cache(maxsize=None)
 def _xi_cached(d: int, p: int) -> XiEntry | None:
+    """xi_p of a known prime: the minimal-y solution at the least level l.  Level l
+    scans y up to (f1 + g1*ceil(sqrt(d))) * p^ceil(l/2), one eps-multiplication past
+    each class's minimal member.  h only guards the loop once a level misses: 3h
+    covers the index-3 unit subgroup for d = 1 mod 4, +2 the cofactor 2 at p = 2."""
     ctx = make_context(d)
-    if not in_s(ctx, p):
+    if not _in_s(ctx, p):
         return None
-    if p == 2 and d % 8 == 5:
-        # half-coordinate unit exists here, which pins l_2 = 2
-        levels: list[int] = [2]
-    else:
-        # the class-structure bound: 3h covers the index-3 unit subgroup for
-        # d = 1 mod 4, and +2 covers the forced cofactor 2 at p = 2
-        levels = list(range(1, 3 * ctx.h + 3))
-    for l in levels:
-        hit = _search_fundamental(ctx, p, l)
-        if hit is not None:
-            x, y, sign = hit
+    f1, g1 = ctx.f1, ctx.g1
+    base = f1 + g1 * (isqrt(d) + 1)
+    signs = (1,) if f1 * f1 - d * g1 * g1 == -1 else (1, -1)  # N(eps) = -1: only + competes
+    for l in count(2 if p == 2 and d % 8 == 5 else 1):  # a half-coordinate unit pins l_2 = 2
+        for x, y, sign in strict_hits(d, p**l, base * p ** ((l + 1) // 2), signs):
             return XiEntry(d=d, p=p, l=l, x=x, y=y, norm_sign=sign)
-    raise InvariantError(f"no fundamental element found for d={d}, p={p} within level bound")
+        if l >= 3 * ctx.h + 2:
+            raise InvariantError(f"no fundamental element found for d={d}, p={p} within level bound")
 
 
 def xi(ctx: PellContext, p: int) -> XiEntry | None:
-    """Fundamental element for p, or None when p is outside the spectrum;
-    raises ValueError when p is not prime."""
-    return _xi_cached(ctx.d, p)
+    """Fundamental element for p, None outside the spectrum; ValueError unless p is prime."""
+    return _xi_cached(ctx.d, check_prime(ctx.d, p))
 
 
 @lru_cache(maxsize=256)
 def _spectrum_cached(d: int, pmax: int) -> Spectrum:
-    entries = (_xi_cached(d, p) for p in primes_upto(pmax))
-    return Spectrum(d=d, pmax=pmax, entries=tuple(e for e in entries if e is not None))
+    return Spectrum(d, pmax, tuple(filter(None, (_xi_cached(d, p) for p in primes_upto(pmax)))))
 
 
 def spectrum(ctx: PellContext, pmax: int) -> Spectrum:

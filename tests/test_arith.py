@@ -1,5 +1,5 @@
 import random
-from math import prod
+from math import gcd, isqrt, prod
 
 import pytest
 from sympy import factorint
@@ -49,3 +49,39 @@ def test_strict_hits_match_oracle(d, n):
     assert list(strict_hits(d, n, 500, (1, -1))) == expected
     plus = [hit for hit in expected if hit[2] == 1]
     assert list(strict_hits(d, n, 500, (1,))) == plus
+
+
+def _naive_hits(d, n_stop, y_max):
+    """{n: [(x, y, sign), ...]} for 1 <= n < n_stop, found by walking x
+    around sqrt(d) y for each y, in strict_hits' order: y, then + before -."""
+    hits = {}
+    for y in range(1, y_max + 1):
+        t = d * y * y
+        for x in range(isqrt(max(t - n_stop, 0)), isqrt(t + n_stop) + 2):
+            diff = x * x - t
+            if x > 0 and 0 < abs(diff) < n_stop and gcd(x, d * y) == 1:
+                hits.setdefault(abs(diff), []).append((x, y, 1 if diff > 0 else -1))
+    for found in hits.values():
+        found.sort(key=lambda h: (h[1], -h[2]))
+    return hits
+
+
+@pytest.mark.parametrize("d", [d for d in range(2, 60) if is_squarefree(d)])
+def test_strict_hits_parity_sweep(d):
+    """Every n in [2, 150) against a naive walk over x, for both sign tuples
+    and y bounds 0, 1, 40 and 300; small y leaves -n with no x at all."""
+    naive = _naive_hits(d, 150, 300)
+    for n in range(2, 150):
+        every = naive.get(n, [])
+        for y_bound in (0, 1, 40, 300):
+            both = [h for h in every if h[1] <= y_bound]
+            assert list(strict_hits(d, n, y_bound, (1, -1))) == both, (d, n, y_bound)
+            assert list(strict_hits(d, n, y_bound, (1,))) == [h for h in both if h[2] == 1]
+
+
+def test_strict_hits_rejects_other_signs_and_moduli():
+    for signs in ((-1,), (-1, 1), (1, 1), ()):
+        with pytest.raises(ValueError, match="signs"):
+            next(strict_hits(2, 7, 10, signs))
+    with pytest.raises(ValueError, match="n >= 1"):
+        next(strict_hits(2, 0, 10, (1, -1)))

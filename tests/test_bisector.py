@@ -82,6 +82,25 @@ def test_triple_invariant_enforced():
     assert not BisectorTriple(1, 7, 2).trivial
 
 
+@pytest.mark.parametrize("inputs", [
+    (1, 7, 2), (1.0, 7.0, 2.0), (F(1), 7, 2.0), (F(3, 4), F(12, 5), F(9, 7)), (0.75, F(12, 5), F(-7, 9)),
+])
+def test_triple_stores_each_slope_once_as_a_fraction(inputs):
+    """int, float and Fraction slopes store equal Fractions with the hash of
+    the Fraction triple; a Fraction input is kept as given, not rebuilt."""
+    exact = tuple(F(v) for v in inputs)
+    t = BisectorTriple(*inputs)
+    assert (t.a, t.b, t.c) == exact and all(type(v) is F for v in (t.a, t.b, t.c))
+    assert hash(t) == hash(BisectorTriple(*exact)) == hash(exact)
+    assert all(s is v for s, v in zip((t.a, t.b, t.c), inputs) if type(v) is F)
+
+
+@pytest.mark.parametrize("wrong", [(1, 7, 3), (1.0, 7.0, 3.0), (F(3, 4), F(12, 5), F(9, 8))])
+def test_triple_rejects_a_wrong_triple_of_any_input_type(wrong):
+    with pytest.raises(ValueError, match="is not a bisector triple"):
+        BisectorTriple(*wrong)
+
+
 def test_classify_pair():
     cls = classify_pair(F(3, 4), F(12, 5))
     assert (cls.d, cls.a2, cls.b2) == (1, F(5, 4), F(13, 5))

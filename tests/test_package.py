@@ -107,3 +107,23 @@ def test_no_assert_is_left_in_the_package():
         asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         names = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "AssertionError"]
         assert not asserts and not names, (path.name, asserts, names)
+
+
+def test_every_cache_decorates_a_module_level_function():
+    """A memo that a sweep over each module's cache_clear cannot reach (a
+    method, a nested function, a cached_property) would keep warm state
+    between rounds that are meant to run cold."""
+    names = {"lru_cache", "cache"}
+    for path in sorted((SRC / "pellbisect").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {
+            id(node)
+            for top in tree.body if isinstance(top, ast.FunctionDef)
+            for deco in top.decorator_list for node in ast.walk(deco)
+        }
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            assert name != "cached_property", (path.name, node.lineno)
+            assert name not in names or id(node) in allowed, (path.name, node.lineno, name)
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                assert "cached_property" not in {a.name for a in node.names}, (path.name, node.lineno)

@@ -1,16 +1,18 @@
 import importlib
 import os
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from pellbisect.arith import primes_upto
+from pellbisect.arith import is_prime, primes_upto
 from pellbisect.oracle import SearchBox, brute_xi
-from pellbisect.pellcore import make_context
-from pellbisect.quadfield import NotSquareFreeError, QuadElem, RingTag, in_ring
+from pellbisect.pellcore import class_number, make_context
+from pellbisect.quadfield import InvariantError, NotSquareFreeError, QuadElem, RingTag, in_ring
 from pellbisect.spectrum import XiEntry, XiEntryError, in_s, spectrum, xi
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -223,3 +225,61 @@ def test_spectrum_is_memoized_per_d_and_pmax():
     assert cache.cache_info().currsize == 0
     fresh = spectrum(ctx, 97)
     assert fresh is not s97 and fresh == s97
+
+
+@contextmanager
+def _within(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_level_one_xi_never_computes_the_class_number():
+    """h only guards the level loop: a hit at l = 1 answers without it, so
+    the 0.8 s class number of d = 10^8 + 1 is never paid."""
+    spectrum_module = importlib.import_module("pellbisect.spectrum")
+    ctx = make_context(10**8 + 1)
+    h_misses = class_number.cache_info().misses
+    xi_misses = spectrum_module._xi_cached.cache_info().misses
+    with _within(0.5):
+        e = xi(ctx, 360323)
+    assert (e.l, e.x, e.y, e.norm_sign) == (1, 10018, 1, 1)
+    assert spectrum_module._xi_cached.cache_info().misses == xi_misses + 1  # the call was cold
+    assert class_number.cache_info().misses == h_misses
+
+
+def test_the_level_guard_stops_after_3h_plus_2_levels(monkeypatch):
+    spectrum_module = importlib.import_module("pellbisect.spectrum")
+    ctx = make_context(34)
+    assert ctx.h == 2
+    p = next(p for p in range(101, 400) if is_prime(p) and in_s(ctx, p))  # not cached elsewhere
+    moduli = []
+
+    def nothing(d, n, y_bound, signs):
+        moduli.append(n)
+        return iter(())
+
+    monkeypatch.setattr(spectrum_module, "strict_hits", nothing)
+    with pytest.raises(InvariantError, match=f"d=34, p={p} within level bound"):
+        xi(ctx, p)
+    assert moduli == [p**l for l in range(1, 9)]
+
+
+def test_primality_is_checked_where_p_enters_not_per_sieve_prime(monkeypatch):
+    spectrum_module = importlib.import_module("pellbisect.spectrum")
+    pellcore_module = importlib.import_module("pellbisect.pellcore")
+    calls = []
+    monkeypatch.setattr(pellcore_module, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    cold = [spectrum_module._xi_cached.__wrapped__(17, p) for p in primes_upto(97)]
+    assert calls == [] and [e for e in cold if e] == list(spectrum(make_context(17), 97).entries)
+    for check in (xi, in_s):
+        with pytest.raises(ValueError, match="^9 is not prime$"):
+            check(make_context(17), 9)
+    assert calls == [9, 9]
