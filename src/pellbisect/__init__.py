@@ -1,18 +1,17 @@
 """Exact arithmetic toolkit for Pell-type equations |x^2 - d y^2| = z and
 rational angle bisectors.
 
-The field core (quadfield, pellcore, spectrum) loads with the package; each
+The field core (arith, quadfield, pellcore) loads with the package; each
 name from solver, rationalpell, bisector and oracle loads its module on first
 use."""
 
 from importlib import import_module
 
-from .pellcore import (CFExpansion, PellContext, class_number, continued_fraction_sqrt, make_context,
-                       neg_pell_rational, pell_sequence, splits)
+from .pellcore import (CFExpansion, PellContext, Spectrum, XiEntry, XiEntryError, class_number,
+                       continued_fraction_sqrt, in_s, make_context, neg_pell_rational, pell_sequence, spectrum,
+                       splits, xi)
 from .quadfield import (FieldMismatchError, InvariantError, NotSquareFreeError, QuadElem, RingTag, exact_div,
                         in_ring, render)
-# bound after the submodule import, so `spectrum` is the function and not the module
-from .spectrum import Spectrum, XiEntry, XiEntryError, in_s, spectrum, xi
 
 _LAZY = {
     "bisector": ("BisectorTriple", "NoRationalBisector", "PairClassification", "TrivialPairError",

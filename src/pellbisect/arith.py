@@ -30,6 +30,7 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+@lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == {n: 1}
 

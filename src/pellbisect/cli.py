@@ -15,9 +15,8 @@ from fractions import Fraction
 from math import gcd
 
 from .arith import factorize, primes_upto
-from .pellcore import make_context
+from .pellcore import Spectrum, XiEntry, make_context, spectrum, xi
 from .quadfield import render, render_rat, render_signed_power
-from .spectrum import Spectrum, XiEntry, spectrum, xi
 
 DEFAULT_D_LIST = (2, 5, 10, 13, 17, 26, 29, 34)
 DEFAULT_P_MAX = 97

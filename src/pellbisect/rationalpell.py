@@ -9,10 +9,9 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .arith import is_square
-from .pellcore import PellContext
+from .pellcore import PellContext, Spectrum, xi
 from .quadfield import InvariantError
-from .solver import Representation, Spectrum, _decompose_scaled, evaluate_representation
-from .spectrum import xi
+from .solver import Representation, _decompose_scaled, evaluate_representation
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,8 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .arith import factorize, is_prime, is_square, strict_hits
-from .pellcore import PellContext, make_context
+from .pellcore import PellContext, Spectrum, XiEntry, make_context, xi
 from .quadfield import InvariantError, QuadElem, RingTag, exact_div, in_ring, render_rat
-from .spectrum import Spectrum, XiEntry, xi
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from pellbisect.oracle import (
     tangent_bisector_check,
 )
 from pellbisect.arith import is_squarefree
-from pellbisect.pellcore import make_context, pell_sequence
+from pellbisect.pellcore import make_context, pell_sequence, spectrum
 from pellbisect.quadfield import QuadElem
 from pellbisect.rationalpell import RationalPellPoint, decompose_rational, generate_rational
 from pellbisect.solver import (
@@ -36,7 +36,6 @@ from pellbisect.solver import (
     evaluate_representation,
     strict_exists,
 )
-from pellbisect.spectrum import spectrum
 
 DATA = Path(__file__).parent / "data"
 TABLE_DS = (2, 5, 10, 13, 17, 26, 29, 34)

@@ -339,9 +339,8 @@ def test_rational_parity_filter_agrees_with_evaluation(d):
     """The rational handler drops candidates by _parity_r before evaluating
     them; that is exact only if it is the r of every evaluated point."""
     from pellbisect.cli import _rational_candidates
-    from pellbisect.pellcore import make_context
+    from pellbisect.pellcore import make_context, spectrum
     from pellbisect.rationalpell import _parity_r, generate_rational
-    from pellbisect.spectrum import spectrum
 
     ctx = make_context(d)
     spec = spectrum(ctx, 31)

@@ -28,14 +28,14 @@ EXPORTS = {
                  "integral_generate", "integral_generate2", "verify_star"),
     "oracle": ("SearchBox", "brute_rational_pell", "brute_solutions", "brute_xi", "tangent_bisector_check"),
     "pellcore": ("CFExpansion", "PellContext", "class_number", "continued_fraction_sqrt", "make_context",
-                 "neg_pell_rational", "pell_sequence", "splits"),
+                 "neg_pell_rational", "pell_sequence", "splits", "Spectrum", "XiEntry", "XiEntryError", "in_s",
+                 "spectrum", "xi"),
     "quadfield": ("FieldMismatchError", "InvariantError", "NotSquareFreeError", "QuadElem", "RingTag",
                   "exact_div", "in_ring", "render"),
     "rationalpell": ("RationalPellPoint", "decompose_rational", "generate_rational"),
     "solver": ("CoreFactor", "ExistenceVerdict", "Representation", "XiPower", "decompose_square",
                "decompose_strict", "evaluate_representation", "generate_strict", "strict_exists",
                "validate_representation"),
-    "spectrum": ("Spectrum", "XiEntry", "XiEntryError", "in_s", "spectrum", "xi"),
 }
 
 
@@ -59,7 +59,7 @@ def test_context_command_loads_only_the_field_core():
     )
     for modules in loaded:
         assert not set(LAZY_MODULES) & set(modules)
-        assert "pellbisect.spectrum" in modules
+        assert "pellbisect.pellcore" in modules
 
 
 def test_every_export_is_in_all_and_is_its_home_object():
@@ -85,14 +85,27 @@ def test_lazy_name_loads_its_module_on_first_use():
 
 def test_spectrum_stays_the_function_after_submodule_imports():
     kinds = fresh(
-        "import json\n"
+        "import json, pkgutil\n"
         "import pellbisect\n"
-        "import pellbisect.solver, pellbisect.rationalpell, pellbisect.spectrum\n"
-        "from pellbisect import bisector, oracle\n"
+        "for m in pkgutil.iter_modules(pellbisect.__path__):\n"
+        "    if m.name != '__main__':\n"
+        "        __import__(f'pellbisect.{m.name}')\n"
         "f = pellbisect.spectrum\n"
-        "print(json.dumps([callable(f), f.__module__, f.__name__]))\n"
+        "try:\n"
+        "    import pellbisect.spectrum\n"
+        "    missing = None\n"
+        "except ModuleNotFoundError as e:\n"
+        "    missing = e.name\n"
+        "print(json.dumps([callable(f), f.__module__, f.__name__, missing, pellbisect.spectrum is f]))\n"
     )
-    assert kinds == [True, "pellbisect.spectrum", "spectrum"]
+    assert kinds == [True, "pellbisect.pellcore", "spectrum", "pellbisect.spectrum", True]
+
+
+def test_no_module_shares_a_name_with_an_export():
+    """A submodule import binds the module as a package attribute, so a module
+    named like an export would replace that export after the import."""
+    stems = {path.stem for path in (SRC / "pellbisect").glob("*.py")}
+    assert not stems & set(pellbisect.__all__)
 
 
 def test_unknown_name_raises_attribute_error():

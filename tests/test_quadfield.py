@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from pellbisect import quadfield
 from pellbisect.arith import is_squarefree
-from pellbisect.pellcore import make_context
+from pellbisect.pellcore import make_context, spectrum
 from pellbisect.quadfield import (
     FieldMismatchError,
     NotSquareFreeError,
@@ -18,7 +18,6 @@ from pellbisect.quadfield import (
     render_rat,
     render_signed_power,
 )
-from pellbisect.spectrum import spectrum
 
 
 def q(d, a, b):

@@ -3,10 +3,9 @@ from fractions import Fraction as F
 import pytest
 
 from pellbisect.oracle import SearchBox, brute_rational_pell
-from pellbisect.pellcore import make_context
+from pellbisect.pellcore import make_context, spectrum
 from pellbisect.rationalpell import RationalPellPoint, decompose_rational, generate_rational
 from pellbisect.solver import Representation, XiPower
-from pellbisect.spectrum import spectrum
 
 
 def ctx_spec(d, pmax=97):

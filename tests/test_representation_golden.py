@@ -19,9 +19,8 @@ from pathlib import Path
 import pytest
 
 from pellbisect.arith import is_squarefree
-from pellbisect.pellcore import make_context
+from pellbisect.pellcore import make_context, spectrum
 from pellbisect.solver import decompose_strict, generate_strict, strict_exists
-from pellbisect.spectrum import spectrum
 
 GOLDEN = Path(__file__).parent / "data" / "representation_golden.json"
 

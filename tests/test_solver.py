@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from pellbisect.oracle import SearchBox, brute_solutions
-from pellbisect.pellcore import make_context
+from pellbisect.pellcore import make_context, spectrum, xi
 from pellbisect.quadfield import QuadElem
 from pellbisect.solver import (
     CoreFactor,
@@ -24,7 +24,6 @@ from pellbisect.solver import (
     strict_exists,
     validate_representation,
 )
-from pellbisect.spectrum import spectrum, xi
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

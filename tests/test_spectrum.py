@@ -1,4 +1,3 @@
-import importlib
 import os
 import signal
 import subprocess
@@ -9,11 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from pellbisect import arith, pellcore
 from pellbisect.arith import is_prime, primes_upto
 from pellbisect.oracle import SearchBox, brute_xi
-from pellbisect.pellcore import class_number, make_context
+from pellbisect.pellcore import XiEntry, XiEntryError, class_number, in_s, make_context, spectrum, xi
 from pellbisect.quadfield import InvariantError, NotSquareFreeError, QuadElem, RingTag, in_ring
-from pellbisect.spectrum import XiEntry, XiEntryError, in_s, spectrum, xi
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -209,17 +208,15 @@ def test_level_bounds_on_reference_range():
 
 
 def test_spectrum_is_memoized_per_d_and_pmax():
-    # the package binds `spectrum` to the function, so fetch the module itself
-    spectrum_module = importlib.import_module("pellbisect.spectrum")
     ctx = make_context(34)
     s97 = spectrum(ctx, 97)
     assert spectrum(ctx, 97) is s97
     assert spectrum(make_context(34), 97) is s97
     assert spectrum(ctx, 89) is not s97 and spectrum(make_context(13), 97) is not s97
-    cache = spectrum_module._spectrum_cached
+    cache = pellcore._spectrum_cached
     assert cache.cache_info().maxsize is not None  # bounded
     # what a sweep over every module-level cache_clear does: the next call is cold
-    for obj in vars(spectrum_module).values():
+    for obj in vars(pellcore).values():
         if callable(getattr(obj, "cache_clear", None)):
             obj.cache_clear()
     assert cache.cache_info().currsize == 0
@@ -244,19 +241,17 @@ def _within(seconds):
 def test_a_level_one_xi_never_computes_the_class_number():
     """h only guards the level loop: a hit at l = 1 answers without it, so
     the 0.8 s class number of d = 10^8 + 1 is never paid."""
-    spectrum_module = importlib.import_module("pellbisect.spectrum")
     ctx = make_context(10**8 + 1)
     h_misses = class_number.cache_info().misses
-    xi_misses = spectrum_module._xi_cached.cache_info().misses
+    xi_misses = pellcore._xi_cached.cache_info().misses
     with _within(0.5):
         e = xi(ctx, 360323)
     assert (e.l, e.x, e.y, e.norm_sign) == (1, 10018, 1, 1)
-    assert spectrum_module._xi_cached.cache_info().misses == xi_misses + 1  # the call was cold
+    assert pellcore._xi_cached.cache_info().misses == xi_misses + 1  # the call was cold
     assert class_number.cache_info().misses == h_misses
 
 
 def test_the_level_guard_stops_after_3h_plus_2_levels(monkeypatch):
-    spectrum_module = importlib.import_module("pellbisect.spectrum")
     ctx = make_context(34)
     assert ctx.h == 2
     p = next(p for p in range(101, 400) if is_prime(p) and in_s(ctx, p))  # not cached elsewhere
@@ -266,20 +261,34 @@ def test_the_level_guard_stops_after_3h_plus_2_levels(monkeypatch):
         moduli.append(n)
         return iter(())
 
-    monkeypatch.setattr(spectrum_module, "strict_hits", nothing)
+    monkeypatch.setattr(pellcore, "strict_hits", nothing)
     with pytest.raises(InvariantError, match=f"d=34, p={p} within level bound"):
         xi(ctx, p)
     assert moduli == [p**l for l in range(1, 9)]
 
 
 def test_primality_is_checked_where_p_enters_not_per_sieve_prime(monkeypatch):
-    spectrum_module = importlib.import_module("pellbisect.spectrum")
-    pellcore_module = importlib.import_module("pellbisect.pellcore")
     calls = []
-    monkeypatch.setattr(pellcore_module, "is_prime", lambda n: calls.append(n) or is_prime(n))
-    cold = [spectrum_module._xi_cached.__wrapped__(17, p) for p in primes_upto(97)]
+    monkeypatch.setattr(pellcore, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    cold = [pellcore._xi_cached.__wrapped__(17, p) for p in primes_upto(97)]
     assert calls == [] and [e for e in cold if e] == list(spectrum(make_context(17), 97).entries)
     for check in (xi, in_s):
         with pytest.raises(ValueError, match="^9 is not prime$"):
             check(make_context(17), 9)
     assert calls == [9, 9]
+
+
+def test_a_warm_xi_repeats_no_trial_division(monkeypatch):
+    """is_prime is memoized, so the solver's per-factor xi lookups on a warm
+    (d, p) pay no factorization; a composite p still raises."""
+    ctx = make_context(34)
+    xi(ctx, 89)
+    calls = []
+    real = arith.factorize
+    monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or real(n))
+    assert xi(ctx, 89) == xi(make_context(34), 89)
+    assert calls == []
+    arith.is_prime.cache_clear()
+    with pytest.raises(ValueError, match="^9 is not prime$"):
+        xi(ctx, 9)
+    assert calls == [9]

@@ -14,8 +14,7 @@ import json
 from pathlib import Path
 
 from pellbisect.arith import is_squarefree
-from pellbisect.pellcore import make_context
-from pellbisect.spectrum import spectrum
+from pellbisect.pellcore import make_context, spectrum
 
 GOLDEN = Path(__file__).parent / "data" / "spectrum_golden.json"
 
