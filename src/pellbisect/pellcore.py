@@ -140,7 +140,7 @@ def splits(d: int, p: int) -> bool:
 def _check_prime(d: int, p: int) -> int:
     """p, once d is checked as a field index and p as a prime (ValueError)."""
     check_field_index(d)
-    if not is_prime(p):
+    if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return p
 
@@ -248,7 +248,7 @@ def _spectrum_cached(d: int, pmax: int) -> Spectrum:
 def spectrum(ctx: PellContext, pmax: int) -> Spectrum:
     """All spectrum entries with p <= pmax, ordered by p; memoized per
     (d, pmax), so repeated calls return the same Spectrum."""
-    if pmax < 2:
+    if not isinstance(pmax, int) or pmax < 2:
         raise ValueError("pmax must be at least 2")
     return _spectrum_cached(ctx.d, pmax)
 

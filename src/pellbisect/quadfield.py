@@ -30,7 +30,7 @@ class InvariantError(RuntimeError):
 
 
 def check_field_index(d: int) -> int:
-    if d <= 1 or not is_squarefree(d):
+    if not isinstance(d, int) or d <= 1 or not is_squarefree(d):
         raise NotSquareFreeError(f"need a square-free integer > 1, got {d}")
     return d
 

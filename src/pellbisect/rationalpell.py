@@ -4,14 +4,14 @@ through denominator clearing."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
 from .arith import is_square
 from .pellcore import PellContext, Spectrum, xi
 from .quadfield import InvariantError
-from .solver import Representation, _decompose_scaled, evaluate_representation
+from .solver import Representation, _decompose_scaled, _evaluate_scaled
 
 
 @dataclass(frozen=True)
@@ -48,16 +48,16 @@ def generate_rational(ctx: PellContext, spec: Spectrum, rep: Representation) -> 
     """
     if rep.d != ctx.d:
         raise ValueError("representation and context disagree on d")
-    elem = evaluate_representation(replace(rep, scale=Fraction(1)))
-    norm = elem.norm()
-    z_core = abs(norm)
+    x, y, m = _evaluate_scaled(rep)
+    norm = x * x - ctx.d * y * y
+    z_core = Fraction(abs(norm), m * m)
     if z_core.denominator != 1 or not is_square(z_core.numerator):
         raise ValueError(f"parity violation: term exponents must give a square modulus (got {z_core})")
-    elem = elem / isqrt(z_core.numerator)
+    m *= isqrt(z_core.numerator)
     r = 0 if norm > 0 else 1
     if r != _parity_r(ctx, rep):
         raise InvariantError(f"norm sign {r} disagrees with the parity of the representation")
-    return RationalPellPoint(d=ctx.d, x=elem.a, y=elem.b, r=r)
+    return RationalPellPoint(d=ctx.d, x=Fraction(x, m), y=Fraction(y, m), r=r)
 
 
 def decompose_rational(ctx: PellContext, spec: Spectrum, pt: RationalPellPoint) -> Representation:

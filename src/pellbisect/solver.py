@@ -19,7 +19,7 @@ from math import gcd, isqrt
 
 from .arith import factorize, is_prime, is_square, strict_hits
 from .pellcore import PellContext, Spectrum, XiEntry, make_context, xi
-from .quadfield import InvariantError, QuadElem, RingTag, exact_div, in_ring, render_rat
+from .quadfield import InvariantError, QuadElem, RingTag, _mul_scaled, exact_div, in_ring, render_rat
 
 
 @dataclass(frozen=True)
@@ -100,13 +100,22 @@ def _element(ctx: PellContext, label: XiPower | CoreFactor) -> QuadElem:
     return (base.conj() if label.conj else base) ** label.exp
 
 
+def _evaluate_scaled(rep: Representation) -> tuple[int, int, int]:
+    """sign * 2^m * eta^n * prod(xi powers) * core, without the scale, as the
+    triple (x, y, m) with the product = (x + y*sqrt(d))/m in lowest terms, m > 0."""
+    d = rep.d
+    ctx = make_context(d)
+    x, y, m = _mul_scaled(d, rep.sign * 2**rep.m, 0, 1, *(ctx.eta**rep.n).scaled_coords())
+    for label in rep.terms + ((rep.core,) if rep.core else ()):
+        x, y, m = _mul_scaled(d, x, y, m, *_element(ctx, label).scaled_coords())
+    return x, y, m
+
+
 def evaluate_representation(rep: Representation) -> QuadElem:
     """Exact product sign * 2^m * eta^n * prod(xi powers) * core * scale."""
-    ctx = make_context(rep.d)
-    out = ctx.eta**rep.n * (2**rep.m) * rep.sign
-    for label in rep.terms + ((rep.core,) if rep.core else ()):
-        out = out * _element(ctx, label)
-    return out * rep.scale
+    x, y, m = _evaluate_scaled(rep)
+    num, den = rep.scale.numerator, m * rep.scale.denominator
+    return QuadElem._of(rep.d, Fraction(x * num, den), Fraction(y * num, den))
 
 
 def solution_y_bound(ctx: PellContext, modulus: int) -> int:
@@ -154,7 +163,7 @@ def strict_exists(ctx: PellContext, spec: Spectrum, z: int) -> ExistenceVerdict:
     prime powers (the verdict's witness_exponents, with the cofactor-2 flag m)
     and a residual core modulus, which the bounded class-window search settles.
     """
-    if z <= 1:
+    if not isinstance(z, int) or z <= 1:
         raise ValueError("z must be an integer > 1")
     if spec.d != ctx.d:
         raise ValueError(f"the spectrum of d={spec.d} does not belong to d={ctx.d}")
@@ -294,20 +303,19 @@ def decompose_strict(ctx, spec: Spectrum, x: int, y: int) -> Representation:
     terms = tuple(sorted((t for t in peeled if isinstance(t, XiPower)), key=lambda t: t.p))
     core = peeled[-1] if plan.core_modulus > 1 else None
     rep = Representation(d=d, sign=sign, m=plan.m, n=n, terms=terms, core=core)
-    if evaluate_representation(rep) != QuadElem.from_int_pair(d, x, y):
+    if _evaluate_scaled(rep) != (x, y, 1):
         raise InvariantError(f"{rep} does not evaluate to ({x}, {y})")
     return rep
 
 
 def _decompose_scaled(ctx, spec: Spectrum, x: int, y: int, scale: Fraction) -> Representation:
     """Factorization of (x + y*sqrt(d)) * scale, where (x, y) is a unit or a
-    strictly primitive solution."""
-    if abs(x * x - ctx.d * y * y) == 1:
-        n, sign = _unit_exponent(ctx, QuadElem.from_int_pair(ctx.d, x, y))
-        rep = Representation(d=ctx.d, sign=sign, n=n, scale=scale)
-    else:
-        rep = replace(decompose_strict(ctx, spec, x, y), scale=scale)
-    if evaluate_representation(rep) != QuadElem.from_int_pair(ctx.d, x, y) * scale:
+    strictly primitive solution; decompose_strict checks the latter itself."""
+    if abs(x * x - ctx.d * y * y) != 1:
+        return replace(decompose_strict(ctx, spec, x, y), scale=scale)
+    n, sign = _unit_exponent(ctx, QuadElem.from_int_pair(ctx.d, x, y))
+    rep = Representation(d=ctx.d, sign=sign, n=n, scale=scale)
+    if _evaluate_scaled(rep) != (x, y, 1):
         raise InvariantError(f"{rep} does not evaluate to ({x}, {y}) * {scale}")
     return rep
 
@@ -349,7 +357,8 @@ def validate_representation(rep: Representation) -> ValidationReport:
     if problems:
         return ValidationReport(False, tuple(problems))
 
-    z_core = int(abs(evaluate_representation(replace(rep, scale=Fraction(1))).norm()))
+    x, y, m = _evaluate_scaled(rep)
+    z_core = abs(x * x - rep.d * y * y) // (m * m)
     if rep.scale.denominator == 1:
         # integral context: odd modulus with a half-coordinate unit forces
         # the unit exponent into the cube subgroup

@@ -20,6 +20,7 @@ from pellbisect.pellcore import (
     splits,
 )
 from pellbisect.quadfield import NotSquareFreeError, QuadElem, render
+from pellbisect.solver import strict_exists
 
 TABLE_DS = (2, 5, 10, 13, 17, 26, 29, 34)
 
@@ -275,3 +276,33 @@ def test_number_theory_helpers():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert is_prime(97) and not is_prime(91)
     assert legendre(2, 7) == 1 and legendre(3, 7) == -1
+
+
+def _ctx34():
+    return make_context(34)
+
+
+def _spec34():
+    return pellcore.spectrum(_ctx34(), 97)
+
+
+@pytest.mark.parametrize("integer_call, float_call, error, message", [
+    pytest.param(lambda: pellcore.xi(_ctx34(), 3), lambda: pellcore.xi(_ctx34(), 3.0),
+                 ValueError, "^3.0 is not prime$", id="xi"),
+    pytest.param(_spec34, lambda: pellcore.spectrum(_ctx34(), 97.0),
+                 ValueError, "^pmax must be at least 2$", id="spectrum"),
+    pytest.param(lambda: strict_exists(_ctx34(), _spec34(), 9), lambda: strict_exists(_ctx34(), _spec34(), 9.0),
+                 ValueError, "^z must be an integer > 1$", id="strict_exists"),
+    pytest.param(lambda: QuadElem(34, 1, 1), lambda: QuadElem(34.0, 1, 1),
+                 NotSquareFreeError, "got 34.0$", id="QuadElem"),
+    pytest.param(_ctx34, lambda: make_context(34.0), NotSquareFreeError, "got 34.0$", id="make_context"),
+])
+def test_an_integral_float_raises_cold_and_warm(integer_call, float_call, error, message):
+    """A float equal to an integer is refused where it enters, so the answer
+    does not depend on whether a cache keyed by the equal integer is warm."""
+    _clear_program_caches()
+    with pytest.raises(error, match=message):
+        float_call()
+    integer_call()
+    with pytest.raises(error, match=message):
+        float_call()

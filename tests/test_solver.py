@@ -1,8 +1,9 @@
 import json
 import os
+import random
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction as F
 from math import gcd
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 from pellbisect.oracle import SearchBox, brute_solutions
 from pellbisect.pellcore import make_context, spectrum, xi
-from pellbisect.quadfield import QuadElem
+from pellbisect.quadfield import InvariantError, QuadElem
 from pellbisect.solver import (
     CoreFactor,
     Representation,
@@ -397,3 +398,122 @@ def test_to_json_matches_the_dataclass_fields():
     for rep in reps:
         expected = {**asdict(rep), "scale": str(rep.scale)}
         assert json.dumps(rep.to_json()) == json.dumps(expected)
+
+
+def _fraction_product(d, u, v):
+    """(a1 + b1*sqrt(d)) * (a2 + b2*sqrt(d)) on Fraction pairs, independent of QuadElem."""
+    return u[0] * v[0] + d * u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def _fraction_power(d, u, k):
+    """u^k by k-fold Fraction products; a negative k starts from conj(u) / N(u)."""
+    if k < 0:
+        n = u[0] * u[0] - d * u[1] * u[1]
+        u, k = (u[0] / n, -u[1] / n), -k
+    out = (F(1), F(0))
+    for _ in range(k):
+        out = _fraction_product(d, out, u)
+    return out
+
+
+def _reference_evaluation(rep):
+    """The representation's value one Fraction factor at a time: sign * 2^m,
+    eta^n, each xi_p^exp (xi_2 / 2 for d = 1 mod 8, conjugated on conj),
+    the core and the scale."""
+    d, ctx = rep.d, make_context(rep.d)
+    out = _fraction_power(d, (ctx.eta.a, ctx.eta.b), rep.n)
+    out = (out[0] * rep.sign * 2**rep.m, out[1] * rep.sign * 2**rep.m)
+    factors = []
+    for t in rep.terms:
+        e = xi(ctx, t.p)
+        half = 2 if t.p == 2 and d % 8 == 1 else 1
+        factors.append(((F(e.x, half), F(-e.y if t.conj else e.y, half)), t.exp))
+    if rep.core is not None:
+        c = rep.core
+        factors.append(((F(c.x), F(-c.y if c.conj else c.y)), 1))
+    for u, k in factors:
+        out = _fraction_product(d, out, _fraction_power(d, u, k))
+    return out[0] * rep.scale, out[1] * rep.scale
+
+
+def _seeded_representations(d, count=40):
+    """Representations with negative n, negative exponents, conjugates, the
+    half-coordinate xi_2 / 2, cores, sign 0 and scales other than 1; not all
+    of them pass validate_representation."""
+    rng = random.Random(d)
+    primes = spectrum(make_context(d), 97).primes
+    reps = []
+    for i in range(count):
+        chosen = sorted(rng.sample(primes, rng.randint(0, 3)) + ([2] if 2 in primes and i % 4 == 0 else []))
+        terms = tuple(XiPower(p, rng.randint(-2, 3), rng.random() < 0.5) for p in dict.fromkeys(chosen))
+        core = None
+        if i % 3 == 0:
+            x, y = rng.randint(-40, 40), rng.randint(1, 9)
+            core = CoreFactor(abs(x * x - d * y * y), x, y, rng.random() < 0.5)
+        reps.append(Representation(
+            d=d, sign=rng.choice((1, -1, 1, -1, 0)), m=rng.randint(0, 1), n=rng.randint(-4, 4),
+            terms=terms, core=core, scale=rng.choice((F(1), F(1), F(3), F(1, 4), F(5, 3)))))
+    return reps
+
+
+@pytest.mark.parametrize("d", (2, 5, 13, 17, 34, 41))
+def test_evaluate_matches_the_fraction_product(d):
+    reps = _seeded_representations(d)
+    assert any(r.core for r in reps) and any(r.sign == 0 for r in reps) and any(r.scale != 1 for r in reps)
+    assert any(t.exp < 0 for r in reps for t in r.terms) and any(t.conj for r in reps for t in r.terms)
+    assert any(r.n < 0 for r in reps) and (d % 8 != 1 or any(t.p == 2 for r in reps for t in r.terms))
+    for rep in reps:
+        got = evaluate_representation(rep)
+        assert (got.a, got.b) == _reference_evaluation(rep), rep
+        assert type(got.a) is F and type(got.b) is F and got.d == d
+
+
+def test_a_perturbed_evaluation_fails_every_self_check(monkeypatch):
+    """Every self-check reads the one integer evaluation: shift its x by one
+    and each of them raises."""
+    from pellbisect import rationalpell, solver
+
+    ctx, spec = ctx_spec(34)
+    rep = Representation(d=34, terms=(XiPower(3, 1),))  # |N(xi_3)| = 9, a square
+    point = rationalpell.generate_rational(ctx, spec, rep)
+    real = solver._evaluate_scaled
+
+    def shifted(r):
+        x, y, m = real(r)
+        return x + 1, y, m
+
+    monkeypatch.setattr(solver, "_evaluate_scaled", shifted)
+    monkeypatch.setattr(rationalpell, "_evaluate_scaled", shifted)
+    with pytest.raises(InvariantError, match=r"does not evaluate to \(5, 1\)$"):
+        decompose_strict(ctx, spec, 5, 1)
+    with pytest.raises(InvariantError, match="does not evaluate to"):
+        decompose_square(ctx, spec, 10, 2)  # 2 * (5 + sqrt(34))
+    with pytest.raises(InvariantError, match=r"does not evaluate to \(35, 6\) \* 2$"):
+        decompose_square(ctx, spec, 70, 12)  # 2 * eps
+    with pytest.raises(InvariantError, match="does not evaluate to"):
+        rationalpell.decompose_rational(ctx, spec, point)
+    with pytest.raises(ValueError, match="parity violation"):
+        rationalpell.generate_rational(ctx, spec, rep)
+
+
+@pytest.mark.parametrize("d", (2, 5, 13, 17, 34, 41))
+def test_validate_reads_the_norm_of_the_unscaled_product(d, monkeypatch):
+    """validate_representation's core modulus is |N| of the representation
+    without its scale, as the Fraction product gives it."""
+    from pellbisect import solver
+
+    seen = []
+    real = solver.is_square
+    monkeypatch.setattr(solver, "is_square", lambda n: seen.append(n) or real(n))
+    checked = 0
+    for rep in _seeded_representations(d):
+        rep = replace(
+            rep, sign=rep.sign or 1, terms=tuple(replace(t, exp=abs(t.exp)) for t in rep.terms),
+            core=rep.core if rep.core and gcd(rep.core.x, d * rep.core.y) == 1 else None,
+            scale=F(3) if rep.scale == 1 else rep.scale)
+        seen.clear()
+        validate_representation(rep)
+        a, b = _reference_evaluation(replace(rep, scale=F(1)))
+        assert seen == [int(abs(a * a - d * b * b))], rep
+        checked += 1
+    assert checked == 40
