@@ -9,6 +9,13 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 
+def require_ints(**values: int) -> None:
+    """ValueError unless each value is an int; a float equal to an integer is refused too."""
+    for name, v in values.items():
+        if not isinstance(v, int):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division, {p: exponent}."""
     if n <= 0:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .arith import factorize
+from .arith import factorize, require_ints
 from .pellcore import PellContext
 from .quadfield import InvariantError, QuadElem
 
@@ -26,8 +26,11 @@ class TrivialPairError(ValueError):
 
 def verify_star(a: Fraction, b: Fraction, c: Fraction) -> bool:
     """Exact check of (a-c)^2 (b^2+1) == (b-c)^2 (a^2+1) on numerators: with a = an/ad
-    and so on, both sides share the denominator (ad*bd*cd)^2."""
-    (an, ad), (bn, bd), (cn, cd) = a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
+    and so on, both sides share the denominator (ad*bd*cd)^2.  Strings go through Fraction()."""
+    try:
+        (an, ad), (bn, bd), (cn, cd) = a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
+    except AttributeError:
+        return verify_star(Fraction(a), Fraction(b), Fraction(c))
     return (an * cd - cn * ad) ** 2 * (bn * bn + bd * bd) == (bn * cd - cn * bd) ** 2 * (an * an + ad * ad)
 
 
@@ -90,20 +93,29 @@ def classify_pair(a: Fraction, b: Fraction) -> PairClassification:
     return PairClassification(d=da, a2=a2, b2=b2)
 
 
+def _slopes(x1: int, y1: int, m1: int, x2: int, y2: int, m2: int) -> tuple[Fraction | None, Fraction | None]:
+    """c+- = (a b2 +- a2 b)/(a2 +- b2) on integers for the points (a, a2) = (x1, y1)/m1 and
+    (b, b2) = (x2, y2)/m2 of x^2 - d y^2 = -1; homogeneous in the y-parts, so d never
+    enters.  A slope is None where its denominator vanishes."""
+    den_plus, den_minus = y1 * m2 + y2 * m1, y2 * m1 - y1 * m2
+    c_plus = Fraction(x1 * y2 + y1 * x2, den_plus) if den_plus else None
+    c_minus = Fraction(x1 * y2 - y1 * x2, den_minus) if den_minus else None
+    return c_plus, c_minus
+
+
 def from_pell_points(
     a1: Fraction, a2: Fraction, b1: Fraction, b2: Fraction, d: int
 ) -> tuple[Fraction | None, Fraction | None]:
-    """The two candidate bisector slopes from two points on x^2 - d y^2 = -1.
-
-    Each branch is None when its denominator vanishes (b2 = -a2 and b2 = a2
-    respectively).  When both exist they are perpendicular: c+ * c- = -1.
-    """
-    a1, a2, b1, b2 = (Fraction(v) for v in (a1, a2, b1, b2))
-    for x, y in ((a1, a2), (b1, b2)):
-        if x * x - d * y * y != -1:
+    """The two candidate bisector slopes from two points on x^2 - d y^2 = -1; each is None
+    where b2 = -a2 or b2 = a2.  When both exist they are perpendicular: c+ * c- = -1."""
+    coords: list[int] = []
+    for x, y in ((Fraction(a1), Fraction(a2)), (Fraction(b1), Fraction(b2))):
+        m = lcm(x.denominator, y.denominator)
+        sx, sy = x.numerator * (m // x.denominator), y.numerator * (m // y.denominator)
+        if sx * sx - d * sy * sy != -m * m:
             raise ValueError(f"({x}, {y}) is not on x^2 - {d} y^2 = -1")
-    c_plus = (a1 * b2 + a2 * b1) / (b2 + a2) if b2 != -a2 else None
-    c_minus = (a1 * b2 - a2 * b1) / (b2 - a2) if b2 != a2 else None
+        coords += (sx, sy, m)
+    c_plus, c_minus = _slopes(*coords)
     if c_plus is not None and c_minus is not None and c_plus * c_minus != -1:
         raise InvariantError(f"bisector slopes {c_plus} and {c_minus} are not perpendicular")
     return c_plus, c_minus
@@ -111,7 +123,6 @@ def from_pell_points(
 
 def bisect(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
     """Both bisector slopes (c+, c-) for a non-trivial rational pair."""
-    a, b = Fraction(a), Fraction(b)
     cls = classify_pair(a, b)
     c_plus, c_minus = from_pell_points(a, cls.a2, b, cls.b2, cls.d)
     if c_plus is None or c_minus is None:  # a2, b2 > 0 and |a| != |b| rule both out
@@ -120,29 +131,25 @@ def bisect(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
 
 
 def case1_generate(l: int, m: int, n: int) -> tuple[BisectorTriple, BisectorTriple]:
-    """Pythagorean-parametrized triples: both bisector choices for
-    a = (l^2-n^2)/2ln, b = (m^2-n^2)/2mn."""
-    if abs(l) == abs(m):
-        raise ValueError("need |l| != |m|")
-    if l * m == n * n:
-        raise ValueError("need l*m != n^2")
+    """Both bisector slopes of the points (l^2-n^2, l^2+n^2)/2ln and (m^2-n^2, m^2+n^2)/2mn of
+    x^2 - y^2 = -1.  The slope denominators 2n(l+m)(lm+n^2), 2n(m-l)(lm-n^2) vanish iff |a| = |b|."""
+    require_ints(l=l, m=m, n=n)
     if l * m * n == 0:
         raise ValueError("need l, m, n nonzero")
-    a = Fraction(l * l - n * n, 2 * l * n)
-    b = Fraction(m * m - n * n, 2 * m * n)
-    # l + m = 0 would zero this denominator, but |l| != |m| already forbids it
-    c_plus = Fraction(l * m - n * n, (l + m) * n)
-    c_minus = Fraction(-(l + m) * n, l * m - n * n)
+    c_plus, c_minus = _slopes(l * l - n * n, l * l + n * n, 2 * l * n,
+                              m * m - n * n, m * m + n * n, 2 * m * n)
+    if c_plus is None or c_minus is None:
+        raise ValueError("need |l| != |m| and l*m != +-n^2")
+    a, b = Fraction(l * l - n * n, 2 * l * n), Fraction(m * m - n * n, 2 * m * n)
     return BisectorTriple(a, b, c_plus), BisectorTriple(a, b, c_minus)
 
 
 def case2_generate(
     ctx: PellContext, alpha: QuadElem, beta: QuadElem
 ) -> tuple[BisectorTriple, BisectorTriple]:
-    """Triples from two norm -1 elements of Q(sqrt(d)): a and b are the
-    rational parts, the bisector slope is the ratio of sqrt(d)-parts of
-    alpha*beta and alpha+beta."""
-    if alpha.d != ctx.d or beta.d != ctx.d:
+    """Triples from two norm -1 elements of Q(sqrt(d)), as points of x^2 - d y^2 = -1:
+    a and b are their rational parts."""
+    if not isinstance(alpha, QuadElem) or not isinstance(beta, QuadElem) or {alpha.d, beta.d} != {ctx.d}:
         raise ValueError("alpha and beta must live in the context's field")
     (x1, y1, m1), (x2, y2, m2) = alpha.scaled_coords(), beta.scaled_coords()
     if x1 * x1 - ctx.d * y1 * y1 != -m1 * m1 or x2 * x2 - ctx.d * y2 * y2 != -m2 * m2:
@@ -150,33 +157,32 @@ def case2_generate(
     # beta = +-alpha or +-alpha' iff the scaled coordinates agree up to signs; m1 = m2 follows from the norms
     if abs(x1) == abs(x2) and abs(y1) == abs(y2):
         raise ValueError("beta = +-alpha or +-alpha' is degenerate")
-    c_plus = Fraction(x1 * y2 + y1 * x2, y1 * m2 + y2 * m1)  # both parts are over m1*m2
-    c_minus = -1 / c_plus
+    c_plus, c_minus = _slopes(x1, y1, m1, x2, y2, m2)
     return BisectorTriple(alpha.a, beta.a, c_plus), BisectorTriple(alpha.a, beta.a, c_minus)
 
 
 def integral_generate(ctx: PellContext, m: int, n: int) -> BisectorTriple:
-    """Integral triple (f_(2m-1)(2n-1), f_(2m-1)(2n+1), g_(2m-1)2n / g_(2m-1))
-    built from the solutions f_k + g_k sqrt(d) = eps^k; needs an integrally
-    solvable negative Pell equation."""
+    """Integral triple (f_(2m-1)(2n-1), f_(2m-1)(2n+1), c+) from the points
+    f_k + g_k sqrt(d) = eps^k of x^2 - d y^2 = -1 (c+ = g_(2m-1)2n / g_(2m-1));
+    needs an integrally solvable negative Pell equation."""
     if not ctx.neg_pell_integral:
         raise ValueError(f"x^2 - {ctx.d} y^2 = -1 has no integral solutions")
+    require_ints(m=m, n=n)
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
     k = 2 * m - 1
-    powers = {i: ctx.eps**i for i in (k * (2 * n - 1), k * (2 * n + 1), k * 2 * n, k)}
-    a = powers[k * (2 * n - 1)].a
-    b = powers[k * (2 * n + 1)].a
-    c = powers[k * 2 * n].b / powers[k].b
+    alpha, beta = ctx.eps ** (k * (2 * n - 1)), ctx.eps ** (k * (2 * n + 1))
+    c, _ = _slopes(*alpha.scaled_coords(), *beta.scaled_coords())
     if c.denominator != 1:
         raise InvariantError(f"integral triple has non-integral slope {c}")
-    return BisectorTriple(a, b, c)
+    return BisectorTriple(alpha.a, beta.a, c)
 
 
 def integral_generate2(n: int) -> BisectorTriple:
-    """The extra d = 2 integral family (f_2n-1, -f_2n+1, f_2n)."""
+    """The extra d = 2 integral family (f_2n-1, -f_2n+1, f_2n): c- of (f_2n-1, g_2n-1), (-f_2n+1, g_2n+1)."""
+    require_ints(n=n)
     if n < 1:
         raise ValueError("n must be positive")
     eps = QuadElem.from_int_pair(2, 1, 1)
-    f = {k: (eps**k).a for k in (2 * n - 1, 2 * n, 2 * n + 1)}
-    return BisectorTriple(f[2 * n - 1], -f[2 * n + 1], f[2 * n])
+    (f1, g1), (f2, g2) = (eps ** (2 * n - 1)).int_coords(), (eps ** (2 * n + 1)).int_coords()
+    return BisectorTriple(f1, -f2, _slopes(f1, g1, 1, -f2, g2, 1)[1])

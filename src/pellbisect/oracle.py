@@ -17,6 +17,8 @@ class SearchBox:
     denominator_bound: int = 1
 
     def __post_init__(self) -> None:
+        if not isinstance(self.y_bound, int) or not isinstance(self.denominator_bound, int):
+            raise ValueError("bounds must be integers")
         if self.y_bound < 1 or self.denominator_bound < 1:
             raise ValueError("bounds must be >= 1")
 
@@ -31,6 +33,8 @@ class BruteHit:
 
 def brute_solutions(d: int, z: int, box: SearchBox) -> list[BruteHit]:
     """All (x, y) with 0 <= y <= y_bound, x >= 0 and x^2 - d y^2 = +-z."""
+    if not isinstance(d, int) or not isinstance(z, int):
+        raise ValueError("d and z must be integers")
     if z < 1:
         raise ValueError("z must be >= 1")
     hits = []
@@ -59,6 +63,8 @@ def brute_xi(d: int, p: int, l_max: int, box: SearchBox) -> tuple[int, int, int,
     Applies the fundamental-solution sign convention: only the + equation
     competes when x^2 - d y^2 = -1 has an integral solution inside the box.
     """
+    if not all(isinstance(v, int) for v in (d, p, l_max)):
+        raise ValueError("d, p and l_max must be integers")
     plus_only = _neg_pell_has_integral(d, box.y_bound)
     signs = (1,) if plus_only else (1, -1)
     for l in range(1, l_max + 1):
@@ -77,6 +83,8 @@ def brute_xi(d: int, p: int, l_max: int, box: SearchBox) -> tuple[int, int, int,
 def brute_rational_pell(d: int, r: int, box: SearchBox) -> list[tuple[Fraction, Fraction]]:
     """All x = X/Z, y = Y/Z with gcd(X, Y, Z) = 1, Z <= denominator_bound,
     0 <= Y <= y_bound and X^2 - d Y^2 = (-1)^r Z^2."""
+    if not isinstance(d, int) or not isinstance(r, int):
+        raise ValueError("d and r must be integers")
     if r not in (0, 1):
         raise ValueError("r must be 0 or 1")
     rhs_sign = -1 if r else 1

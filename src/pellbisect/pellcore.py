@@ -127,7 +127,7 @@ def make_context(d: int) -> PellContext:
 
 def pell_sequence(d: int, n: int) -> tuple[int, int]:
     """(f_n, g_n) with f_n + g_n*sqrt(d) = eps^n; strictly increasing in n."""
-    if n <= 0:
+    if not isinstance(n, int) or n <= 0:
         raise ValueError("n must be a positive integer")
     return (make_context(d).eps ** n).int_coords()
 

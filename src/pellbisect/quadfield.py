@@ -114,6 +114,8 @@ class QuadElem:
 
     def __pow__(self, k: int) -> QuadElem:
         """Left-to-right square-and-multiply on the integer triple of scaled_coords()."""
+        if not isinstance(k, int):
+            raise ValueError(f"exponent must be an integer, got {k!r}")
         if k == 1:
             return self
         if k == 0:

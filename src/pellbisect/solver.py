@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .arith import factorize, is_prime, is_square, strict_hits
+from .arith import factorize, is_prime, is_square, require_ints, strict_hits
 from .pellcore import PellContext, Spectrum, XiEntry, make_context, xi
 from .quadfield import InvariantError, QuadElem, RingTag, _mul_scaled, exact_div, in_ring, render_rat
 
@@ -55,6 +55,11 @@ class Representation:
     terms: tuple[XiPower, ...] = ()
     core: CoreFactor | None = None
     scale: Fraction = Fraction(1)
+
+    def __post_init__(self) -> None:
+        require_ints(sign=self.sign, m=self.m, n=self.n)
+        if not isinstance(self.scale, (int, Fraction)):
+            raise ValueError(f"scale must be an int or a Fraction, got {self.scale!r}")
 
     def to_json(self) -> dict:
         """The fields in order, terms and core as dicts of their own fields."""
@@ -274,6 +279,7 @@ def decompose_strict(ctx, spec: Spectrum, x: int, y: int) -> Representation:
     +-eta^n.  Once the xi powers are off, |N(alpha)| is the core modulus,
     so an exact quotient by a window element is already a unit.
     """
+    require_ints(x=x, y=y)
     d = ctx.d
     z = abs(x * x - d * y * y)
     if z <= 1:
@@ -323,6 +329,7 @@ def _decompose_scaled(ctx, spec: Spectrum, x: int, y: int, scale: Fraction) -> R
 def decompose_square(ctx, spec: Spectrum, x: int, y: int) -> Representation:
     """Factorization of any integral solution of |x^2 - d y^2| = z^2: the
     gcd cofactor becomes the scale, the strictly primitive core is peeled."""
+    require_ints(x=x, y=y)
     z2 = abs(x * x - ctx.d * y * y)
     z = isqrt(z2)
     if z2 <= 1 or z * z != z2:

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from pellbisect import bisector
+from pellbisect.arith import is_squarefree
 from pellbisect.bisector import (
     BisectorTriple,
     NoRationalBisector,
@@ -312,3 +313,173 @@ def test_tangent_oracle_agrees_with_star():
         if verdict is None:
             continue
         assert verdict == verify_star(a, b, c), (a, b, c)
+
+
+# ---- one slope kernel: the five former slope formulas as in-test references
+
+BOX = range(-12, 13)
+
+
+def _from_pell_points_reference(a1, a2, b1, b2, d):
+    """from_pell_points on Fractions: c+- = (a b2 +- a2 b)/(a2 +- b2)."""
+    a1, a2, b1, b2 = (F(v) for v in (a1, a2, b1, b2))
+    for x, y in ((a1, a2), (b1, b2)):
+        if x * x - d * y * y != -1:
+            raise ValueError(f"({x}, {y}) is not on x^2 - {d} y^2 = -1")
+    c_plus = (a1 * b2 + a2 * b1) / (b2 + a2) if b2 != -a2 else None
+    c_minus = (a1 * b2 - a2 * b1) / (b2 - a2) if b2 != a2 else None
+    return c_plus, c_minus
+
+
+def _case1_reference(l, m, n):
+    """The closed forms of case I with their hand-derived guards, which let
+    l*m = -n^2 through."""
+    if abs(l) == abs(m) or l * m == n * n or l * m * n == 0:
+        raise ValueError("excluded")
+    a, b = F(l * l - n * n, 2 * l * n), F(m * m - n * n, 2 * m * n)
+    return (a, b, F(l * m - n * n, (l + m) * n)), (a, b, F(-(l + m) * n, l * m - n * n))
+
+
+def _integral_reference(ctx, m, n):
+    """(f_k(2n-1), f_k(2n+1), g_2kn / g_k) from four powers of eps, k = 2m-1."""
+    k = 2 * m - 1
+    f = lambda j: (ctx.eps**j).a  # noqa: E731
+    return f(k * (2 * n - 1)), f(k * (2 * n + 1)), (ctx.eps ** (2 * k * n)).b / (ctx.eps**k).b
+
+
+def _integral2_reference(n):
+    """(f_2n-1, -f_2n+1, f_2n) on d = 2."""
+    f = lambda j: (QuadElem.from_int_pair(2, 1, 1) ** j).a  # noqa: E731
+    return f(2 * n - 1), -f(2 * n + 1), f(2 * n)
+
+
+def _triples(ts):
+    return tuple((t.a, t.b, t.c) for t in ts)
+
+
+def test_case1_never_returns_a_trivial_pair():
+    """Over l, m, n in [-12, 12] every returned pair has |a| != |b| and its two
+    slopes are exactly the bisectors of the pair; l*m = -n^2 (a = b) is refused
+    with the other excluded shapes."""
+    returned = 0
+    for l in BOX:
+        for m in BOX:
+            for n in BOX:
+                try:
+                    t1, t2 = case1_generate(l, m, n)
+                except ValueError:
+                    assert l * m * n == 0 or abs(l) == abs(m) or abs(l * m) == n * n, (l, m, n)
+                    continue
+                returned += 1
+                assert (t1.a, t1.b) == (t2.a, t2.b) and abs(t1.a) != abs(t1.b), (l, m, n)
+                assert set(bisect(t1.a, t1.b)) == {t1.c, t2.c}, (l, m, n)
+    assert returned > 10000
+
+
+def test_case1_refuses_l_m_equal_to_minus_n_squared():
+    with pytest.raises(ValueError, match=r"^need \|l\| != \|m\| and l\*m != \+-n\^2$"):
+        case1_generate(-4, 1, -2)  # a = b = 3/4
+
+
+def test_case1_matches_its_closed_forms():
+    compared = 0
+    for l in BOX:
+        for m in BOX:
+            for n in BOX:
+                try:
+                    expected = _case1_reference(l, m, n)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        case1_generate(l, m, n)
+                    continue
+                if expected[0][0] == expected[0][1]:  # l*m = -n^2: the trivial pairs
+                    assert l * m == -n * n
+                    continue
+                assert _triples(case1_generate(l, m, n)) == expected, (l, m, n)
+                compared += 1
+    assert compared > 10000
+
+
+def test_integral_generate_matches_g_2kn_over_g_k():
+    ds = [d for d in range(2, 100) if is_squarefree(d) and make_context(d).neg_pell_integral]
+    assert len(ds) > 10
+    for d in ds:
+        ctx = make_context(d)
+        for m in range(1, 5):
+            for n in range(1, 5):
+                t = integral_generate(ctx, m, n)
+                assert (t.a, t.b, t.c) == _integral_reference(ctx, m, n), (d, m, n)
+
+
+def test_integral_generate2_matches_f_2n():
+    for n in range(1, 13):
+        t = integral_generate2(n)
+        assert (t.a, t.b, t.c) == _integral2_reference(n), n
+
+
+def test_bisect_matches_the_fraction_from_pell_points():
+    """2000 seeded case-I and case-II pairs: bisect equals the Fraction formula
+    on the points classify_pair finds."""
+    rng = random.Random(16)
+    seeds = [(make_context(d), make_context(d).eta, make_context(d).eta ** 2) for d in CASE2_DS]
+    seeds += [(make_context(2), QuadElem(2, F(1, 7), F(5, 7)), make_context(2).eta ** 2),
+              (make_context(34), QuadElem(34, F(5, 3), F(1, 3)), make_context(34).eta)]
+    case2 = []  # pairs of at most 4 digits, so that classify_pair's trial division stays quick
+    for ctx, alpha, step in seeds:
+        for i in range(-3, 4):
+            for j in range(-3, 4):
+                t = _outcome(case2_generate, ctx, alpha * step**i, alpha * step**j)
+                if isinstance(t[0], BisectorTriple) and max(abs(v.numerator) for v in (t[0].a, t[0].b)) < 10**4:
+                    case2.append((t[0].a, t[0].b))
+    assert len(case2) > 100
+    pairs = []
+    while len(pairs) < 2000:
+        if rng.randrange(2):
+            l, m, n = (rng.choice((1, -1)) * rng.randint(1, 10 ** rng.randint(1, 2)) for _ in range(3))
+            if abs(l) == abs(m) or abs(l * m) == n * n:
+                continue
+            t, _ = case1_generate(l, m, n)
+            pairs.append((t.a, t.b))
+        else:
+            pairs.append(rng.choice(case2))
+    for a, b in pairs:
+        cls = classify_pair(a, b)
+        assert bisect(a, b) == _from_pell_points_reference(a, cls.a2, b, cls.b2, cls.d), (a, b)
+
+
+def test_from_pell_points_matches_the_fraction_formula_and_its_errors():
+    points = [(F(1), F(1)), (F(7), F(5)), (F(-7), F(5)), (F(1, 7), F(5, 7)), (F(23, 7), F(17, 7)),
+              (F(1), F(-1)), (F(2), F(1)), (F(1, 2), F(1, 3))]
+    for (a1, a2) in points:
+        for (b1, b2) in points:
+            got = _outcome(from_pell_points, a1, a2, b1, b2, 2)
+            assert got == _outcome(_from_pell_points_reference, a1, a2, b1, b2, 2), (a1, a2, b1, b2)
+
+
+def _outcome_any(fn):
+    try:
+        return fn()
+    except Exception as exc:  # a patched kernel may trip a self-check
+        return type(exc)
+
+
+def test_every_slope_comes_from_the_one_kernel(monkeypatch):
+    """With _slopes patched to swap c+ and c-, each of the five callers
+    answers differently (or raises), and each called the kernel."""
+    ctx2, ctx53 = make_context(2), make_context(53)
+    calls = {
+        "from_pell_points": lambda: from_pell_points(1, 1, 7, 5, 2),
+        "bisect": lambda: bisect(F(3, 4), F(12, 5)),
+        "case1_generate": lambda: _triples(case1_generate(2, 5, 1)),
+        "case2_generate": lambda: _triples(case2_generate(ctx53, ctx53.eta**3, ctx53.eta**5)),
+        "integral_generate": lambda: _triples([integral_generate(ctx2, 1, 2)]),
+        "integral_generate2": lambda: _triples([integral_generate2(2)]),
+    }
+    before = {name: call() for name, call in calls.items()}
+    real, seen = bisector._slopes, []
+    monkeypatch.setattr(bisector, "_slopes", lambda *coords: seen.append(coords) or real(*coords)[::-1])
+    for name, call in calls.items():
+        seen.clear()
+        assert _outcome_any(call) != before[name], name
+        assert seen, name
+
