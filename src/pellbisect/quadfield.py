@@ -113,24 +113,9 @@ class QuadElem:
         return NotImplemented
 
     def __pow__(self, k: int) -> QuadElem:
-        """Left-to-right square-and-multiply on the integer triple of scaled_coords()."""
-        if not isinstance(k, int):
-            raise ValueError(f"exponent must be an integer, got {k!r}")
-        if k == 1:
+        if isinstance(k, int) and k == 1:
             return self
-        if k == 0:
-            return QuadElem._of(self.d, Fraction(1), Fraction(0))
-        base = x, y, m = self.scaled_coords()
-        if k < 0:  # start from the conjugate over the norm
-            n = x * x - self.d * y * y
-            if n == 0:
-                raise ZeroDivisionError("zero-norm element has no inverse")
-            base = x, y, m = m * x, -m * y, n
-            k = -k
-        for bit in bin(k)[3:]:
-            x, y, m = _mul_scaled(self.d, x, y, m, x, y, m)
-            if bit == "1":
-                x, y, m = _mul_scaled(self.d, x, y, m, *base)
+        x, y, m = _pow_scaled(self.d, *self.scaled_coords(), k)
         return QuadElem._of(self.d, Fraction(x, m), Fraction(y, m))
 
     def inverse(self) -> QuadElem:
@@ -165,6 +150,27 @@ def _mul_scaled(d: int, x1: int, y1: int, m1: int, x2: int, y2: int, m2: int) ->
     """(x1 + y1*sqrt(d))/m1 * (x2 + y2*sqrt(d))/m2 as a triple (x, y, m) in lowest terms."""
     x, y, m = x1 * x2 + d * y1 * y2, x1 * y2 + y1 * x2, m1 * m2
     g = gcd(m, x, y)
+    return x // g, y // g, m // g
+
+
+def _pow_scaled(d: int, x: int, y: int, m: int, k: int) -> tuple[int, int, int]:
+    """((x + y*sqrt(d))/m)^k by left-to-right square-and-multiply on integer triples,
+    as a triple (x, y, m) in lowest terms with m > 0."""
+    if not isinstance(k, int):
+        raise ValueError(f"exponent must be an integer, got {k!r}")
+    if k < 0:  # start from the conjugate over the norm
+        n = x * x - d * y * y
+        if n == 0:
+            raise ZeroDivisionError("zero-norm element has no inverse")
+        x, y, m, k = m * x, -m * y, n, -k
+    if k == 0:
+        return 1, 0, 1
+    base = x, y, m
+    for bit in bin(k)[3:]:
+        x, y, m = _mul_scaled(d, x, y, m, x, y, m)
+        if bit == "1":
+            x, y, m = _mul_scaled(d, x, y, m, *base)
+    g = gcd(x, y, m) if m > 0 else -gcd(x, y, m)
     return x // g, y // g, m // g
 
 

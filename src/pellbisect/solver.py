@@ -19,7 +19,7 @@ from math import gcd, isqrt
 
 from .arith import factorize, is_prime, is_square, require_ints, strict_hits
 from .pellcore import PellContext, Spectrum, XiEntry, make_context, xi
-from .quadfield import InvariantError, QuadElem, RingTag, _mul_scaled, exact_div, in_ring, render_rat
+from .quadfield import InvariantError, QuadElem, RingTag, _mul_scaled, _pow_scaled, exact_div, in_ring, render_rat
 
 
 @dataclass(frozen=True)
@@ -92,17 +92,17 @@ class ExistenceVerdict:
     m: int = 0
 
 
-def _element(ctx: PellContext, label: XiPower | CoreFactor) -> QuadElem:
-    """The element a representation's factor stands for: xi_p^exp (with
-    xi_2 / 2 as the base when d = 1 mod 8) or the core, conjugated on conj."""
+def _element(ctx: PellContext, label: XiPower | CoreFactor) -> tuple[int, int, int]:
+    """The factor a representation's label stands for, xi_p^exp (with xi_2 / 2
+    as the base when d = 1 mod 8) or the core, conjugated on conj, as the triple
+    (x, y, m) with the factor = (x + y*sqrt(d))/m in lowest terms, m > 0."""
     if isinstance(label, CoreFactor):
-        core = QuadElem.from_int_pair(ctx.d, label.x, label.y)
-        return core.conj() if label.conj else core
+        return label.x, -label.y if label.conj else label.y, 1
     entry = xi(ctx, label.p)
     if entry is None:
         raise ValueError(f"prime {label.p} is not in the spectrum of d={ctx.d}")
-    base = entry.elem / 2 if label.p == 2 and ctx.d % 8 == 1 else entry.elem
-    return (base.conj() if label.conj else base) ** label.exp
+    m = 2 if label.p == 2 and ctx.d % 8 == 1 else 1
+    return _pow_scaled(ctx.d, entry.x, -entry.y if label.conj else entry.y, m, label.exp)
 
 
 def _evaluate_scaled(rep: Representation) -> tuple[int, int, int]:
@@ -112,7 +112,7 @@ def _evaluate_scaled(rep: Representation) -> tuple[int, int, int]:
     ctx = make_context(d)
     x, y, m = _mul_scaled(d, rep.sign * 2**rep.m, 0, 1, *(ctx.eta**rep.n).scaled_coords())
     for label in rep.terms + ((rep.core,) if rep.core else ()):
-        x, y, m = _mul_scaled(d, x, y, m, *_element(ctx, label).scaled_coords())
+        x, y, m = _mul_scaled(d, x, y, m, *_element(ctx, label))
     return x, y, m
 
 
@@ -229,22 +229,22 @@ def generate_strict(ctx, spec: Spectrum, z: int, n_range) -> list[tuple[int, int
     if not plan.exists:
         raise ValueError(f"|x^2-{ctx.d}y^2| = {z} has no strictly primitive solutions")
 
-    stems = [QuadElem(ctx.d, 2**plan.m, 0)]
+    d = ctx.d
+    stems = [(2**plan.m, 0, 1)]
     for group in _choices(ctx, plan):
         elems = [_element(ctx, label) for label in group]
-        stems = [s * c for s in stems for c in elems]
+        stems = [_mul_scaled(d, *s, *c) for s in stems for c in elems]
 
     results: set[tuple[int, int]] = set()
     for n in n_range:
-        unit = ctx.eta**n
+        unit = _pow_scaled(d, *ctx.eta.scaled_coords(), n)
         for stem in stems:
-            cand = stem * unit  # -cand normalizes to the same (x, y)
-            if not in_ring(cand, RingTag.ZSQRTD):
+            x, y, m = _mul_scaled(d, *stem, *unit)  # -stem * unit normalizes to the same (x, y)
+            if m != 1:  # not in Z[sqrt(d)]
                 continue
-            x, y = cand.int_coords()
-            if gcd(x, ctx.d * y) != 1:  # also rules out y = 0, since z > 1
+            if gcd(x, d * y) != 1:  # also rules out y = 0, since z > 1
                 continue
-            if abs(x * x - ctx.d * y * y) != z:
+            if abs(x * x - d * y * y) != z:
                 raise InvariantError(f"generated ({x}, {y}) does not have modulus {z}")
             results.add((x, y) if y > 0 else (-x, -y))
     return sorted(results, key=lambda xy: (xy[1], xy[0]))
@@ -294,9 +294,9 @@ def decompose_strict(ctx, spec: Spectrum, x: int, y: int) -> Representation:
     peeled: list[XiPower | CoreFactor] = []
     for group in _choices(ctx, plan):
         for label in group:
-            divisor = _element(ctx, label)
-            if isinstance(label, XiPower) and label.p == 2:
-                divisor = divisor * 2**plan.m
+            x2, y2, m2 = _element(ctx, label)
+            cof = 2**plan.m if isinstance(label, XiPower) and label.p == 2 else 1
+            divisor = QuadElem._of(d, Fraction(cof * x2, m2), Fraction(cof * y2, m2))
             quotient = exact_div(alpha, divisor, RingTag.OK)
             if quotient is not None:
                 alpha = quotient

@@ -140,3 +140,37 @@ def test_every_cache_decorates_a_module_level_function():
             assert name not in names or id(node) in allowed, (path.name, node.lineno, name)
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 assert "cached_property" not in {a.name for a in node.names}, (path.name, node.lineno)
+
+
+
+def _walks_exponent_bits(node):
+    """A for over bin(...) or format(...), or a while whose body shifts a name
+    right or halves it in place: the loop of square-and-multiply."""
+    if isinstance(node, ast.For):
+        return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in ("bin", "format")
+                   for n in ast.walk(node.iter))
+    return isinstance(node, ast.While) and any(
+        isinstance(n, ast.AugAssign) and (isinstance(n.op, ast.RShift) or (
+            isinstance(n.op, ast.FloorDiv) and isinstance(n.value, ast.Constant) and n.value.value == 2))
+        for stmt in node.body for n in ast.walk(stmt))
+
+
+def test_pow_scaled_holds_the_only_square_and_multiply_loop():
+    """QuadElem.__pow__ and the solver's factors raise through one kernel, so
+    the two cannot drift apart."""
+    owners, callers = [], set()
+
+    def visit(node, module, owner):
+        if isinstance(node, ast.FunctionDef):
+            owner = node.name
+        if _walks_exponent_bits(node):
+            owners.append((module, owner))
+        if isinstance(node, ast.Name) and node.id == "_pow_scaled":
+            callers.add((module, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for path in sorted((SRC / "pellbisect").glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem, None)
+    assert owners == [("quadfield", "_pow_scaled")]
+    assert {("quadfield", "__pow__"), ("solver", "_element")} <= callers

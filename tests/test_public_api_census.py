@@ -97,7 +97,8 @@ ETA2, ETA53 = CTX2.eta, CTX53.eta
 PAIR60 = bisector.case1_generate(10**15 + 37, 10**15 + 91, 999999999989)[0]
 SLOW_BISECT = pytest.mark.xfail(
     strict=True, raises=CensusTimeout,
-    reason="ROADMAP 2(a), queued behind item 1: bisect factors a^2+1 and b^2+1 by trial division")
+    reason="ROADMAP 2(a), queued behind item 1: bisect factors a^2+1 and b^2+1 by trial division; "
+           "a float slope such as 0.1 has denominator 2^55")
 
 # name: (callable, acceptor, [(id, args) or (id, args, xfail mark)])
 CENSUS = {
@@ -130,6 +131,7 @@ CENSUS = {
         ("floats", (0.75, 2.5)),
         ("strings", ("3/4", "12/5")),
         ("60digit", (PAIR60.a, PAIR60.b), SLOW_BISECT),
+        ("float_tenths", (0.1, 0.2), SLOW_BISECT),
     ]),
     "from_pell_points": (bisector.from_pell_points, _accept_pell_points, [
         ("valid", (1, 1, 7, 5, 2)),
@@ -149,6 +151,7 @@ CENSUS = {
         ("floats", (0.75, 2.5)),
         ("strings", ("3/4", "12/5")),
         ("60digit", (PAIR60.a, PAIR60.b), SLOW_BISECT),
+        ("float_tenths", (0.1, 0.2), SLOW_BISECT),
     ]),
     "case1_generate": (bisector.case1_generate, _accept_pair, [
         ("valid", (2, 5, 1)),
@@ -168,6 +171,9 @@ CENSUS = {
         ("floats", (CTX2, QuadElem(2, 1.0, 1.0), QuadElem(2, 7.0, 5.0))),
         ("strings", (CTX2, "1+√2", ETA2)),
         ("other_field", (CTX34, ETA2, ETA2**3)),
+        ("int_context", (2, ETA2, ETA2**3)),
+        ("no_context", (None, ETA2, ETA2**3)),
+        ("other_d_context", (CTX53, ETA2, ETA2**3)),
     ]),
     "integral_generate": (bisector.integral_generate, _accept_one, [
         ("valid", (CTX2, 1, 2)),
@@ -176,6 +182,9 @@ CENSUS = {
         ("negative", (CTX2, 1, -1)),
         ("floats", (CTX2, 2.0, 1)),
         ("strings", (CTX2, "1", 1)),
+        ("int_context", (2, 1, 1)),
+        ("no_context", (None, 1, 1)),
+        ("other_d_context", (CTX53, 1, 2)),
     ]),
     "integral_generate2": (bisector.integral_generate2, _accept_one, [
         ("valid", (12,)),

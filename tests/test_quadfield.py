@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -146,6 +147,52 @@ def test_pow_matches_repeated_fraction_products(d):
             assert got == reference, (x, k)
             assert type(got.a) is F and type(got.b) is F
             assert got.norm() == got.a * got.a - d * got.b * got.b == x.norm() ** k
+
+
+def _triple_power_reference(d, x, y, m, k):
+    """((x + y*sqrt(d))/m)^k as a Fraction pair by |k|-fold products, a negative
+    k starting from conj / norm; independent of QuadElem and of the kernel."""
+    a, b = F(x, m), F(y, m)
+    if k < 0:
+        n = a * a - d * b * b
+        a, b, k = a / n, -b / n, -k
+    out = (F(1), F(0))
+    for _ in range(k):
+        out = (out[0] * a + d * out[1] * b, out[0] * b + out[1] * a)
+    return out
+
+
+@pytest.mark.parametrize("d", (2, 5, 13, 17, 34, 41))
+def test_pow_scaled_matches_k_fold_fraction_products(d):
+    """The kernel on units, xi elements over p, xi_2 / 2 and other half-coordinate
+    bases, rational, unreduced and negative-denominator triples: the Fraction
+    reference's value, in lowest terms with m > 0."""
+    ctx = make_context(d)
+    entries = spectrum(ctx, 23).entries
+    bases = [ctx.eta.scaled_coords(), ctx.eps.scaled_coords(), (3, -2, 7), (-11, 1, 4), (6, 4, 10), (5, 1, -3)]
+    bases += [(e.x, -e.y, e.p) for e in entries[:3]]
+    half_xi2 = [(e.x, e.y, 2) for e in entries if e.p == 2 and d % 8 == 1]
+    assert len(half_xi2) == (d % 8 == 1)
+    bases += half_xi2
+    if d % 4 == 1:
+        bases += [(1, -3, 2), (-7, 5, 2)]
+    for base in bases:
+        for k in range(-6, 7):
+            x, y, m = quadfield._pow_scaled(d, *base, k)
+            assert m > 0 and gcd(x, y, m) == 1, (base, k)
+            assert (F(x, m), F(y, m)) == _triple_power_reference(d, *base, k), (base, k)
+
+
+def test_pow_scaled_refuses_a_zero_base_inverse_and_a_non_int_exponent():
+    for d in (2, 5, 34):
+        assert quadfield._pow_scaled(d, 0, 0, 1, 0) == (1, 0, 1)
+        assert quadfield._pow_scaled(d, 0, 0, 1, 3) == (0, 0, 1)
+        for k in (-1, -4):
+            with pytest.raises(ZeroDivisionError, match="zero-norm element has no inverse"):
+                quadfield._pow_scaled(d, 0, 0, 1, k)
+        for k in (2.0, 1.0, 0.0, F(1), "2"):
+            with pytest.raises(ValueError, match="exponent must be an integer"):
+                quadfield._pow_scaled(d, 1, 1, 1, k)
 
 
 def test_norm_matches_fraction_coordinates():

@@ -5,7 +5,9 @@ import subprocess
 import sys
 from dataclasses import asdict, replace
 from fractions import Fraction as F
+from functools import reduce
 from math import gcd
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from pellbisect.solver import (
     CoreFactor,
     Representation,
     XiPower,
+    _element,
     _unit_exponent,
     decompose_square,
     decompose_strict,
@@ -517,3 +520,44 @@ def test_validate_reads_the_norm_of_the_unscaled_product(d, monkeypatch):
         assert seen == [int(abs(a * a - d * b * b))], rep
         checked += 1
     assert checked == 40
+
+
+def _quadelem_element(ctx, label):
+    """The QuadElem form of a factor: xi_p (xi_2 / 2 for d = 1 mod 8) or the
+    core, conjugated on conj, raised by exp-fold QuadElem products."""
+    if isinstance(label, CoreFactor):
+        core = QuadElem.from_int_pair(ctx.d, label.x, label.y)
+        return core.conj() if label.conj else core
+    entry = xi(ctx, label.p)
+    base = entry.elem / 2 if label.p == 2 and ctx.d % 8 == 1 else entry.elem
+    base = base.conj() if label.conj else base
+    return reduce(mul, [base] * label.exp, QuadElem(ctx.d, 1, 0))
+
+
+@pytest.mark.parametrize("d", TABLE_DS + (33, 41, 57, 73))  # 17 is a table d
+def test_element_is_the_quadelem_factor_as_a_triple(d):
+    """Every spectrum prime up to 97 with exp 0..3 and both conj values, and
+    cores of either conj, against the QuadElem factor's scaled coordinates."""
+    ctx, spec = ctx_spec(d)
+    labels = [XiPower(p, e, c) for p in spec.primes for e in range(4) for c in (False, True)]
+    labels += [CoreFactor(abs(x * x - d * y * y), x, y, c) for x, y in ((5, 1), (-7, 2), (3, -4)) for c in (False, True)]
+    assert d % 8 != 1 or 2 in spec.primes
+    for label in labels:
+        assert _element(ctx, label) == _quadelem_element(ctx, label).scaled_coords(), label
+
+
+def test_generate_strict_builds_no_quadelem(monkeypatch):
+    """Stems, unit powers and candidates are integer triples: with every
+    QuadElem constructor and product patched to raise, each call answers as before."""
+    cases = [(2, 7), (2, 119), (5, 44), (10, 39), (17, 8 * 13), (17, 2**7 * 19), (34, 9), (34, 5985507575)]
+    setups = [(ctx_spec(d), z) for d, z in cases]
+    expected = [generate_strict(ctx, spec, z, range(-2, 3)) for (ctx, spec), z in setups]
+    assert all(expected)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate_strict built a QuadElem")
+
+    for name in ("__post_init__", "__mul__", "__rmul__", "__pow__", "__truediv__"):
+        monkeypatch.setattr(QuadElem, name, refuse)
+    monkeypatch.setattr(QuadElem, "_of", staticmethod(refuse))
+    assert [generate_strict(ctx, spec, z, range(-2, 3)) for (ctx, spec), z in setups] == expected
