@@ -10,8 +10,7 @@ from importlib import import_module
 from .pellcore import (CFExpansion, PellContext, Spectrum, XiEntry, XiEntryError, class_number,
                        continued_fraction_sqrt, in_s, make_context, neg_pell_rational, pell_sequence, spectrum,
                        splits, xi)
-from .quadfield import (FieldMismatchError, InvariantError, NotSquareFreeError, QuadElem, RingTag, exact_div,
-                        in_ring, render)
+from .quadfield import FieldMismatchError, InvariantError, NotSquareFreeError, QuadElem, exact_div, render
 
 _LAZY = {
     "bisector": ("BisectorTriple", "NoRationalBisector", "PairClassification", "TrivialPairError",
@@ -27,8 +26,8 @@ _HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = ["CFExpansion", "PellContext", "class_number", "continued_fraction_sqrt", "make_context",
            "neg_pell_rational", "pell_sequence", "splits", "FieldMismatchError", "InvariantError",
-           "NotSquareFreeError", "QuadElem", "RingTag", "exact_div", "in_ring", "render", "Spectrum",
-           "XiEntry", "XiEntryError", "in_s", "spectrum", "xi", *_HOME]
+           "NotSquareFreeError", "QuadElem", "exact_div", "render", "Spectrum", "XiEntry", "XiEntryError",
+           "in_s", "spectrum", "xi", *_HOME]
 __version__ = "0.1.0"
 
 

@@ -393,15 +393,15 @@ def _cmd_rational(args) -> list:
 
 def _cmd_bisect(args) -> dict:
     from . import bisector
-    cls = bisector.classify_pair(args.a, args.b)
-    c_plus, c_minus = bisector.from_pell_points(args.a, cls.a2, args.b, cls.b2, cls.d)
+    c_plus, c_minus = bisector.bisect(args.a, args.b)
+    d = bisector.classify_pair(args.a, args.b).d
     return {
         "a": render_rat(args.a),
         "b": render_rat(args.b),
         "c_plus": render_rat(c_plus),
         "c_minus": render_rat(c_minus),
-        "case": "I" if cls.d == 1 else "II",
-        "d": cls.d,
+        "case": "I" if d == 1 else "II",
+        "d": d,
     }
 
 

@@ -7,7 +7,6 @@ sqrt(d) go through integer square roots.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -33,17 +32,6 @@ def check_field_index(d: int) -> int:
     if not isinstance(d, int) or d <= 1 or not is_squarefree(d):
         raise NotSquareFreeError(f"need a square-free integer > 1, got {d}")
     return d
-
-
-class RingTag(enum.Enum):
-    """Subrings of Q(sqrt(d)) used for integrality tests.
-
-    ZSQRTD is Z[sqrt(d)].  OK is the full ring of integers, which adds the
-    half-odd coordinates (u + v*sqrt(d))/2, u, v odd, when d = 1 mod 4.
-    """
-
-    ZSQRTD = "Z[sqrt(d)]"
-    OK = "O_K"
 
 
 @dataclass(frozen=True)
@@ -174,19 +162,8 @@ def _pow_scaled(d: int, x: int, y: int, m: int, k: int) -> tuple[int, int, int]:
     return x // g, y // g, m // g
 
 
-def in_ring(alpha: QuadElem, tag: RingTag) -> bool:
-    """Membership test for Z[sqrt(d)] or the full integer ring O_K."""
-    ad, bd = alpha.a.denominator, alpha.b.denominator
-    if ad == 1 and bd == 1:
-        return True
-    if tag is RingTag.OK and alpha.d % 4 == 1:
-        # reduced fractions with denominator 2 have odd numerators already
-        return ad == 2 and bd == 2
-    return False
-
-
-def exact_div(alpha: QuadElem, beta: QuadElem, tag: RingTag) -> QuadElem | None:
-    """gamma with beta*gamma == alpha and gamma in the given ring, else None.  With
+def exact_div(alpha: QuadElem, beta: QuadElem) -> QuadElem | None:
+    """gamma in the ring of integers O_K with beta*gamma == alpha, else None.  With
     alpha = (x1 + y1*sqrt(d))/m1, beta = (x2 + y2*sqrt(d))/m2 and N = x2^2 - d*y2^2, the
     pair h*m2*(x1 + y1*sqrt(d))*(x2 - y2*sqrt(d))/(m1*N) = (s, t) must be integral, where
     h = 2 and s = t mod 2 admit the halves of O_K when d = 1 mod 4, and h = 1 otherwise."""
@@ -197,7 +174,7 @@ def exact_div(alpha: QuadElem, beta: QuadElem, tag: RingTag) -> QuadElem | None:
     alpha._check_same_field(beta)
     d = alpha.d
     x1, y1, m1 = alpha.scaled_coords()
-    h = 2 if tag is RingTag.OK and d % 4 == 1 else 1
+    h = 2 if d % 4 == 1 else 1
     s, rs = divmod(h * m2 * (x1 * x2 - d * y1 * y2), m1 * n)
     t, rt = divmod(h * m2 * (y1 * x2 - x1 * y2), m1 * n)
     return None if rs or rt or (s - t) % h else QuadElem._of(d, Fraction(s, h), Fraction(t, h))

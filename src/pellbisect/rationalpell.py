@@ -10,7 +10,7 @@ from math import isqrt, lcm
 
 from .arith import is_square
 from .pellcore import PellContext, Spectrum, xi
-from .quadfield import InvariantError
+from .quadfield import InvariantError, check_field_index
 from .solver import Representation, _decompose_scaled, _evaluate_scaled
 
 
@@ -22,6 +22,7 @@ class RationalPellPoint:
     r: int
 
     def __post_init__(self) -> None:
+        check_field_index(self.d)
         object.__setattr__(self, "x", Fraction(self.x))
         object.__setattr__(self, "y", Fraction(self.y))
         if self.r not in (0, 1):

@@ -19,7 +19,7 @@ from math import gcd, isqrt
 
 from .arith import factorize, is_prime, is_square, require_ints, strict_hits
 from .pellcore import PellContext, Spectrum, XiEntry, make_context, xi
-from .quadfield import InvariantError, QuadElem, RingTag, _mul_scaled, _pow_scaled, exact_div, in_ring, render_rat
+from .quadfield import InvariantError, QuadElem, _mul_scaled, _pow_scaled, exact_div, render_rat
 
 
 @dataclass(frozen=True)
@@ -250,15 +250,16 @@ def generate_strict(ctx, spec: Spectrum, z: int, n_range) -> list[tuple[int, int
     return sorted(results, key=lambda xy: (xy[1], xy[0]))
 
 
-def _unit_exponent(ctx: PellContext, u: QuadElem) -> tuple[int, int]:
-    """Write a unit u of O_K as sign * eta^n by exact division, no logs: one
-    step per power of eta, towards +-1.  |u| > 1 exactly when u's two
-    coordinates share a sign, since |u * conj(u)| = 1.  It walks the integer
-    pairs 2u and 2*eta, whose product halves exactly; eta^-1 = N(eta)*conj(eta)."""
+def _unit_exponent(ctx: PellContext, x: int, y: int, m: int) -> tuple[int, int]:
+    """Write a unit u = (x + y*sqrt(d))/m of O_K, in lowest terms, as sign * eta^n
+    by exact division, no logs: one step per power of eta, towards +-1.  u is in
+    O_K when m = 1, or m = 2 and d = 1 mod 4 (the norm then forces x, y odd).
+    |u| > 1 exactly when u's two coordinates share a sign, since |u * conj(u)| = 1.
+    It walks the integer pairs 2u and 2*eta, whose product halves exactly;
+    eta^-1 = N(eta)*conj(eta)."""
     d = ctx.d
-    x, y, m = u.scaled_coords()
-    if not in_ring(u, RingTag.OK) or abs(x * x - d * y * y) != m * m:
-        raise ValueError(f"residual {u} is not a unit of O_K; inconsistent decomposition")
+    if not (m == 1 or m == 2 and d % 4 == 1) or abs(x * x - d * y * y) != m * m:
+        raise ValueError(f"residual ({x} + {y}*sqrt({d}))/{m} is not a unit of O_K; inconsistent decomposition")
     s, t = 2 * x // m, 2 * y // m
     x, y, m = ctx.eta.scaled_coords()
     e, f = 2 * x // m, 2 * y // m
@@ -297,7 +298,7 @@ def decompose_strict(ctx, spec: Spectrum, x: int, y: int) -> Representation:
             x2, y2, m2 = _element(ctx, label)
             cof = 2**plan.m if isinstance(label, XiPower) and label.p == 2 else 1
             divisor = QuadElem._of(d, Fraction(cof * x2, m2), Fraction(cof * y2, m2))
-            quotient = exact_div(alpha, divisor, RingTag.OK)
+            quotient = exact_div(alpha, divisor)
             if quotient is not None:
                 alpha = quotient
                 peeled.append(label)
@@ -305,7 +306,7 @@ def decompose_strict(ctx, spec: Spectrum, x: int, y: int) -> Representation:
         else:
             raise InvariantError(f"no choice of {group[0]} divides ({x}, {y})")
 
-    n, sign = _unit_exponent(ctx, alpha)
+    n, sign = _unit_exponent(ctx, *alpha.scaled_coords())
     terms = tuple(sorted((t for t in peeled if isinstance(t, XiPower)), key=lambda t: t.p))
     core = peeled[-1] if plan.core_modulus > 1 else None
     rep = Representation(d=d, sign=sign, m=plan.m, n=n, terms=terms, core=core)
@@ -319,7 +320,7 @@ def _decompose_scaled(ctx, spec: Spectrum, x: int, y: int, scale: Fraction) -> R
     strictly primitive solution; decompose_strict checks the latter itself."""
     if abs(x * x - ctx.d * y * y) != 1:
         return replace(decompose_strict(ctx, spec, x, y), scale=scale)
-    n, sign = _unit_exponent(ctx, QuadElem.from_int_pair(ctx.d, x, y))
+    n, sign = _unit_exponent(ctx, x, y, 1)
     rep = Representation(d=ctx.d, sign=sign, n=n, scale=scale)
     if _evaluate_scaled(rep) != (x, y, 1):
         raise InvariantError(f"{rep} does not evaluate to ({x}, {y}) * {scale}")

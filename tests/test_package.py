@@ -30,8 +30,7 @@ EXPORTS = {
     "pellcore": ("CFExpansion", "PellContext", "class_number", "continued_fraction_sqrt", "make_context",
                  "neg_pell_rational", "pell_sequence", "splits", "Spectrum", "XiEntry", "XiEntryError", "in_s",
                  "spectrum", "xi"),
-    "quadfield": ("FieldMismatchError", "InvariantError", "NotSquareFreeError", "QuadElem", "RingTag",
-                  "exact_div", "in_ring", "render"),
+    "quadfield": ("FieldMismatchError", "InvariantError", "NotSquareFreeError", "QuadElem", "exact_div", "render"),
     "rationalpell": ("RationalPellPoint", "decompose_rational", "generate_rational"),
     "solver": ("CoreFactor", "ExistenceVerdict", "Representation", "XiPower", "decompose_square",
                "decompose_strict", "evaluate_representation", "generate_strict", "strict_exists",

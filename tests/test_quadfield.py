@@ -12,9 +12,7 @@ from pellbisect.quadfield import (
     FieldMismatchError,
     NotSquareFreeError,
     QuadElem,
-    RingTag,
     exact_div,
-    in_ring,
     render,
     render_rat,
     render_signed_power,
@@ -233,41 +231,43 @@ def test_int_coords():
         q(5, F(1, 2), F(1, 2)).int_coords()
 
 
-def test_in_ring():
-    assert not in_ring(q(5, F(1, 2), F(1, 2)), RingTag.ZSQRTD)
-    assert in_ring(q(5, F(1, 2), F(1, 2)), RingTag.OK)
-    assert in_ring(q(2, 3, 1), RingTag.ZSQRTD)
-    # half coordinates are only integral when d = 1 mod 4
-    assert not in_ring(q(2, F(1, 2), F(1, 2)), RingTag.OK)
-    assert not in_ring(q(5, F(1, 2), F(1, 3)), RingTag.OK)
-
-
 def test_exact_div():
-    assert exact_div(q(10, 7, 2), q(10, 3, 1), RingTag.ZSQRTD) == q(10, -1, 1)
-    assert exact_div(q(2, 3, 1), q(2, 1, 1), RingTag.ZSQRTD) == q(2, -1, 2)
-    assert exact_div(q(5, 3, 1), q(5, 2, 0), RingTag.ZSQRTD) is None
-    assert exact_div(q(5, 3, 1), q(5, 2, 0), RingTag.OK) == q(5, F(3, 2), F(1, 2))
+    assert exact_div(q(10, 7, 2), q(10, 3, 1)) == q(10, -1, 1)
+    assert exact_div(q(2, 3, 1), q(2, 1, 1)) == q(2, -1, 2)
+    # the quotient may be a half of O_K, which is outside Z[sqrt(d)]
+    half = exact_div(q(5, 3, 1), q(5, 2, 0))
+    assert half == q(5, F(3, 2), F(1, 2)) and half.scaled_coords()[2] != 1
+    # O_K membership is divisibility by 1: half-odd coordinates only when d = 1 mod 4
+    assert exact_div(q(5, F(1, 2), F(1, 2)), q(5, 1, 0)) == q(5, F(1, 2), F(1, 2))
+    assert exact_div(q(2, F(1, 2), F(1, 2)), q(2, 1, 0)) is None
+    assert exact_div(q(5, F(1, 2), F(1, 3)), q(5, 1, 0)) is None
+    assert exact_div(q(5, 1, F(1, 2)), q(5, 1, 0)) is None
 
 
 def test_exact_div_zero_norm_divisor():
     with pytest.raises(ZeroDivisionError):
-        exact_div(q(2, 1, 1), q(2, 0, 0), RingTag.ZSQRTD)
+        exact_div(q(2, 1, 1), q(2, 0, 0))
 
 
 def test_exact_div_checks_the_divisor_before_the_field():
     with pytest.raises(ZeroDivisionError):
-        exact_div(q(2, 1, 1), q(5, 0, 0), RingTag.OK)
+        exact_div(q(2, 1, 1), q(5, 0, 0))
     with pytest.raises(FieldMismatchError):
-        exact_div(q(2, 1, 1), q(5, 1, 1), RingTag.OK)
+        exact_div(q(2, 1, 1), q(5, 1, 1))
 
 
-@pytest.mark.parametrize("tag", tuple(RingTag))
+def _in_ok(g):
+    """Membership in O_K: integer coordinates, or two halves of odd integers when d = 1 mod 4."""
+    dens = g.a.denominator, g.b.denominator
+    return dens == (1, 1) or (g.d % 4 == 1 and dens == (2, 2))
+
+
 @pytest.mark.parametrize("d", (2, 3, 5, 13, 17, 21, 34))
-def test_exact_div_matches_division_in_the_field(d, tag):
+def test_exact_div_matches_division_in_the_field(d):
     """The integer divisibility test returns what dividing in the field and
-    testing the quotient returns, on integral, half-odd and other rational
-    operands, and on products beta*gamma, which mostly divide."""
-    rng = random.Random(100 * d + (tag is RingTag.OK))
+    testing the quotient for O_K returns, on integral, half-odd and other
+    rational operands, and on products beta*gamma, which mostly divide."""
+    rng = random.Random(100 * d + 1)
     odd = lambda: 2 * rng.randint(-15, 15) + 1
     makers = (
         lambda: q(d, rng.randint(-30, 30), rng.randint(-30, 30)),
@@ -280,8 +280,8 @@ def test_exact_div_matches_division_in_the_field(d, tag):
     divided = halves = 0
     for alpha, beta in pairs:
         reference = alpha / beta
-        reference = reference if in_ring(reference, tag) else None
-        got = exact_div(alpha, beta, tag)
+        reference = reference if _in_ok(reference) else None
+        got = exact_div(alpha, beta)
         assert got == reference, (alpha, beta)
         if got is not None:
             divided += 1
@@ -289,7 +289,7 @@ def test_exact_div_matches_division_in_the_field(d, tag):
             assert type(got.a) is F and type(got.b) is F
             assert hash(got) == hash(reference)
     assert len(pairs) // 5 <= divided < len(pairs)
-    assert bool(halves) == (tag is RingTag.OK and d % 4 == 1)
+    assert bool(halves) == (d % 4 == 1)
 
 
 def test_squarefree_validation():
@@ -350,7 +350,7 @@ def test_pow_addition_law(d, a, b, m, n):
 def test_exact_div_recovers_factor(d, a1, b1, a2, b2):
     beta, gamma = QuadElem(d, a1, b1), QuadElem(d, a2, b2)
     if beta.norm() != 0 and gamma.a.denominator == 1 and gamma.b.denominator == 1:
-        assert exact_div(beta * gamma, beta, RingTag.ZSQRTD) == gamma
+        assert exact_div(beta * gamma, beta) == gamma
 
 
 def _seeded_elems(d, count=6, seed=7):

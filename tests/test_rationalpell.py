@@ -1,11 +1,21 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from pellbisect.oracle import SearchBox, brute_rational_pell
 from pellbisect.pellcore import make_context, spectrum
+from pellbisect.quadfield import NotSquareFreeError
 from pellbisect.rationalpell import RationalPellPoint, decompose_rational, generate_rational
 from pellbisect.solver import Representation, XiPower
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# each lies on its curve for its own d, which is no field index: 4 and 1 are squares,
+# -1 is negative and 34.0 is a float
+BAD_D_POINTS = ((4, 1, 0, 0), (1, 0, 1, 1), (-1, 0, 1, 0), (34.0, 35, 6, 0))
 
 
 def ctx_spec(d, pmax=97):
@@ -45,6 +55,29 @@ def test_point_invariant_enforced():
         RationalPellPoint(2, F(1, 2), F(1, 2), 1)
     with pytest.raises(ValueError, match="r must be 0 or 1"):
         RationalPellPoint(2, 1, 0, 2)
+
+
+@pytest.mark.parametrize("args", BAD_D_POINTS, ids=repr)
+def test_point_checks_its_field_index(args):
+    with pytest.raises(NotSquareFreeError):
+        RationalPellPoint(*args)
+
+
+def test_point_checks_its_field_index_under_optimize():
+    code = (
+        "from pellbisect import NotSquareFreeError\n"
+        "from pellbisect.rationalpell import RationalPellPoint\n"
+        "print(__debug__)\n"
+        f"for args in {BAD_D_POINTS!r}:\n"
+        "    try:\n"
+        "        print(RationalPellPoint(*args))\n"
+        "    except NotSquareFreeError:\n"
+        "        print('NotSquareFreeError')\n"
+    )
+    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert r.stdout.split() == ["False"] + ["NotSquareFreeError"] * len(BAD_D_POINTS), r.stdout + r.stderr
 
 
 def test_decompose_examples():

@@ -331,7 +331,7 @@ def test_unit_exponent_walks_every_power_of_eta(d):
     ctx = make_context(d)
     for n in range(-30, 31):
         for sign in (1, -1):
-            assert _unit_exponent(ctx, sign * ctx.eta**n) == (n, sign)
+            assert _unit_exponent(ctx, *(sign * ctx.eta**n).scaled_coords()) == (n, sign)
 
 
 def test_decompose_self_check_survives_optimize():
@@ -341,8 +341,8 @@ def test_decompose_self_check_survives_optimize():
         "import pellbisect.solver as solver\n"
         "from pellbisect import InvariantError, make_context, spectrum\n"
         "walk = solver._unit_exponent\n"
-        "def off_by_one(ctx, u):\n"
-        "    n, sign = walk(ctx, u)\n"
+        "def off_by_one(ctx, x, y, m):\n"
+        "    n, sign = walk(ctx, x, y, m)\n"
         "    return n + 1, sign\n"
         "solver._unit_exponent = off_by_one\n"
         "ctx = make_context(34)\n"
@@ -360,12 +360,15 @@ def test_decompose_self_check_survives_optimize():
 
 def test_unit_exponent_rejects_norm_one_elements_outside_the_ring():
     ctx = make_context(2)
-    u = QuadElem(2, F(11, 7), F(6, 7))
-    assert u.norm() == 1
-    with pytest.raises(ValueError, match="not a unit"):
-        _unit_exponent(ctx, u)
-    with pytest.raises(ValueError, match="not a unit"):
-        _unit_exponent(ctx, QuadElem.from_int_pair(2, 3, 1))  # norm 7
+    assert QuadElem(2, F(11, 7), F(6, 7)).norm() == 1
+    for triple in ((11, 6, 7), (3, 1, 1)):  # norm 1 outside O_K, norm 7
+        with pytest.raises(ValueError, match="not a unit"):
+            _unit_exponent(ctx, *triple)
+    # (1 + sqrt(5))/2 is eta; (1 + sqrt(17))/4 has norm -1 but lies outside O_K
+    assert _unit_exponent(make_context(5), 1, 1, 2) == (1, 1)
+    for d, triple in ((17, (1, 1, 4)), (5, (1, 1, 4)), (2, (1, 1, 2))):
+        with pytest.raises(ValueError, match="not a unit"):
+            _unit_exponent(make_context(d), *triple)
 
 
 @pytest.mark.parametrize("d", (145, 265, 305))

@@ -12,7 +12,7 @@ from pellbisect import arith, pellcore
 from pellbisect.arith import is_prime, primes_upto
 from pellbisect.oracle import SearchBox, brute_xi
 from pellbisect.pellcore import XiEntry, XiEntryError, class_number, in_s, make_context, spectrum, xi
-from pellbisect.quadfield import InvariantError, NotSquareFreeError, QuadElem, RingTag, in_ring
+from pellbisect.quadfield import InvariantError, NotSquareFreeError, QuadElem
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -190,7 +190,7 @@ def test_xi_entry_rejects_a_wrong_solution_under_optimize():
 def test_xi_entry_elem_is_integral():
     for d in TABLE_DS:
         for e in spectrum(make_context(d), 97).entries:
-            assert in_ring(e.elem, RingTag.ZSQRTD)
+            assert e.elem.int_coords() == (e.x, e.y)
 
 
 def test_level_bounds_on_reference_range():
