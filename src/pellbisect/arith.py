@@ -1,6 +1,6 @@
-"""Integer helpers: factorization and the tests derived from it, squares and
-cube roots, small primes, the Legendre symbol, and the one bounded y-scan for
-strictly primitive solutions of |x^2 - d y^2| = n."""
+"""Integer helpers: factorization and the tests derived from it, squares, small
+primes, the Legendre symbol, and the one bounded y-scan for strictly primitive
+solutions of |x^2 - d y^2| = n."""
 
 from __future__ import annotations
 
@@ -57,20 +57,6 @@ def divisors(n: int) -> list[int]:
 
 def is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
-
-
-def icbrt(n: int) -> int:
-    """Largest integer c with c^3 <= n, for n >= 0."""
-    if n < 0:
-        raise ValueError("icbrt wants a non-negative integer")
-    if n < 2:
-        return n
-    c = 1 << -(-n.bit_length() // 3)  # above the cube root; Newton descends
-    while True:
-        nxt = (2 * c + n // (c * c)) // 3
-        if nxt >= c:
-            return c
-        c = nxt
 
 
 def primes_upto(n: int) -> list[int]:

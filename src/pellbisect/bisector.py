@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .arith import factorize, require_ints
-from .pellcore import PellContext
+from .pellcore import PellContext, check_context
 from .quadfield import InvariantError, QuadElem
 
 
@@ -149,8 +149,7 @@ def case2_generate(
 ) -> tuple[BisectorTriple, BisectorTriple]:
     """Triples from two norm -1 elements of Q(sqrt(d)), as points of x^2 - d y^2 = -1:
     a and b are their rational parts."""
-    if not isinstance(ctx, PellContext):
-        raise ValueError(f"need a PellContext, got {ctx!r}")
+    check_context(ctx)
     if not isinstance(alpha, QuadElem) or not isinstance(beta, QuadElem) or {alpha.d, beta.d} != {ctx.d}:
         raise ValueError("alpha and beta must live in the context's field")
     (x1, y1, m1), (x2, y2, m2) = alpha.scaled_coords(), beta.scaled_coords()
@@ -167,9 +166,7 @@ def integral_generate(ctx: PellContext, m: int, n: int) -> BisectorTriple:
     """Integral triple (f_(2m-1)(2n-1), f_(2m-1)(2n+1), c+) from the points
     f_k + g_k sqrt(d) = eps^k of x^2 - d y^2 = -1 (c+ = g_(2m-1)2n / g_(2m-1));
     needs an integrally solvable negative Pell equation."""
-    if not isinstance(ctx, PellContext):
-        raise ValueError(f"need a PellContext, got {ctx!r}")
-    if not ctx.neg_pell_integral:
+    if not check_context(ctx).neg_pell_integral:
         raise ValueError(f"x^2 - {ctx.d} y^2 = -1 has no integral solutions")
     require_ints(m=m, n=n)
     if m < 1 or n < 1:

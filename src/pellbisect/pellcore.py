@@ -1,5 +1,5 @@
-"""Per-d arithmetic of Q(sqrt(d)): continued fraction of sqrt(d), units, class
-number, negative-Pell flags, splitting of primes, and the prime spectrum of
+"""Per-d arithmetic of Q(sqrt(d)): continued fractions, units, class number,
+negative-Pell flags, splitting of primes, and the prime spectrum of
 |x^2 - d y^2| = p^l: the minimal exponent l_p and the fundamental element xi_p
 of each prime that admits a strictly primitive solution of a power of it."""
 
@@ -11,35 +11,43 @@ from functools import lru_cache
 from itertools import count
 from math import gcd, isqrt
 
-from .arith import divisors, factorize, icbrt, is_prime, legendre, primes_upto, strict_hits
+from .arith import divisors, factorize, is_prime, legendre, primes_upto, require_ints, strict_hits
 from .quadfield import InvariantError, QuadElem, check_field_index
 
 
 @dataclass(frozen=True)
 class CFExpansion:
-    """Periodic continued fraction of sqrt(d): [a0; period repeating]."""
+    """Periodic continued fraction [a0; period repeating] of (p + sqrt(d))/q."""
 
     a0: int
     period: tuple[int, ...]
 
 
-def continued_fraction_sqrt(d: int) -> CFExpansion:
-    """Exact expansion via the integer (P, Q) recurrence."""
-    check_field_index(d)
-    a0 = isqrt(d)
-    p, q = a0, d - a0 * a0
+def _period(d: int, p: int, q: int) -> CFExpansion:
+    """Expansion of (p + sqrt(d))/q, q > 0 dividing d - p^2, by the integer (P, Q)
+    recurrence.  For p < sqrt(d) < p + q the tail after a0 is reduced, so the period
+    starts right after a0 and closes when (P, Q) comes back."""
+    s = isqrt(d)
+    a0 = (p + s) // q
+    p = a0 * q - p
+    q = (d - p * p) // q
     start = (p, q)
     terms = []
     while True:
-        a = (a0 + p) // q
+        a = (p + s) // q
         terms.append(a)
         p = a * q - p
         q = (d - p * p) // q
         if (p, q) == start:
-            break
-    if terms[-1] != 2 * a0:
+            return CFExpansion(a0, tuple(terms))
+
+
+def continued_fraction_sqrt(d: int) -> CFExpansion:
+    """Exact expansion of sqrt(d)."""
+    cf = _period(check_field_index(d), 0, 1)
+    if cf.period[-1] != 2 * cf.a0:
         raise InvariantError(f"period of sqrt({d}) does not close on 2*a0")
-    return CFExpansion(a0, tuple(terms))
+    return cf
 
 
 @dataclass(frozen=True)
@@ -85,43 +93,28 @@ class PellContext:
         return class_number(self.d)
 
 
-def _half_coordinate_unit(d: int, f1: int, norm: int) -> QuadElem | None:
-    """The unit (u + v*sqrt(d))/2 with u, v odd whose cube is eps = f1 +
-    g1*sqrt(d) of the given norm, or None when O_K has no such unit.
-
-    Only d = 5 mod 8 can have one: for d = 1 mod 8, u^2 - d v^2 = 0 mod 8 is
-    never +-4.  The trace u solves u^3 - 3*norm*u = 2*f1, which puts it at
-    the cube root of 2*f1 or one above.
-    """
-    if d % 8 != 5:
-        return None
-    c = icbrt(2 * f1)
-    for u in (c, c + 1):
-        if u % 2 == 1 and u**3 - 3 * norm * u == 2 * f1:
-            v2, rem = divmod(u * u - 4 * norm, d)
-            v = isqrt(v2)
-            if rem == 0 and v * v == v2 and v % 2 == 1:
-                return QuadElem(d, Fraction(u, 2), Fraction(v, 2))
-    return None
+def check_context(ctx: PellContext) -> PellContext:
+    """ctx, once checked as a PellContext (ValueError)."""
+    if not isinstance(ctx, PellContext):
+        raise ValueError(f"need a PellContext, got {ctx!r}")
+    return ctx
 
 
 @lru_cache(maxsize=None)
 def make_context(d: int) -> PellContext:
-    """Find the units of d; memoized, safe for concurrent readers."""
-    cf = continued_fraction_sqrt(d)
-    # eps = f1 + g1*sqrt(d) is the convergent just before the period closes
-    f0, f1, g0, g1 = 1, cf.a0, 0, 1
+    """Find the units of d; memoized, safe for concurrent readers.  With omega = (1 + sqrt(d))/2
+    for d = 1 mod 4, else sqrt(d), and f/g the convergent of omega just before its period
+    closes, eta = f - g*conj(omega) (Cohen, A Course in Computational Algebraic Number
+    Theory, 5.7); Z[sqrt(d)]* has index 1 or 3 in O_K*, so eps is eta or eta^3."""
+    q = 2 if check_field_index(d) % 4 == 1 else 1
+    cf = _period(d, q - 1, q)
+    f0, f, g0, g = 1, cf.a0, 0, 1
     for a in cf.period[:-1]:
-        f0, f1, g0, g1 = f1, a * f1 + f0, g1, a * g1 + g0
-    eps = QuadElem(d, f1, g1)
-    norm_eps = int(eps.norm())
-    if norm_eps not in (1, -1):
-        raise InvariantError(f"convergent of sqrt({d}) has norm {norm_eps}, not +-1")
-    eta = _half_coordinate_unit(d, f1, norm_eps)
-    if eta is None:
-        return PellContext(d, eps, eps)
-    if eta ** 3 != eps or eta.norm() != norm_eps:
-        raise InvariantError(f"half-coordinate unit {eta} does not cube to {eps}")
+        f0, f, g0, g = f, a * f + f0, g, a * g + g0
+    eta = QuadElem(d, Fraction(q * f - (q - 1) * g, q), Fraction(g, q))
+    eps = eta if eta.b.denominator == 1 else eta**3
+    if eta.norm() not in (1, -1) or eps.a.denominator != 1 or eps.b.denominator != 1:
+        raise InvariantError(f"convergent of omega for d = {d} gives {eta}, not a unit with eps in Z[sqrt(d)]")
     return PellContext(d, eta, eps)
 
 
@@ -172,6 +165,9 @@ class XiEntry:
 
     def __post_init__(self) -> None:
         check_field_index(self.d)
+        require_ints(p=self.p, l=self.l, x=self.x, y=self.y, norm_sign=self.norm_sign)
+        if self.l < 1 or self.norm_sign not in (1, -1):
+            raise ValueError(f"{self} needs a level l >= 1 and a sign norm_sign of 1 or -1")
         x, y, d = self.x, self.y, self.d
         if x <= 0 or y <= 0 or x * x - d * y * y != self.norm_sign * self.p**self.l or gcd(x, d * y) != 1:
             raise XiEntryError(f"{self} is not a positive strictly primitive solution")
@@ -208,7 +204,7 @@ class Spectrum:
 
 def in_s(ctx: PellContext, p: int) -> bool:
     """Split primes, plus 2 if d = 5 mod 8 and eta is half-integral; ValueError unless p is prime."""
-    return _in_s(ctx, _check_prime(ctx.d, p))
+    return _in_s(check_context(ctx), _check_prime(ctx.d, p))
 
 
 def _in_s(ctx: PellContext, p: int) -> bool:
@@ -237,7 +233,7 @@ def _xi_cached(d: int, p: int) -> XiEntry | None:
 
 def xi(ctx: PellContext, p: int) -> XiEntry | None:
     """Fundamental element for p, None outside the spectrum; ValueError unless p is prime."""
-    return _xi_cached(ctx.d, _check_prime(ctx.d, p))
+    return _xi_cached(check_context(ctx).d, _check_prime(ctx.d, p))
 
 
 @lru_cache(maxsize=256)
@@ -250,7 +246,7 @@ def spectrum(ctx: PellContext, pmax: int) -> Spectrum:
     (d, pmax), so repeated calls return the same Spectrum."""
     if not isinstance(pmax, int) or pmax < 2:
         raise ValueError("pmax must be at least 2")
-    return _spectrum_cached(ctx.d, pmax)
+    return _spectrum_cached(check_context(ctx).d, pmax)
 
 
 @lru_cache(maxsize=None)

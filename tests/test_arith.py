@@ -1,10 +1,9 @@
-import random
 from math import gcd, isqrt, prod
 
 import pytest
 from sympy import factorint
 
-from pellbisect.arith import divisors, factorize, icbrt, is_prime, is_squarefree, strict_hits
+from pellbisect.arith import divisors, factorize, is_prime, is_squarefree, strict_hits
 from pellbisect.oracle import SearchBox, brute_solutions
 
 
@@ -26,17 +25,6 @@ def test_factor_helpers_outside_positive_integers():
     assert not any(is_squarefree(n) for n in (-1, 0))
     with pytest.raises(ValueError):
         factorize(0)
-
-
-def test_icbrt():
-    rng = random.Random(5)
-    cases = list(range(5000)) + [rng.randrange(10**k) for k in range(4, 300, 7)]
-    for n in cases:
-        c = icbrt(n)
-        assert c**3 <= n < (c + 1) ** 3
-    assert icbrt(10**60) == 10**20 and icbrt(10**60 - 1) == 10**20 - 1
-    with pytest.raises(ValueError):
-        icbrt(-1)
 
 
 @pytest.mark.parametrize("d,n", [(2, 7), (5, 4), (13, 3), (34, 9), (34, 33)])

@@ -179,6 +179,52 @@ def test_eta_matches_sympy():
             assert ctx.eta == ctx.eps, d
 
 
+def _reference_icbrt(n):
+    c = 1 << -(-n.bit_length() // 3)  # above the cube root; Newton descends
+    while True:
+        nxt = (2 * c + n // (c * c)) // 3
+        if nxt >= c:
+            return c
+        c = nxt
+
+
+def _reference_units(d):
+    """The units as found before they came from the expansion of omega: eps from the
+    period of sqrt(d), then eta = (u + v sqrt(d))/2 with u^3 - 3 N u = 2 f1 for d = 5 mod 8."""
+    a0 = isqrt(d)
+    p, q = a0, d - a0 * a0
+    start, period = (p, q), []
+    while True:
+        a = (a0 + p) // q
+        period.append(a)
+        p = a * q - p
+        q = (d - p * p) // q
+        if (p, q) == start:
+            break
+    f0, f1, g0, g1 = 1, a0, 0, 1
+    for a in period[:-1]:
+        f0, f1, g0, g1 = f1, a * f1 + f0, g1, a * g1 + g0
+    eps, norm = QuadElem(d, f1, g1), f1 * f1 - d * g1 * g1
+    if d % 8 == 5:
+        c = _reference_icbrt(2 * f1)
+        for u in (c, c + 1):
+            if u % 2 == 1 and u**3 - 3 * norm * u == 2 * f1:
+                v2, rem = divmod(u * u - 4 * norm, d)
+                v = isqrt(v2)
+                if rem == 0 and v * v == v2 and v % 2 == 1:
+                    return QuadElem(d, F(u, 2), F(v, 2)), eps
+    return eps, eps
+
+
+def test_units_match_the_sqrt_d_expansion_and_cube_root():
+    """Every square-free d < 20000: eta from omega's expansion and eps = eta or eta^3
+    equal the least unit of Z[sqrt(d)] and its half-coordinate cube root."""
+    for d in range(2, 20000):
+        if is_squarefree(d):
+            ctx = make_context(d)
+            assert (ctx.eta, ctx.eps) == _reference_units(d), d
+
+
 def test_pell_sequence_values():
     assert pell_sequence(2, 1) == (1, 1)
     assert pell_sequence(2, 3) == (7, 5)

@@ -253,7 +253,8 @@ def _accept_xi(args, e):
 
 
 def _entry_ok(e):
-    return (_squarefree_index(e.d) and e.x > 0 and e.y > 0 and gcd(e.x, e.d * e.y) == 1
+    return (_squarefree_index(e.d) and all(type(v) is int for v in (e.p, e.l, e.x, e.y, e.norm_sign))
+            and e.l >= 1 and e.norm_sign in (1, -1) and e.x > 0 and e.y > 0 and gcd(e.x, e.d * e.y) == 1
             and e.x * e.x - e.d * e.y * e.y == e.norm_sign * e.p**e.l)
 
 
@@ -576,7 +577,7 @@ CENSUS = {
         ("one", (CTX34, 1)),
         ("negative", (CTX34, -3)),
         ("floats", (CTX34, 3.0)),
-        ("int_context", (34, 3), BAD_HANDLE),
+        ("int_context", (34, 3)),
     ]),
     "spectrum": (spectrum, _accept_spectrum, [
         ("valid", (CTX34, 20)),
@@ -586,7 +587,7 @@ CENSUS = {
         ("zero", (CTX34, 0)),
         ("negative", (CTX34, -5)),
         ("floats", (CTX34, 20.0)),
-        ("int_context", (34, 97), BAD_HANDLE),
+        ("int_context", (34, 97)),
         ("large_d", (make_context(1000003), 40), SLOW_XI),
     ]),
     "xi": (xi, _accept_xi, [
@@ -599,7 +600,7 @@ CENSUS = {
         ("zero", (CTX34, 0)),
         ("negative", (CTX34, -3)),
         ("floats", (CTX34, 3.0)),
-        ("int_context", (34, 3), BAD_HANDLE),
+        ("int_context", (34, 3)),
         ("large_p", (CTX34, 1000003), SLOW_XI),
     ]),
     "XiEntry": (XiEntry, _accept_xi_entry, [
@@ -610,7 +611,11 @@ CENSUS = {
         ("negative", (34, 3, 2, -5, 1, -1)),
         ("not_squarefree", (4, 5, 1, 3, 1, 1)),
         ("floats", (34.0, 3, 2, 5, 1, -1)),
-        ("none", (34, 3, 1, None, 1, 1), TYPE_INSIDE),
+        ("none", (34, 3, 1, None, 1, 1)),
+        ("float_level", (34, 3, 2.0, 5, 1, -1)),
+        ("float_sign", (34, 3, 2, 5, 1, -1.0)),
+        ("float_x", (34, 3, 2, 5.0, 1, -1)),
+        ("zero_level", (34, 3, 0, 35, 6, 1)),
     ]),
     "QuadElem": (QuadElem, _accept_quad_elem, [
         ("valid", (34, 35, 6)),
