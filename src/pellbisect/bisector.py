@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .arith import factorize, require_ints
+from .arith import factorize, is_square, require_ints
 from .pellcore import PellContext, check_context
 from .quadfield import InvariantError, QuadElem
 
@@ -81,14 +81,12 @@ def classify_pair(a: Fraction, b: Fraction) -> PairClassification:
     den = lcm(a.denominator, b.denominator)
     na = int(a * den) ** 2 + den * den
     nb = int(b * den) ** 2 + den * den
+    if not is_square(na * nb):  # the kernels differ: decided before any factoring
+        raise NoRationalBisector(f"slopes {a} and {b} lead to distinct square-free kernels of a^2+1 and b^2+1")
     da, db = _squarefree_kernel(na), _squarefree_kernel(nb)
-    if da != db:
-        raise NoRationalBisector(
-            f"slopes {a} and {b} lead to distinct square-free kernels {da} and {db}"
-        )
     a2 = Fraction(isqrt(na // da), den)
     b2 = Fraction(isqrt(nb // da), den)
-    if a * a + 1 != da * a2 * a2 or b * b + 1 != da * b2 * b2:
+    if da != db or a * a + 1 != da * a2 * a2 or b * b + 1 != da * b2 * b2:
         raise InvariantError(f"({a}, {b}) do not lie on x^2 - {da} y^2 = -1 with ({a2}, {b2})")
     return PairClassification(d=da, a2=a2, b2=b2)
 

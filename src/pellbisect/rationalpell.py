@@ -11,7 +11,7 @@ from math import isqrt, lcm
 from .arith import is_square
 from .pellcore import PellContext, Spectrum, xi
 from .quadfield import InvariantError, check_field_index
-from .solver import Representation, _decompose_scaled, _evaluate_scaled
+from .solver import Representation, _checked, _decompose_scaled, _evaluate_scaled
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def generate_rational(ctx: PellContext, spec: Spectrum, rep: Representation) -> 
     """
     if rep.d != ctx.d:
         raise ValueError("representation and context disagree on d")
-    x, y, m = _evaluate_scaled(rep)
+    x, y, m = _evaluate_scaled(_checked(rep))
     norm = x * x - ctx.d * y * y
     z_core = Fraction(abs(norm), m * m)
     if z_core.denominator != 1 or not is_square(z_core.numerator):

@@ -12,13 +12,14 @@ at p = 2.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
 from .arith import factorize, is_prime, is_square, require_ints, strict_hits
-from .pellcore import PellContext, Spectrum, XiEntry, make_context, xi
+from .pellcore import PellContext, Spectrum, XiEntry, _xi_cached, make_context, xi
 from .quadfield import InvariantError, QuadElem, _mul_scaled, _pow_scaled, exact_div, render_rat
 
 
@@ -98,7 +99,7 @@ def _element(ctx: PellContext, label: XiPower | CoreFactor) -> tuple[int, int, i
     (x, y, m) with the factor = (x + y*sqrt(d))/m in lowest terms, m > 0."""
     if isinstance(label, CoreFactor):
         return label.x, -label.y if label.conj else label.y, 1
-    entry = xi(ctx, label.p)
+    entry = _xi_cached(ctx.d, label.p)  # p is prime: from factorize, or checked where rep came in
     if entry is None:
         raise ValueError(f"prime {label.p} is not in the spectrum of d={ctx.d}")
     m = 2 if label.p == 2 and ctx.d % 8 == 1 else 1
@@ -110,15 +111,25 @@ def _evaluate_scaled(rep: Representation) -> tuple[int, int, int]:
     triple (x, y, m) with the product = (x + y*sqrt(d))/m in lowest terms, m > 0."""
     d = rep.d
     ctx = make_context(d)
-    x, y, m = _mul_scaled(d, rep.sign * 2**rep.m, 0, 1, *(ctx.eta**rep.n).scaled_coords())
+    x, y, m = _mul_scaled(d, rep.sign * 2**rep.m, 0, 1, *_pow_scaled(d, *ctx.eta.scaled_coords(), rep.n))
     for label in rep.terms + ((rep.core,) if rep.core else ()):
         x, y, m = _mul_scaled(d, x, y, m, *_element(ctx, label))
     return x, y, m
 
 
+def _checked(rep: Representation) -> Representation:
+    """rep, once checked as a Representation whose every p is prime (ValueError)."""
+    if not isinstance(rep, Representation):
+        raise ValueError(f"need a Representation, got {rep!r}")
+    for t in rep.terms:
+        if not isinstance(t.p, int) or not is_prime(t.p):
+            raise ValueError(f"{t.p} is not prime")
+    return rep
+
+
 def evaluate_representation(rep: Representation) -> QuadElem:
     """Exact product sign * 2^m * eta^n * prod(xi powers) * core * scale."""
-    x, y, m = _evaluate_scaled(rep)
+    x, y, m = _evaluate_scaled(_checked(rep))
     num, den = rep.scale.numerator, m * rep.scale.denominator
     return QuadElem._of(rep.d, Fraction(x * num, den), Fraction(y * num, den))
 
@@ -170,6 +181,8 @@ def strict_exists(ctx: PellContext, spec: Spectrum, z: int) -> ExistenceVerdict:
     """
     if not isinstance(z, int) or z <= 1:
         raise ValueError("z must be an integer > 1")
+    if not isinstance(spec, Spectrum):
+        raise ValueError(f"need a Spectrum, got {spec!r}")
     if spec.d != ctx.d:
         raise ValueError(f"the spectrum of d={spec.d} does not belong to d={ctx.d}")
     factors = factorize(z)
@@ -225,6 +238,8 @@ def _choices(ctx: PellContext, plan: ExistenceVerdict) -> list[list[XiPower | Co
 def generate_strict(ctx, spec: Spectrum, z: int, n_range) -> list[tuple[int, int]]:
     """All strictly primitive solutions reachable with unit exponent in
     n_range, normalized to y >= 0, deduplicated and sorted by (y, x)."""
+    if not isinstance(n_range, Iterable):
+        raise ValueError(f"n_range must be an iterable of integers, got {n_range!r}")
     plan = strict_exists(ctx, spec, z)
     if not plan.exists:
         raise ValueError(f"|x^2-{ctx.d}y^2| = {z} has no strictly primitive solutions")
@@ -343,6 +358,8 @@ def validate_representation(rep: Representation) -> ValidationReport:
     """Structural checks: sign, m, a positive scale, spectrum membership, the
     core's modulus and strict primitivity, the unit-exponent congruence for
     odd moduli, and the parity/cap conditions when a scale is present."""
+    if not isinstance(rep, Representation):
+        raise ValueError(f"need a Representation, got {rep!r}")
     ctx = make_context(rep.d)
     problems: list[str] = []
     if rep.sign not in (1, -1):

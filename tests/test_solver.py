@@ -11,7 +11,9 @@ from operator import mul
 from pathlib import Path
 
 import pytest
+import sympy
 
+from pellbisect import pellcore, rationalpell, solver
 from pellbisect.oracle import SearchBox, brute_solutions
 from pellbisect.pellcore import make_context, spectrum, xi
 from pellbisect.quadfield import InvariantError, QuadElem
@@ -20,6 +22,7 @@ from pellbisect.solver import (
     Representation,
     XiPower,
     _element,
+    _evaluate_scaled,
     _unit_exponent,
     decompose_square,
     decompose_strict,
@@ -564,3 +567,79 @@ def test_generate_strict_builds_no_quadelem(monkeypatch):
         monkeypatch.setattr(QuadElem, name, refuse)
     monkeypatch.setattr(QuadElem, "_of", staticmethod(refuse))
     assert [generate_strict(ctx, spec, z, range(-2, 3)) for (ctx, spec), z in setups] == expected
+
+
+def test_the_warm_path_checks_no_context_and_no_prime(monkeypatch):
+    """Generating, decomposing and evaluating the 48 solutions of
+    |x^2 - 34 y^2| = 5985507575 re-checks neither the context nor any p: the
+    entry points checked them once, and every factor reads the memo."""
+    ctx, spec = ctx_spec(34)
+    calls = []
+    for name in ("_check_prime", "check_context"):
+        real = getattr(pellcore, name)
+        monkeypatch.setattr(pellcore, name, lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args))
+    solutions = generate_strict(ctx, spec, 5985507575, range(-1, 2))
+    assert len(solutions) == 48
+    for x, y in solutions:
+        assert evaluate_representation(decompose_strict(ctx, spec, x, y)) == QuadElem.from_int_pair(34, x, y)
+    assert calls == []
+
+
+@pytest.mark.parametrize("d", (5, 13, 17, 34))
+def test_evaluate_scaled_raises_eta_on_the_triple(d, monkeypatch):
+    """eta^n for n in -3..3 comes from the integer power kernel, never from QuadElem.__pow__."""
+    ctx, spec = ctx_spec(d)
+    reps = [Representation(d=d, sign=-1, n=n, terms=(XiPower(spec.primes[0], 2, conj=True),)) for n in range(-3, 4)]
+    expected = [_reference_evaluation(rep) for rep in reps]
+
+    def refuse(*args):
+        raise AssertionError("_evaluate_scaled raised a QuadElem to a power")
+
+    monkeypatch.setattr(QuadElem, "__pow__", refuse)
+    for rep, (a, b) in zip(reps, expected):
+        x, y, m = _evaluate_scaled(rep)
+        assert (F(x, m), F(y, m)) == (a, b), rep
+
+
+# (d, p, the ValueError text): composite, inert, non-positive and non-int p in a user Representation
+BAD_USER_PRIMES = [(10, 9, "9 is not prime"), (34, 9, "9 is not prime"), (34, 1, "1 is not prime"),
+                   (34, -3, "-3 is not prime"), (34, 3.0, "3.0 is not prime"),
+                   (34, 7, "prime 7 is not in the spectrum of d=34")]
+
+
+@pytest.mark.parametrize("d, p, message", BAD_USER_PRIMES)
+def test_a_bad_prime_in_a_user_representation_is_refused(d, p, message, monkeypatch):
+    """evaluate_representation and generate_rational check each p of a user's
+    representation once, before any factor reads the memo with it."""
+    seen = []
+    real = solver._xi_cached
+    monkeypatch.setattr(solver, "_xi_cached", lambda d_, q: seen.append(q) or real(d_, q))
+    ctx, spec = ctx_spec(d)
+    rep = Representation(d=d, terms=(XiPower(3, 1), XiPower(p, 2)))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        evaluate_representation(rep)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rationalpell.generate_rational(ctx, spec, rep)
+    assert all(isinstance(q, int) and sympy.isprime(q) for q in seen), seen
+
+
+def test_a_bad_prime_in_a_user_representation_is_refused_under_optimize():
+    code = (
+        "from pellbisect.pellcore import make_context, spectrum\n"
+        "from pellbisect.rationalpell import generate_rational\n"
+        "from pellbisect.solver import Representation, XiPower, evaluate_representation\n"
+        "print(__debug__)\n"
+        f"for d, p, _ in {BAD_USER_PRIMES!r}:\n"
+        "    rep = Representation(d=d, terms=(XiPower(3, 1), XiPower(p, 2)))\n"
+        "    ctx = make_context(d)\n"
+        "    for call in (lambda: evaluate_representation(rep), lambda: generate_rational(ctx, spectrum(ctx, 97), rep)):\n"
+        "        try:\n"
+        "            print(call())\n"
+        "        except ValueError as e:\n"
+        "            print(e)\n"
+    )
+    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    expected = ["False"] + [message for _, _, message in BAD_USER_PRIMES for _ in range(2)]
+    assert r.stdout.splitlines() == expected, r.stdout + r.stderr
