@@ -14,12 +14,12 @@ from .quadfield import FieldMismatchError, InvariantError, NotSquareFreeError, Q
 
 _LAZY = {
     "bisector": ("BisectorTriple", "NoRationalBisector", "PairClassification", "TrivialPairError",
-                 "bisect", "case1_generate", "case2_generate", "classify_pair", "from_pell_points",
+                 "bisect", "case1_generate", "case2_alphas", "case2_generate", "classify_pair", "from_pell_points",
                  "integral_generate", "integral_generate2", "verify_star"),
     "oracle": ("SearchBox", "brute_rational_pell", "brute_solutions", "brute_xi", "tangent_bisector_check"),
-    "rationalpell": ("RationalPellPoint", "decompose_rational", "generate_rational"),
-    "solver": ("CoreFactor", "ExistenceVerdict", "Representation", "XiPower", "decompose_square",
-               "decompose_strict", "evaluate_representation", "generate_strict", "strict_exists",
+    "rationalpell": ("RationalPellPoint", "decompose_rational", "generate_rational", "rational_family"),
+    "solver": ("CoreFactor", "ExistenceVerdict", "Representation", "XiPower", "decompose", "decompose_square",
+               "decompose_strict", "evaluate_representation", "generate_strict", "solve", "strict_exists",
                "validate_representation"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}

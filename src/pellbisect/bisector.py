@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .arith import factorize, is_square, require_ints
-from .pellcore import PellContext, check_context
+from .arith import factorize, is_square, primes_upto, require_ints
+from .pellcore import PellContext, check_context, xi
 from .quadfield import InvariantError, QuadElem
 
 
@@ -158,6 +158,21 @@ def case2_generate(
         raise ValueError("beta = +-alpha or +-alpha' is degenerate")
     c_plus, c_minus = _slopes(x1, y1, m1, x2, y2, m2)
     return BisectorTriple(alpha.a, beta.a, c_plus), BisectorTriple(alpha.a, beta.a, c_minus)
+
+
+def case2_alphas(ctx: PellContext, k: int) -> list[QuadElem]:
+    """Norm -1 elements for case2_generate to pair up: eta^(2i+1) for i < k when
+    x^2 - d y^2 = -1 is integrally solvable, else alpha0 * eta^i for i <= k with
+    alpha0 = xi_p / p^(l/2), xi_p the first with norm -p^l and l even, p <= 31."""
+    require_ints(k=k)
+    if check_context(ctx).neg_pell_integral:
+        return [ctx.eta ** (2 * i + 1) for i in range(k)]
+    entries = filter(None, (xi(ctx, p) for p in primes_upto(31)))  # up to the first seed
+    seed = next((e for e in entries if e.norm_sign == -1 and e.l % 2 == 0), None)
+    if seed is None:
+        raise NoRationalBisector(f"x^2-{ctx.d}y^2 = -1 has no rational solutions to pair up")
+    alpha0 = seed.elem / seed.p ** (seed.l // 2)
+    return [alpha0 * ctx.eta**i for i in range(k + 1)]
 
 
 def integral_generate(ctx: PellContext, m: int, n: int) -> BisectorTriple:

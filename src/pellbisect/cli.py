@@ -12,10 +12,9 @@ import json
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from math import gcd
 
-from .arith import factorize, primes_upto
-from .pellcore import Spectrum, XiEntry, make_context, spectrum, xi
+from .arith import primes_upto
+from .pellcore import XiEntry, make_context, spectrum, xi
 from .quadfield import render, render_rat, render_signed_power
 
 DEFAULT_D_LIST = (2, 5, 10, 13, 17, 26, 29, 34)
@@ -296,98 +295,34 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _spectrum_of_primes_of(ctx, z: int) -> Spectrum:
-    """The entries of z's primes only: the solver reads no other prime, not
-    even through decompose_square.  get() answers None for every other prime
-    up to pmax, so this value must not leave the handler."""
-    primes = sorted(factorize(z))
-    entries = tuple(e for e in (xi(ctx, p) for p in primes) if e is not None)
-    return Spectrum(d=ctx.d, pmax=primes[-1], entries=entries)
-
-
 def _cmd_solve(args) -> dict:
     from . import solver
-    if args.z <= 1:
-        raise ValueError("z must be an integer > 1")
-    ctx = make_context(args.d)
-    spec = _spectrum_of_primes_of(ctx, args.z)
-    verdict = solver.strict_exists(ctx, spec, args.z)
-    solutions = []
-    if verdict.exists:
-        for x, y in solver.generate_strict(ctx, spec, args.z, args.n_range):
-            rep = solver.decompose_strict(ctx, spec, x, y)
-            solutions.append(
-                {"x": x, "y": y, "norm": x * x - args.d * y * y, "representation": rep.to_json()}
-            )
+    verdict, solutions = solver.solve(make_context(args.d), args.z, args.n_range)
     return {
         "d": args.d,
         "z": args.z,
         "exists": verdict.exists,
         "case_tags": {str(p): t for p, t in sorted(verdict.case_tags.items())},
-        "solutions": solutions,
+        "solutions": [
+            {"x": x, "y": y, "norm": x * x - args.d * y * y, "representation": rep.to_json()}
+            for x, y, rep in solutions
+        ],
     }
 
 
 def _cmd_decompose(args) -> dict:
     from . import solver
-    ctx = make_context(args.d)
-    x, y = args.x, args.y
-    z = abs(x * x - args.d * y * y)
-    if z <= 1:
-        raise ValueError("|x^2 - d y^2| must exceed 1")
-    spec = _spectrum_of_primes_of(ctx, z)
-    if gcd(x, args.d * y) == 1:
-        rep = solver.decompose_strict(ctx, spec, x, y)
-        kind = "strict"
-    else:
-        rep = solver.decompose_square(ctx, spec, x, y)
-        kind = "square"
-    return {"d": args.d, "x": x, "y": y, "kind": kind, "representation": rep.to_json()}
-
-
-def _rational_candidates(ctx, spec, max_terms: int, n_range) -> list[solver.Representation]:
-    """Small deterministic family of representations with square moduli."""
-    from . import solver
-    usable = []
-    for entry in spec.entries:
-        if entry.p == 2 and ctx.d % 8 == 1:
-            continue  # the half-coordinate convention needs no CLI enumeration
-        usable.append((entry.p, 1 if entry.l % 2 == 0 else 2))
-    subsets: list[list[tuple[int, int]]] = [[]]
-    for p, e in usable:
-        subsets += [s + [(p, e)] for s in subsets if len(s) < max_terms]
-    out = []
-    for subset in subsets:
-        for conj_mask in range(2 ** len(subset)):
-            terms = tuple(
-                solver.XiPower(p=p, exp=e, conj=bool(conj_mask >> i & 1))
-                for i, (p, e) in enumerate(subset)
-            )
-            for n in n_range:
-                for sign in (1, -1):
-                    out.append(solver.Representation(d=ctx.d, sign=sign, n=n, terms=terms))
-    return out
+    rep = solver.decompose(make_context(args.d), args.x, args.y)
+    kind = "strict" if rep.scale == 1 else "square"  # a square answer has scale gcd(x, y) > 1
+    return {"d": args.d, "x": args.x, "y": args.y, "kind": kind, "representation": rep.to_json()}
 
 
 def _cmd_rational(args) -> list:
     from . import rationalpell
-    ctx = make_context(args.d)
-    spec = spectrum(ctx, args.pmax)
-    want_r = 1 if args.sign == -1 else 0
-    seen = {}
-    for rep in _rational_candidates(ctx, spec, args.max_terms, args.n_range):
-        if rationalpell._parity_r(ctx, rep) != want_r:  # the point's r, without evaluating it
-            continue
-        pt = rationalpell.generate_rational(ctx, spec, rep)
-        key = (pt.x, pt.y)
-        if key not in seen:
-            seen[key] = (pt, rep)
-    points = sorted(
-        seen.values(), key=lambda pr: (pr[0].x.denominator, abs(pr[0].x), pr[0].y)
-    )
+    family = rationalpell.rational_family(make_context(args.d), args.sign, args.max_terms, args.n_range, args.pmax)
     return [
         {"x": render_rat(pt.x), "y": render_rat(pt.y), "r": pt.r, "rep": rep.to_json()}
-        for pt, rep in points
+        for pt, rep in family
     ]
 
 
@@ -429,17 +364,7 @@ def _cmd_triples(args) -> list:
         if args.d is None:
             raise ValueError("--d is required for case2")
         ctx = make_context(args.d)
-        if ctx.neg_pell_integral:
-            alphas = [ctx.eta ** (2 * k + 1) for k in range(args.box)]
-        else:
-            entries = filter(None, (xi(ctx, p) for p in primes_upto(31)))  # up to the first seed
-            seed = next((e for e in entries if e.norm_sign == -1 and e.l % 2 == 0), None)
-            if seed is None:
-                raise bisector.NoRationalBisector(
-                    f"x^2-{args.d}y^2 = -1 has no rational solutions to pair up"
-                )
-            alpha0 = seed.elem / seed.p ** (seed.l // 2)
-            alphas = [alpha0 * ctx.eta**k for k in range(args.box + 1)]
+        alphas = bisector.case2_alphas(ctx, args.box)
         for i, alpha in enumerate(alphas):
             for beta in alphas[i + 1 :]:
                 source = {"alpha": render(alpha, args.ascii), "beta": render(beta, args.ascii)}

@@ -4,14 +4,15 @@ through denominator clearing."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .arith import is_square
-from .pellcore import PellContext, Spectrum, xi
+from .arith import is_square, require_ints
+from .pellcore import PellContext, Spectrum, _xi_cached, spectrum
 from .quadfield import InvariantError, check_field_index
-from .solver import Representation, _checked, _decompose_scaled, _evaluate_scaled
+from .solver import Representation, XiPower, _checked, _decompose_scaled, _evaluate_scaled
 
 
 @dataclass(frozen=True)
@@ -33,9 +34,10 @@ class RationalPellPoint:
 
 def _parity_r(ctx: PellContext, rep: Representation) -> int:
     """Sign parity of the evaluated point, one factor at a time: eta^n when
-    N(eta) = -1, each negative-norm xi_p^exp, and a negative-norm core."""
+    N(eta) = -1, each negative-norm xi_p^exp, and a negative-norm core.  Each p has an
+    entry: rational_family takes it from a spectrum, generate_rational has evaluated rep."""
     r = rep.n if ctx.norm_eta == -1 else 0
-    r += sum(t.exp for t in rep.terms if xi(ctx, t.p).norm_sign == -1)
+    r += sum(t.exp for t in rep.terms if _xi_cached(ctx.d, t.p).norm_sign == -1)
     if rep.core is not None and rep.core.x**2 - ctx.d * rep.core.y**2 < 0:
         r += 1
     return r % 2
@@ -73,3 +75,39 @@ def decompose_rational(ctx: PellContext, spec: Spectrum, pt: RationalPellPoint) 
         raise ValueError("point and context disagree on d")
     den = lcm(pt.x.denominator, pt.y.denominator)
     return _decompose_scaled(ctx, spec, int(pt.x * den), int(pt.y * den), Fraction(1, den))
+
+
+def _family(ctx: PellContext, spec: Spectrum, max_terms: int, n_range: Iterable[int]) -> Iterator[Representation]:
+    """rational_family's candidates in its order: each subset of at most max_terms primes of
+    spec, each at exponent 1 if its level is even, else 2, under every conjugation, unit
+    exponent in n_range and sign.  The half-coordinate xi_2 / 2 of d = 1 mod 8 stays out."""
+    usable = [(e.p, 1 if e.l % 2 == 0 else 2) for e in spec.entries if not (e.p == 2 and ctx.d % 8 == 1)]
+    subsets: list[list[tuple[int, int]]] = [[]]
+    for p, e in usable:
+        subsets += [s + [(p, e)] for s in subsets if len(s) < max_terms]
+    for subset in subsets:
+        for conj_mask in range(2 ** len(subset)):
+            terms = tuple(XiPower(p, e, bool(conj_mask >> i & 1)) for i, (p, e) in enumerate(subset))
+            for n in n_range:
+                for sign in (1, -1):
+                    yield Representation(d=ctx.d, sign=sign, n=n, terms=terms)
+
+
+def rational_family(ctx: PellContext, sign: int, max_terms: int, n_range: Iterable[int],
+                    pmax: int) -> list[tuple[RationalPellPoint, Representation]]:
+    """Points on x^2 - d y^2 = sign from the candidates of _family over spectrum(ctx, pmax):
+    each distinct point with the first candidate that gives it, sorted by (denominator of x,
+    |x|, y).  A candidate of the other sign is dropped by its parity, unevaluated."""
+    require_ints(sign=sign, max_terms=max_terms)
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, got {sign}")
+    if not isinstance(n_range, Iterable):
+        raise ValueError(f"n_range must be an iterable of integers, got {n_range!r}")
+    spec = spectrum(ctx, pmax)
+    want_r = 1 if sign == -1 else 0
+    seen = {}
+    for rep in _family(ctx, spec, max_terms, n_range):
+        if _parity_r(ctx, rep) == want_r:
+            pt = generate_rational(ctx, spec, rep)
+            seen.setdefault((pt.x, pt.y), (pt, rep))
+    return sorted(seen.values(), key=lambda pr: (pr[0].x.denominator, abs(pr[0].x), pr[0].y))

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .arith import factorize, is_prime, is_square, require_ints, strict_hits
-from .pellcore import PellContext, Spectrum, XiEntry, _xi_cached, make_context, xi
+from .pellcore import PellContext, Spectrum, XiEntry, _xi_cached, check_context, make_context, xi
 from .quadfield import InvariantError, QuadElem, _mul_scaled, _pow_scaled, exact_div, render_rat
 
 
@@ -179,12 +179,13 @@ def strict_exists(ctx: PellContext, spec: Spectrum, z: int) -> ExistenceVerdict:
     prime powers (the verdict's witness_exponents, with the cofactor-2 flag m)
     and a residual core modulus, which the bounded class-window search settles.
     """
+    d = check_context(ctx).d
     if not isinstance(z, int) or z <= 1:
         raise ValueError("z must be an integer > 1")
     if not isinstance(spec, Spectrum):
         raise ValueError(f"need a Spectrum, got {spec!r}")
-    if spec.d != ctx.d:
-        raise ValueError(f"the spectrum of d={spec.d} does not belong to d={ctx.d}")
+    if spec.d != d:
+        raise ValueError(f"the spectrum of d={spec.d} does not belong to d={d}")
     factors = factorize(z)
     entries = {p: spec.get(p) for p in factors}
     tags = {p: _case_tag(ctx, p, entry) for p, entry in entries.items()}
@@ -211,7 +212,7 @@ def strict_exists(ctx: PellContext, spec: Spectrum, z: int) -> ExistenceVerdict:
                 exponents[p] = q
             if r:
                 core *= p**r
-    if core > 1 and not _fundamental_window(ctx.d, core):
+    if core > 1 and not _fundamental_window(d, core):
         return ExistenceVerdict(exists=False, case_tags=tags, core_modulus=core)
     return ExistenceVerdict(
         exists=True, case_tags=tags, witness_exponents=exponents, core_modulus=core, m=m
@@ -238,13 +239,13 @@ def _choices(ctx: PellContext, plan: ExistenceVerdict) -> list[list[XiPower | Co
 def generate_strict(ctx, spec: Spectrum, z: int, n_range) -> list[tuple[int, int]]:
     """All strictly primitive solutions reachable with unit exponent in
     n_range, normalized to y >= 0, deduplicated and sorted by (y, x)."""
+    d = check_context(ctx).d
     if not isinstance(n_range, Iterable):
         raise ValueError(f"n_range must be an iterable of integers, got {n_range!r}")
     plan = strict_exists(ctx, spec, z)
     if not plan.exists:
-        raise ValueError(f"|x^2-{ctx.d}y^2| = {z} has no strictly primitive solutions")
+        raise ValueError(f"|x^2-{d}y^2| = {z} has no strictly primitive solutions")
 
-    d = ctx.d
     stems = [(2**plan.m, 0, 1)]
     for group in _choices(ctx, plan):
         elems = [_element(ctx, label) for label in group]
@@ -296,7 +297,7 @@ def decompose_strict(ctx, spec: Spectrum, x: int, y: int) -> Representation:
     so an exact quotient by a window element is already a unit.
     """
     require_ints(x=x, y=y)
-    d = ctx.d
+    d = check_context(ctx).d
     z = abs(x * x - d * y * y)
     if z <= 1:
         raise ValueError("need |x^2 - d y^2| > 1")
@@ -346,12 +347,45 @@ def decompose_square(ctx, spec: Spectrum, x: int, y: int) -> Representation:
     """Factorization of any integral solution of |x^2 - d y^2| = z^2: the
     gcd cofactor becomes the scale, the strictly primitive core is peeled."""
     require_ints(x=x, y=y)
-    z2 = abs(x * x - ctx.d * y * y)
+    z2 = abs(x * x - check_context(ctx).d * y * y)
     z = isqrt(z2)
     if z2 <= 1 or z * z != z2:
         raise ValueError("|x^2 - d y^2| must be a perfect square > 1")
     g = gcd(x, y)
     return _decompose_scaled(ctx, spec, x // g, y // g, Fraction(g))
+
+
+def _spectrum_of(ctx: PellContext, z: int) -> Spectrum:
+    """The entries of z's primes only, all that the solver reads.  get() answers None for
+    every other prime up to pmax, so this value must not leave this module."""
+    primes = sorted(factorize(z))
+    return Spectrum(ctx.d, primes[-1], tuple(filter(None, (_xi_cached(ctx.d, p) for p in primes))))
+
+
+def solve(ctx: PellContext, z: int, n_range) -> tuple[ExistenceVerdict, list[tuple[int, int, Representation]]]:
+    """The verdict on |x^2 - d y^2| = z and, on a yes, each strictly primitive solution with
+    unit exponent in n_range as (x, y, its decompose_strict), in generate_strict's order."""
+    check_context(ctx)
+    if not isinstance(z, int) or z <= 1:
+        raise ValueError("z must be an integer > 1")
+    spec = _spectrum_of(ctx, z)
+    verdict = strict_exists(ctx, spec, z)
+    solutions = generate_strict(ctx, spec, z, n_range) if verdict.exists else []
+    return verdict, [(x, y, decompose_strict(ctx, spec, x, y)) for x, y in solutions]
+
+
+def decompose(ctx: PellContext, x: int, y: int) -> Representation:
+    """Canonical factorization of an integral solution of |x^2 - d y^2| = z > 1: decompose_strict
+    when gcd(x, d y) = 1, else decompose_square, which answers for a square z with scale gcd(x, y) > 1."""
+    require_ints(x=x, y=y)
+    d = check_context(ctx).d
+    z = abs(x * x - d * y * y)
+    if z <= 1:
+        raise ValueError("|x^2 - d y^2| must exceed 1")
+    spec = _spectrum_of(ctx, z)
+    if gcd(x, d * y) == 1:
+        return decompose_strict(ctx, spec, x, y)
+    return decompose_square(ctx, spec, x, y)
 
 
 def validate_representation(rep: Representation) -> ValidationReport:

@@ -203,9 +203,12 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_domain_error_exit_code_for_bad_d(capsys):
-    code, out = run(capsys, "context", "--d", "12")
-    assert code == 2
-    assert json.loads(out)["error"] == "NotSquareFreeError"
+    """solve builds the context before it checks z, so a bad d is the error
+    reported even when z is bad too."""
+    for argv in (("context", "--d", "12"), ("solve", "--d", "12", "--z", "1")):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"] == "NotSquareFreeError"
 
 
 def test_triples_case1(capsys):
@@ -336,13 +339,12 @@ def test_run_table_defaults():
 
 @pytest.mark.parametrize("d", (2, 5, 13, 17, 34, 41))
 def test_rational_parity_filter_agrees_with_evaluation(d):
-    """The rational handler drops candidates by _parity_r before evaluating
-    them; that is exact only if it is the r of every evaluated point."""
-    from pellbisect.cli import _rational_candidates
+    """rational_family drops candidates by _parity_r before evaluating them;
+    that is exact only if it is the r of every evaluated point."""
     from pellbisect.pellcore import make_context, spectrum
-    from pellbisect.rationalpell import _parity_r, generate_rational
+    from pellbisect.rationalpell import _family, _parity_r, generate_rational
 
     ctx = make_context(d)
     spec = spectrum(ctx, 31)
-    for rep in _rational_candidates(ctx, spec, 2, range(-1, 2)):
+    for rep in _family(ctx, spec, 2, range(-1, 2)):
         assert _parity_r(ctx, rep) == generate_rational(ctx, spec, rep).r, rep

@@ -21,19 +21,20 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 LAZY_MODULES = ("pellbisect.solver", "pellbisect.rationalpell", "pellbisect.bisector", "pellbisect.oracle")
 
 # every name the package exports, by home module (the set it exported when it imported
-# all of its modules eagerly, plus XiEntryError)
+# all of its modules eagerly, plus XiEntryError and the library calls behind the CLI's
+# solve, decompose, rational and case-II triples)
 EXPORTS = {
     "bisector": ("BisectorTriple", "NoRationalBisector", "PairClassification", "TrivialPairError",
-                 "bisect", "case1_generate", "case2_generate", "classify_pair", "from_pell_points",
-                 "integral_generate", "integral_generate2", "verify_star"),
+                 "bisect", "case1_generate", "case2_alphas", "case2_generate", "classify_pair",
+                 "from_pell_points", "integral_generate", "integral_generate2", "verify_star"),
     "oracle": ("SearchBox", "brute_rational_pell", "brute_solutions", "brute_xi", "tangent_bisector_check"),
     "pellcore": ("CFExpansion", "PellContext", "class_number", "continued_fraction_sqrt", "make_context",
                  "neg_pell_rational", "pell_sequence", "splits", "Spectrum", "XiEntry", "XiEntryError", "in_s",
                  "spectrum", "xi"),
     "quadfield": ("FieldMismatchError", "InvariantError", "NotSquareFreeError", "QuadElem", "exact_div", "render"),
-    "rationalpell": ("RationalPellPoint", "decompose_rational", "generate_rational"),
-    "solver": ("CoreFactor", "ExistenceVerdict", "Representation", "XiPower", "decompose_square",
-               "decompose_strict", "evaluate_representation", "generate_strict", "strict_exists",
+    "rationalpell": ("RationalPellPoint", "decompose_rational", "generate_rational", "rational_family"),
+    "solver": ("CoreFactor", "ExistenceVerdict", "Representation", "XiPower", "decompose", "decompose_square",
+               "decompose_strict", "evaluate_representation", "generate_strict", "solve", "strict_exists",
                "validate_representation"),
 }
 
@@ -119,6 +120,26 @@ def test_no_assert_is_left_in_the_package():
         asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         names = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "AssertionError"]
         assert not asserts and not names, (path.name, asserts, names)
+
+
+def _private_reaches(tree):
+    """Private names (an underscore first, not a dunder) that a module imports from the
+    package or reads as attributes."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("pellbisect")):
+            yield from (a.name for a in node.names if private(a.name))
+        elif isinstance(node, ast.Attribute) and private(node.attr):
+            yield node.attr
+
+
+def test_the_cli_only_parses_and_prints():
+    """Every piece of maths the CLI runs sits behind a public name of the
+    module that owns it, so the CLI reaches no private name of the package."""
+    tree = ast.parse((SRC / "pellbisect" / "cli.py").read_text())
+    assert list(_private_reaches(tree)) == []
 
 
 def test_every_cache_decorates_a_module_level_function():

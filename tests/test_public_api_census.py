@@ -29,9 +29,10 @@ from pellbisect.oracle import SearchBox, tangent_bisector_check
 from pellbisect.pellcore import (XiEntry, class_number, continued_fraction_sqrt, in_s, make_context,
                                  neg_pell_rational, pell_sequence, spectrum, splits, xi)
 from pellbisect.quadfield import QuadElem, exact_div, render
-from pellbisect.rationalpell import RationalPellPoint, decompose_rational, generate_rational
-from pellbisect.solver import (CoreFactor, Representation, XiPower, decompose_square, decompose_strict,
-                               evaluate_representation, generate_strict, strict_exists, validate_representation)
+from pellbisect.rationalpell import RationalPellPoint, decompose_rational, generate_rational, rational_family
+from pellbisect.solver import (CoreFactor, Representation, XiPower, decompose, decompose_square, decompose_strict,
+                               evaluate_representation, generate_strict, solve, strict_exists,
+                               validate_representation)
 
 CAP_S = 0.5
 
@@ -349,6 +350,42 @@ def _accept_generated(args, pairs):
             and (not set(range(-2, 3)) <= set(n_range) or _strict_pairs(d, z, 50) <= set(pairs)))
 
 
+def _accept_solved(args, ans):
+    """The verdict as strict_exists's is accepted; on a yes the solutions as generate_strict's
+    are, each with a representation that evaluates, outside the solver, to it; on a no, none."""
+    ctx, z, n_range = args
+    verdict, solutions = ans
+    pairs = [(x, y) for x, y, _ in solutions]
+    return (_accept_verdict((ctx, None, z), verdict)
+            and (_accept_generated((ctx, None, z, n_range), pairs) if verdict.exists else not solutions)
+            and all(_accept_decomposed((ctx, None, x, y), rep) for x, y, rep in solutions))
+
+
+def _accept_decomposition(args, rep):
+    ctx, x, y = args
+    return _accept_decomposed((ctx, None, x, y), rep)
+
+
+def _accept_family(args, family):
+    """Distinct points of x^2 - d y^2 = sign, sorted by (denominator of x, |x|, y), each with a
+    representation whose value is a positive rational multiple of it."""
+    ctx, sign = args[:2]
+    keys = [(pt.x.denominator, abs(pt.x), pt.y) for pt, _ in family]
+    return (keys == sorted(keys) and len({(pt.x, pt.y) for pt, _ in family}) == len(family)
+            and all(pt.x**2 - ctx.d * pt.y**2 == sign and _accept_generated_point((ctx, None, rep), pt)
+                    for pt, rep in family))
+
+
+def _accept_alphas(args, alphas):
+    """Distinct elements of norm -1 in the context's field: k powers of the unit when
+    x^2 - d y^2 = -1 is integrally solvable, else k + 1."""
+    ctx, k = args
+    d = ctx.d
+    return (len(alphas) == max(k if diop_DN(d, -1) else k + 1, 0)
+            and len({(alpha.a, alpha.b) for alpha in alphas}) == len(alphas)
+            and all(alpha.d == d and alpha.a**2 - d * alpha.b**2 == -1 for alpha in alphas))
+
+
 def _accept_box(args, box):
     y_bound, denominator_bound = (*args, 1)[:2]
     return (box.y_bound, box.denominator_bound) == (y_bound, denominator_bound) and min(args) >= 1
@@ -385,7 +422,7 @@ def _accept_tangent(args, ans):
     return ans is None or ans is _star(*args)
 
 
-CTX2, CTX5, CTX34, CTX53 = make_context(2), make_context(5), make_context(34), make_context(53)
+CTX2, CTX3, CTX5, CTX34, CTX53 = make_context(2), make_context(3), make_context(5), make_context(34), make_context(53)
 ETA2, ETA5, ETA34, ETA53 = CTX2.eta, CTX5.eta, CTX34.eta, CTX53.eta
 SPEC2, SPEC5, SPEC34 = spectrum(CTX2, 97), spectrum(CTX5, 97), spectrum(CTX34, 97)
 PAIR60 = bisector.case1_generate(10**15 + 37, 10**15 + 91, 999999999989)[0]
@@ -480,6 +517,18 @@ CENSUS = {
         ("int_context", (2, ETA2, ETA2**3)),
         ("no_context", (None, ETA2, ETA2**3)),
         ("other_d_context", (CTX53, ETA2, ETA2**3)),
+    ]),
+    "case2_alphas": (bisector.case2_alphas, _accept_alphas, [
+        ("valid", (CTX2, 3)),
+        ("seed", (CTX34, 2)),
+        ("no_seed", (CTX3, 2)),
+        ("integral_181", (make_context(181), 2)),
+        ("zero", (CTX34, 0)),
+        ("negative", (CTX2, -1)),
+        ("floats", (CTX34, 2.0)),
+        ("strings", (CTX2, "2")),
+        ("int_context", (34, 2)),
+        ("no_context", (None, 2)),
     ]),
     "integral_generate": (bisector.integral_generate, _accept_one, [
         ("valid", (CTX2, 1, 2)),
@@ -675,6 +724,19 @@ CENSUS = {
         ("inert_prime", (CTX34, SPEC34, Representation(d=34, terms=(XiPower(7, 2),)))),
         ("string_rep", (CTX34, SPEC34, "x"), BAD_HANDLE),
     ]),
+    "rational_family": (rational_family, _accept_family, [
+        ("valid", (CTX34, -1, 2, range(-1, 2), 13)),
+        ("plus", (CTX34, 1, 1, range(-1, 2), 31)),
+        ("d=2", (CTX2, -1, 1, range(-1, 2), 20)),
+        ("no_point", (CTX3, -1, 2, range(-1, 2), 20)),
+        ("sign_zero", (CTX34, 0, 2, range(3), 31)),
+        ("float_sign", (CTX34, -1.0, 2, range(3), 31)),
+        ("float_terms", (CTX34, -1, 2.0, range(3), 31)),
+        ("float_n", (CTX34, -1, 1, [0.5], 31)),
+        ("int_range", (CTX34, -1, 2, 3, 31)),
+        ("small_pmax", (CTX34, -1, 2, range(3), 1)),
+        ("no_context", (None, -1, 2, range(3), 31)),
+    ]),
     "Representation": (Representation, _accept_representation, [
         ("valid", (34, 1, 0, 2)),
         ("full", (34, -1, 0, -1, (XiPower(3, 1),), None, F(1, 3))),
@@ -714,6 +776,7 @@ CENSUS = {
         ("other_d_spectrum", (CTX2, SPEC34, 9)),
         ("past_pmax", (CTX34, spectrum(CTX34, 5), 49)),
         ("no_spectrum", (CTX34, None, 9)),
+        ("no_context", (None, SPEC34, 9)),
     ]),
     "generate_strict": (generate_strict, _accept_generated, [
         ("valid", (CTX34, SPEC34, 9, range(-2, 3))),
@@ -723,6 +786,7 @@ CENSUS = {
         ("zero", (CTX34, SPEC34, 0, range(3))),
         ("floats", (CTX34, SPEC34, 9.0, range(3))),
         ("int_range", (CTX34, SPEC34, 9, 3)),
+        ("no_context", (None, SPEC34, 9, range(3))),
     ]),
     "decompose_strict": (decompose_strict, _accept_decomposed, [
         ("valid", (CTX34, SPEC34, 5, 1)),
@@ -734,6 +798,7 @@ CENSUS = {
         ("zero", (CTX34, SPEC34, 0, 0)),
         ("floats", (CTX34, SPEC34, 5.0, 1)),
         ("strings", (CTX34, SPEC34, "5", 1)),
+        ("no_context", (None, SPEC34, 5, 1)),
     ]),
     "decompose_square": (decompose_square, _accept_decomposed, [
         ("valid", (CTX34, SPEC34, 15, 3)),
@@ -742,6 +807,33 @@ CENSUS = {
         ("not_square", (CTX34, SPEC34, 5, 1)),
         ("zero", (CTX34, SPEC34, 0, 0)),
         ("floats", (CTX34, SPEC34, 15.0, 3)),
+        ("no_context", (None, SPEC34, 15, 3)),
+    ]),
+    "solve": (solve, _accept_solved, [
+        ("valid", (CTX34, 9, range(-2, 3))),
+        ("two_primes", (CTX34, 15, range(-2, 3))),
+        ("core", (CTX34, 33, range(-1, 2))),
+        ("none", (CTX34, 7, range(3))),
+        ("large_prime", (CTX34, 100003, range(3))),
+        ("one", (CTX34, 1, range(3))),
+        ("zero", (CTX34, 0, range(3))),
+        ("floats", (CTX34, 9.0, range(3))),
+        ("int_range", (CTX34, 9, 3)),
+        ("int_context", (34, 9, range(3))),
+        ("no_context", (None, 9, range(3))),
+    ]),
+    "decompose": (decompose, _accept_decomposition, [
+        ("strict", (CTX34, 5, 1)),
+        ("square", (CTX34, 405, 75)),
+        ("negative_y", (CTX34, 29, -5)),
+        ("half_unit_d", (CTX5, 3, 1)),
+        ("not_square", (CTX34, 34, 6)),
+        ("unit", (CTX34, 35, 6)),
+        ("zero", (CTX34, 0, 0)),
+        ("floats", (CTX34, 5.0, 1)),
+        ("strings", (CTX34, "5", 1)),
+        ("int_context", (34, 5, 1)),
+        ("no_context", (None, 5, 1)),
     ]),
     "SearchBox": (SearchBox, _accept_box, [
         ("valid", (10,)),

@@ -14,6 +14,7 @@ import pytest
 import sympy
 
 from pellbisect import pellcore, rationalpell, solver
+from pellbisect.arith import factorize
 from pellbisect.oracle import SearchBox, brute_solutions
 from pellbisect.pellcore import make_context, spectrum, xi
 from pellbisect.quadfield import InvariantError, QuadElem
@@ -24,10 +25,12 @@ from pellbisect.solver import (
     _element,
     _evaluate_scaled,
     _unit_exponent,
+    decompose,
     decompose_square,
     decompose_strict,
     evaluate_representation,
     generate_strict,
+    solve,
     strict_exists,
     validate_representation,
 )
@@ -643,3 +646,58 @@ def test_a_bad_prime_in_a_user_representation_is_refused_under_optimize():
     r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
     expected = ["False"] + [message for _, _, message in BAD_USER_PRIMES for _ in range(2)]
     assert r.stdout.splitlines() == expected, r.stdout + r.stderr
+
+
+@pytest.mark.parametrize("d", TABLE_DS)
+def test_solve_is_the_verdict_the_solutions_and_their_factorizations(d):
+    """solve, which reads the entries of z's primes only, answers as the three
+    solver steps over the whole spectrum up to 97, for every 97-smooth z < 500."""
+    ctx, spec = ctx_spec(d)
+    for z in range(2, 500):
+        if max(factorize(z)) > 97:
+            continue
+        verdict = strict_exists(ctx, spec, z)
+        solutions = generate_strict(ctx, spec, z, range(-2, 3)) if verdict.exists else []
+        expected = (verdict, [(x, y, decompose_strict(ctx, spec, x, y)) for x, y in solutions])
+        assert solve(ctx, z, range(-2, 3)) == expected, z
+
+
+def _decompose_reference(ctx, x, y):
+    """decompose_strict when gcd(x, d y) = 1, else decompose_square, over the
+    spectrum up to 97; the type of the ValueError when the chosen one raises."""
+    spec = spectrum(ctx, 97)
+    try:
+        if gcd(x, ctx.d * y) == 1:
+            return decompose_strict(ctx, spec, x, y)
+        return decompose_square(ctx, spec, x, y)
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_decompose_takes_the_strict_or_the_square_path():
+    """On the CLI's golden decompose inputs and 200 seeded multiples g*(x, y) of
+    strictly primitive solutions, half of them of a square z: decompose answers
+    as the path that gcd(x, d y) picks, and its scale is 1 exactly on the strict path."""
+    rng = random.Random(21)
+    cases = [(make_context(d), x, y) for d, x, y in ((34, 405, 75), (34, 5, 1), (2, 1, 0))]
+    while len(cases) < 203:
+        ctx, spec = ctx_spec(rng.choice(TABLE_DS))
+        z = rng.randrange(2, 23) ** 2 if rng.random() < 0.5 else rng.randrange(2, 500)
+        if max(factorize(z)) > 97 or not strict_exists(ctx, spec, z).exists:
+            continue
+        x, y = rng.choice(generate_strict(ctx, spec, z, range(-1, 2)))
+        g = rng.randint(1, 4)
+        cases.append((ctx, g * x, g * y))
+    kinds = set()
+    for ctx, x, y in cases:
+        expected = _decompose_reference(ctx, x, y)
+        try:
+            rep = decompose(ctx, x, y)
+        except ValueError as exc:
+            assert type(exc) is expected, (ctx.d, x, y)
+            kinds.add("error")
+            continue
+        assert rep == expected, (ctx.d, x, y)
+        assert (rep.scale == 1) == (gcd(x, ctx.d * y) == 1) and (rep.scale == 1 or rep.scale == gcd(x, y))
+        kinds.add("strict" if rep.scale == 1 else "square")
+    assert kinds == {"strict", "square", "error"}
