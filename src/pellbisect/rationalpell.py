@@ -49,9 +49,9 @@ def generate_rational(ctx: PellContext, spec: Spectrum, rep: Representation) -> 
     The scale is implied by the terms: the norm of the unscaled element must
     be a perfect square and its root is divided back out.
     """
-    if rep.d != ctx.d:
+    if _checked(rep).d != ctx.d:
         raise ValueError("representation and context disagree on d")
-    x, y, m = _evaluate_scaled(_checked(rep))
+    x, y, m = _evaluate_scaled(rep)
     norm = x * x - ctx.d * y * y
     z_core = Fraction(abs(norm), m * m)
     if z_core.denominator != 1 or not is_square(z_core.numerator):
@@ -71,6 +71,8 @@ def decompose_rational(ctx: PellContext, spec: Spectrum, pt: RationalPellPoint) 
     terms give gcd(X, Y, den) = 1, and X^2 - d Y^2 = +-den^2 then forces
     gcd(X, d Y) = 1: the cleared point is strictly primitive.
     """
+    if not isinstance(pt, RationalPellPoint):
+        raise ValueError(f"need a RationalPellPoint, got {pt!r}")
     if pt.d != ctx.d:
         raise ValueError("point and context disagree on d")
     den = lcm(pt.x.denominator, pt.y.denominator)
@@ -79,9 +81,9 @@ def decompose_rational(ctx: PellContext, spec: Spectrum, pt: RationalPellPoint) 
 
 def _family(ctx: PellContext, spec: Spectrum, max_terms: int, n_range: Iterable[int]) -> Iterator[Representation]:
     """rational_family's candidates in its order: each subset of at most max_terms primes of
-    spec, each at exponent 1 if its level is even, else 2, under every conjugation, unit
-    exponent in n_range and sign.  The half-coordinate xi_2 / 2 of d = 1 mod 8 stays out."""
-    usable = [(e.p, 1 if e.l % 2 == 0 else 2) for e in spec.entries if not (e.p == 2 and ctx.d % 8 == 1)]
+    spec, each at exponent 1 if the level of its xi_p is even, else 2, under every conjugation,
+    unit exponent in n_range and sign.  The half-coordinate xi_2 / 2 of d = 1 mod 8 stays out."""
+    usable = [(p, 1 + _xi_cached(ctx.d, p).l % 2) for p in spec.primes if not (p == 2 and ctx.d % 8 == 1)]
     subsets: list[list[tuple[int, int]]] = [[]]
     for p, e in usable:
         subsets += [s + [(p, e)] for s in subsets if len(s) < max_terms]
@@ -103,6 +105,7 @@ def rational_family(ctx: PellContext, sign: int, max_terms: int, n_range: Iterab
         raise ValueError(f"sign must be 1 or -1, got {sign}")
     if not isinstance(n_range, Iterable):
         raise ValueError(f"n_range must be an iterable of integers, got {n_range!r}")
+    n_range = tuple(n_range)  # _family walks it once per term set
     spec = spectrum(ctx, pmax)
     want_r = 1 if sign == -1 else 0
     seen = {}

@@ -178,6 +178,7 @@ def strict_exists(ctx: PellContext, spec: Spectrum, z: int) -> ExistenceVerdict:
     Per-prime congruence conditions run first; z is then split into xi-peelable
     prime powers (the verdict's witness_exponents, with the cofactor-2 flag m)
     and a residual core modulus, which the bounded class-window search settles.
+    spec only bounds the primes of z: each xi_p comes from the memo of xi.
     """
     d = check_context(ctx).d
     if not isinstance(z, int) or z <= 1:
@@ -186,8 +187,11 @@ def strict_exists(ctx: PellContext, spec: Spectrum, z: int) -> ExistenceVerdict:
         raise ValueError(f"need a Spectrum, got {spec!r}")
     if spec.d != d:
         raise ValueError(f"the spectrum of d={spec.d} does not belong to d={d}")
-    factors = factorize(z)
-    entries = {p: spec.get(p) for p in factors}
+    factors = factorize(z)  # in increasing order, so the first prime past pmax is the least
+    past = next((p for p in factors if p > spec.pmax), None)
+    if past is not None:
+        raise ValueError(f"spectrum only covers primes <= {spec.pmax}, asked for {past}")
+    entries = {p: _xi_cached(d, p) for p in factors}
     tags = {p: _case_tag(ctx, p, entry) for p, entry in entries.items()}
     m = 0
     exponents: dict[int, int] = {}
@@ -355,20 +359,13 @@ def decompose_square(ctx, spec: Spectrum, x: int, y: int) -> Representation:
     return _decompose_scaled(ctx, spec, x // g, y // g, Fraction(g))
 
 
-def _spectrum_of(ctx: PellContext, z: int) -> Spectrum:
-    """The entries of z's primes only, all that the solver reads.  get() answers None for
-    every other prime up to pmax, so this value must not leave this module."""
-    primes = sorted(factorize(z))
-    return Spectrum(ctx.d, primes[-1], tuple(filter(None, (_xi_cached(ctx.d, p) for p in primes))))
-
-
 def solve(ctx: PellContext, z: int, n_range) -> tuple[ExistenceVerdict, list[tuple[int, int, Representation]]]:
     """The verdict on |x^2 - d y^2| = z and, on a yes, each strictly primitive solution with
     unit exponent in n_range as (x, y, its decompose_strict), in generate_strict's order."""
     check_context(ctx)
     if not isinstance(z, int) or z <= 1:
         raise ValueError("z must be an integer > 1")
-    spec = _spectrum_of(ctx, z)
+    spec = Spectrum(ctx.d, z, ())  # the solver reads only d and the bound pmax on z's primes
     verdict = strict_exists(ctx, spec, z)
     solutions = generate_strict(ctx, spec, z, n_range) if verdict.exists else []
     return verdict, [(x, y, decompose_strict(ctx, spec, x, y)) for x, y in solutions]
@@ -382,7 +379,7 @@ def decompose(ctx: PellContext, x: int, y: int) -> Representation:
     z = abs(x * x - d * y * y)
     if z <= 1:
         raise ValueError("|x^2 - d y^2| must exceed 1")
-    spec = _spectrum_of(ctx, z)
+    spec = Spectrum(ctx.d, z, ())  # the solver reads only d and the bound pmax on z's primes
     if gcd(x, d * y) == 1:
         return decompose_strict(ctx, spec, x, y)
     return decompose_square(ctx, spec, x, y)

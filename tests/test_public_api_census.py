@@ -26,7 +26,7 @@ import pellbisect
 from pellbisect import bisector, oracle
 from pellbisect.arith import is_squarefree
 from pellbisect.oracle import SearchBox, tangent_bisector_check
-from pellbisect.pellcore import (XiEntry, class_number, continued_fraction_sqrt, in_s, make_context,
+from pellbisect.pellcore import (Spectrum, XiEntry, class_number, continued_fraction_sqrt, in_s, make_context,
                                  neg_pell_rational, pell_sequence, spectrum, splits, xi)
 from pellbisect.quadfield import QuadElem, exact_div, render
 from pellbisect.rationalpell import RationalPellPoint, decompose_rational, generate_rational, rational_family
@@ -425,6 +425,9 @@ def _accept_tangent(args, ans):
 CTX2, CTX3, CTX5, CTX34, CTX53 = make_context(2), make_context(3), make_context(5), make_context(34), make_context(53)
 ETA2, ETA5, ETA34, ETA53 = CTX2.eta, CTX5.eta, CTX34.eta, CTX53.eta
 SPEC2, SPEC5, SPEC34 = spectrum(CTX2, 97), spectrum(CTX5, 97), spectrum(CTX34, 97)
+# spectra built by hand: no entries, and a valid but non-minimal xi_3 (59^2 - 34 * 10^2 = 3^4)
+BARE34 = Spectrum(34, 97, ())
+XI3_AT_4 = Spectrum(34, 97, tuple(XiEntry(34, 3, 4, 59, 10, 1) if e.p == 3 else e for e in SPEC34.entries))
 PAIR60 = bisector.case1_generate(10**15 + 37, 10**15 + 91, 999999999989)[0]
 SLOW_BISECT = pytest.mark.xfail(
     strict=True, raises=CensusTimeout,
@@ -432,8 +435,8 @@ SLOW_BISECT = pytest.mark.xfail(
            "once their product is a square; a 60-digit rational pair has no small factors")
 BAD_HANDLE = pytest.mark.xfail(
     strict=True, raises=AttributeError,
-    reason="ROADMAP item 7: an int, None or a string where a context, spectrum, element, representation, "
-           "point or search box belongs ends in a bare AttributeError")
+    reason="ROADMAP item 7: an int or None where an element or a search box belongs ends in a bare "
+           "AttributeError")
 TYPE_INSIDE = pytest.mark.xfail(
     strict=True, raises=TypeError,
     reason="ROADMAP item 7: a None or an int where a coordinate or a range belongs ends in a TypeError "
@@ -713,7 +716,7 @@ CENSUS = {
         ("unit", (CTX2, SPEC2, RationalPellPoint(2, 3, 2, 0))),
         ("other_d", (CTX2, SPEC2, RationalPellPoint(34, F(5, 3), F(1, 3), 1))),
         ("past_pmax", (CTX34, spectrum(CTX34, 2), RationalPellPoint(34, F(5, 3), F(1, 3), 1))),
-        ("string_point", (CTX34, SPEC34, "x"), BAD_HANDLE),
+        ("string_point", (CTX34, SPEC34, "x")),
     ]),
     "generate_rational": (generate_rational, _accept_generated_point, [
         ("valid", (CTX2, SPEC2, Representation(d=2, n=-1, terms=(XiPower(7, 2),)))),
@@ -722,7 +725,7 @@ CENSUS = {
         ("odd_parity", (CTX34, SPEC34, Representation(d=34, terms=(XiPower(47, 1),)))),
         ("other_d", (CTX2, SPEC2, Representation(d=34, n=1))),
         ("inert_prime", (CTX34, SPEC34, Representation(d=34, terms=(XiPower(7, 2),)))),
-        ("string_rep", (CTX34, SPEC34, "x"), BAD_HANDLE),
+        ("string_rep", (CTX34, SPEC34, "x")),
     ]),
     "rational_family": (rational_family, _accept_family, [
         ("valid", (CTX34, -1, 2, range(-1, 2), 13)),
@@ -775,6 +778,7 @@ CENSUS = {
         ("floats", (CTX34, SPEC34, 9.0)),
         ("other_d_spectrum", (CTX2, SPEC34, 9)),
         ("past_pmax", (CTX34, spectrum(CTX34, 5), 49)),
+        ("hand_built_spectrum", (CTX34, BARE34, 9)),
         ("no_spectrum", (CTX34, None, 9)),
         ("no_context", (None, SPEC34, 9)),
     ]),
@@ -787,6 +791,7 @@ CENSUS = {
         ("floats", (CTX34, SPEC34, 9.0, range(3))),
         ("int_range", (CTX34, SPEC34, 9, 3)),
         ("no_context", (None, SPEC34, 9, range(3))),
+        ("hand_built_spectrum", (CTX34, XI3_AT_4, 81, range(-2, 3))),
     ]),
     "decompose_strict": (decompose_strict, _accept_decomposed, [
         ("valid", (CTX34, SPEC34, 5, 1)),
@@ -799,6 +804,7 @@ CENSUS = {
         ("floats", (CTX34, SPEC34, 5.0, 1)),
         ("strings", (CTX34, SPEC34, "5", 1)),
         ("no_context", (None, SPEC34, 5, 1)),
+        ("hand_built_spectrum", (CTX34, BARE34, 5, 1)),
     ]),
     "decompose_square": (decompose_square, _accept_decomposed, [
         ("valid", (CTX34, SPEC34, 15, 3)),

@@ -9,7 +9,7 @@ import pytest
 from pellbisect.oracle import SearchBox, brute_rational_pell
 from pellbisect.pellcore import make_context, spectrum
 from pellbisect.quadfield import NotSquareFreeError
-from pellbisect.rationalpell import RationalPellPoint, decompose_rational, generate_rational
+from pellbisect.rationalpell import RationalPellPoint, decompose_rational, generate_rational, rational_family
 from pellbisect.solver import Representation, XiPower
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -182,3 +182,12 @@ def test_negative_norm_core_without_integral_negative_pell():
     assert _has_negative_norm_core(rep)  # 2^2 - 79 * 1^2 = -75
     back = generate_rational(ctx, spec, rep)
     assert (back.x, back.y, back.r) == (pt.x, pt.y, 0)
+
+
+def test_rational_family_takes_the_values_of_any_iterable_once():
+    """An iterator, a generator and a list of unit exponents give the points of the range."""
+    ctx = make_context(34)
+    expected = rational_family(ctx, -1, 2, range(-2, 3), 31)
+    assert len(expected) == 80
+    for n_range in (iter(range(-2, 3)), (n for n in range(-2, 3)), list(range(-2, 3))):
+        assert rational_family(ctx, -1, 2, n_range, 31) == expected

@@ -1,12 +1,13 @@
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 from dataclasses import asdict, replace
 from fractions import Fraction as F
 from functools import reduce
-from math import gcd
+from math import gcd, isqrt
 from operator import mul
 from pathlib import Path
 
@@ -16,8 +17,9 @@ import sympy
 from pellbisect import pellcore, rationalpell, solver
 from pellbisect.arith import factorize
 from pellbisect.oracle import SearchBox, brute_solutions
-from pellbisect.pellcore import make_context, spectrum, xi
+from pellbisect.pellcore import Spectrum, XiEntry, make_context, spectrum, xi
 from pellbisect.quadfield import InvariantError, QuadElem
+from pellbisect.rationalpell import RationalPellPoint, decompose_rational
 from pellbisect.solver import (
     CoreFactor,
     Representation,
@@ -574,18 +576,19 @@ def test_generate_strict_builds_no_quadelem(monkeypatch):
 
 def test_the_warm_path_checks_no_context_and_no_prime(monkeypatch):
     """Generating, decomposing and evaluating the 48 solutions of
-    |x^2 - 34 y^2| = 5985507575 re-checks neither the context nor any p: the
-    entry points checked them once, and every factor reads the memo."""
+    |x^2 - 34 y^2| = 5985507575 checks the context twice per generate_strict or
+    decompose_strict call, its own check and strict_exists's, and never per factor;
+    no p is checked again, since every factor reads the memo."""
     ctx, spec = ctx_spec(34)
     calls = []
-    for name in ("_check_prime", "check_context"):
-        real = getattr(pellcore, name)
-        monkeypatch.setattr(pellcore, name, lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args))
+    for module, name in ((pellcore, "_check_prime"), (pellcore, "check_context"), (solver, "check_context")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args))
     solutions = generate_strict(ctx, spec, 5985507575, range(-1, 2))
     assert len(solutions) == 48
     for x, y in solutions:
         assert evaluate_representation(decompose_strict(ctx, spec, x, y)) == QuadElem.from_int_pair(34, x, y)
-    assert calls == []
+    assert calls == ["check_context"] * 2 * (1 + 48)
 
 
 @pytest.mark.parametrize("d", (5, 13, 17, 34))
@@ -701,3 +704,101 @@ def test_decompose_takes_the_strict_or_the_square_path():
         assert (rep.scale == 1) == (gcd(x, ctx.d * y) == 1) and (rep.scale == 1 or rep.scale == gcd(x, y))
         kinds.add("strict" if rep.scale == 1 else "square")
     assert kinds == {"strict", "square", "error"}
+
+
+def _hand_built_spectra(d):
+    """Spectra a caller may build, each bounding z's primes by 97: one with no entries, the real
+    entries but the first, and for d = 34 the valid but non-minimal 59^2 - 34 * 10^2 = 3^4 as xi_3."""
+    real = spectrum(make_context(d), 97).entries
+    spectra = [Spectrum(d, 97, ()), Spectrum(d, 97, real[1:])]
+    if d == 34:
+        spectra.append(Spectrum(d, 97, tuple(XiEntry(34, 3, 4, 59, 10, 1) if e.p == 3 else e for e in real)))
+    return spectra
+
+
+def _every_answer(ctx, spec):
+    """The solver's answers with spec for every 97-smooth 2 <= z < 500: the verdict, each solution
+    with unit exponent in -1..1 and its strict decomposition, and for a square z = Z^2 the square
+    decomposition of twice the solution and the rational decomposition of its point."""
+    answers = []
+    for z in range(2, 500):
+        if max(factorize(z)) > 97:
+            continue
+        verdict = strict_exists(ctx, spec, z)
+        answers.append(verdict)
+        root = isqrt(z)
+        for x, y in generate_strict(ctx, spec, z, range(-1, 2)) if verdict.exists else []:
+            answers.append((x, y, decompose_strict(ctx, spec, x, y)))
+            if root * root == z:
+                point = RationalPellPoint(ctx.d, F(x, root), F(y, root), int(x * x < ctx.d * y * y))
+                answers += [decompose_square(ctx, spec, 2 * x, 2 * y), decompose_rational(ctx, spec, point)]
+    return answers
+
+
+@pytest.mark.parametrize("d", TABLE_DS)
+def test_a_spectrum_only_bounds_the_primes_of_z(d):
+    """Every xi_p comes from the memo of xi: spectra built by hand, with entries missing or
+    not minimal, give exactly the answers of spectrum(ctx, 97)."""
+    ctx, spec = ctx_spec(d)
+    expected = _every_answer(ctx, spec)
+    assert any(isinstance(a, tuple) for a in expected)
+    for hand_built in _hand_built_spectra(d):
+        assert _every_answer(ctx, hand_built) == expected, hand_built
+
+
+def test_a_prime_past_pmax_is_refused_before_any_xi(monkeypatch):
+    """The least prime of z above pmax is named at once, with no xi_p computed for any prime."""
+    seen = []
+    real = solver._xi_cached
+    monkeypatch.setattr(solver, "_xi_cached", lambda d, p: seen.append(p) or real(d, p))
+    ctx = make_context(34)
+    for spec in (spectrum(ctx, 97), Spectrum(34, 97, ())):
+        with pytest.raises(ValueError, match=r"^spectrum only covers primes <= 97, asked for 101$"):
+            strict_exists(ctx, spec, 3 * 101 * 1000003)
+        with pytest.raises(ValueError, match=r"^spectrum only covers primes <= 97, asked for 1000003$"):
+            strict_exists(ctx, spec, 1000003)
+    assert seen == []
+
+
+class OutOfReach(Exception):
+    """The call gave no answer within a second."""
+
+
+def _within_a_second(fn, *args):
+    def on_alarm(signum, frame):
+        raise OutOfReach
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(1)
+    try:
+        return fn(*args)
+    except OutOfReach:
+        pass  # raised again below, without the frames the alarm interrupted
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    raise OutOfReach(f"{fn.__name__} gave no answer within a second")
+
+
+OUT_OF_REACH = pytest.mark.xfail(
+    strict=True, raises=OutOfReach,
+    reason="ROADMAP item 4: xi's y-scan runs up to about f1 * p^ceil(l/2), here past a second")
+
+
+@OUT_OF_REACH
+def test_xi_181_29_answers_within_a_second():
+    """sympy's row for (181, 29) in tests/data/xi_sympy.json: level 1, y = 29806870."""
+    rows = json.loads((Path(__file__).parent / "data" / "xi_sympy.json").read_text())
+    (row,) = [r for r in rows if r[:2] == [181, 29]]
+    assert _within_a_second(xi, make_context(181), 29) == XiEntry(*row)
+
+
+@OUT_OF_REACH
+def test_solve_34_for_a_product_of_two_large_primes_answers_within_a_second():
+    """z = 1000003 * 1000033: every answer is a strictly primitive solution with its
+    factorization, and a no has none."""
+    z = 1000003 * 1000033
+    verdict, solutions = _within_a_second(solve, make_context(34), z, range(-1, 2))
+    assert all(abs(x * x - 34 * y * y) == z and gcd(x, 34 * y) == 1
+               and evaluate_representation(rep) == QuadElem.from_int_pair(34, x, y) for x, y, rep in solutions)
+    assert verdict.exists or not solutions
