@@ -35,6 +35,8 @@ def brute_solutions(d: int, z: int, box: SearchBox) -> list[BruteHit]:
     """All (x, y) with 0 <= y <= y_bound, x >= 0 and x^2 - d y^2 = +-z."""
     if not isinstance(d, int) or not isinstance(z, int):
         raise ValueError("d and z must be integers")
+    if not isinstance(box, SearchBox):
+        raise ValueError(f"need a SearchBox, got {box!r}")
     if z < 1:
         raise ValueError("z must be >= 1")
     hits = []
@@ -65,6 +67,8 @@ def brute_xi(d: int, p: int, l_max: int, box: SearchBox) -> tuple[int, int, int,
     """
     if not all(isinstance(v, int) for v in (d, p, l_max)):
         raise ValueError("d, p and l_max must be integers")
+    if not isinstance(box, SearchBox):
+        raise ValueError(f"need a SearchBox, got {box!r}")
     plus_only = _neg_pell_has_integral(d, box.y_bound)
     signs = (1,) if plus_only else (1, -1)
     for l in range(1, l_max + 1):
@@ -106,7 +110,10 @@ def tangent_bisector_check(a: Fraction, b: Fraction, c: Fraction) -> bool | None
 
     Returns None when both branches have an undefined guard.
     """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    try:
+        a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    except TypeError as e:
+        raise ValueError(f"slopes must be rationals, got {a!r}, {b!r} and {c!r}") from e
 
     def branch(slope: Fraction) -> bool | None:
         ga, gb = 1 + a * slope, 1 + b * slope

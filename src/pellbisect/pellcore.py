@@ -185,6 +185,10 @@ class Spectrum:
     pmax: int
     entries: tuple[XiEntry, ...]
 
+    def __post_init__(self) -> None:
+        check_field_index(self.d)
+        require_ints(pmax=self.pmax)
+
     def get(self, p: int) -> XiEntry | None:
         if p > self.pmax:
             raise ValueError(f"spectrum only covers primes <= {self.pmax}, asked for {p}")

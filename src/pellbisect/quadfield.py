@@ -44,8 +44,11 @@ class QuadElem:
 
     def __post_init__(self) -> None:
         check_field_index(self.d)
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        try:
+            object.__setattr__(self, "a", Fraction(self.a))
+            object.__setattr__(self, "b", Fraction(self.b))
+        except TypeError as e:
+            raise ValueError(f"coordinates must be rationals, got {self.a!r} and {self.b!r}") from e
 
     @classmethod
     def from_int_pair(cls, d: int, x: int, y: int) -> QuadElem:
@@ -167,6 +170,8 @@ def exact_div(alpha: QuadElem, beta: QuadElem) -> QuadElem | None:
     alpha = (x1 + y1*sqrt(d))/m1, beta = (x2 + y2*sqrt(d))/m2 and N = x2^2 - d*y2^2, the
     pair h*m2*(x1 + y1*sqrt(d))*(x2 - y2*sqrt(d))/(m1*N) = (s, t) must be integral, where
     h = 2 and s = t mod 2 admit the halves of O_K when d = 1 mod 4, and h = 1 otherwise."""
+    if not isinstance(alpha, QuadElem) or not isinstance(beta, QuadElem):
+        raise ValueError(f"exact_div wants two QuadElems, got {alpha!r} and {beta!r}")
     x2, y2, m2 = beta.scaled_coords()
     n = x2 * x2 - beta.d * y2 * y2
     if n == 0:
@@ -194,6 +199,8 @@ def _int_part_str(x: int, y: int, d: int, ascii_mode: bool) -> str:
 
 def render(alpha: QuadElem, ascii_mode: bool = False) -> str:
     """Textual form like "35+6√34" or "(1+√5)/2", reduced."""
+    if not isinstance(alpha, QuadElem):
+        raise ValueError(f"render wants a QuadElem, got {alpha!r}")
     x, y, lcd = alpha.scaled_coords()
     core = _int_part_str(x, y, alpha.d, ascii_mode)
     if lcd == 1:

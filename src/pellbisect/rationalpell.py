@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .arith import is_square, require_ints
-from .pellcore import PellContext, Spectrum, _xi_cached, spectrum
+from .pellcore import PellContext, Spectrum, _xi_cached, check_context, spectrum
 from .quadfield import InvariantError, check_field_index
 from .solver import Representation, XiPower, _checked, _decompose_scaled, _evaluate_scaled
 
@@ -49,6 +49,7 @@ def generate_rational(ctx: PellContext, spec: Spectrum, rep: Representation) -> 
     The scale is implied by the terms: the norm of the unscaled element must
     be a perfect square and its root is divided back out.
     """
+    check_context(ctx)
     if _checked(rep).d != ctx.d:
         raise ValueError("representation and context disagree on d")
     x, y, m = _evaluate_scaled(rep)
@@ -71,6 +72,7 @@ def decompose_rational(ctx: PellContext, spec: Spectrum, pt: RationalPellPoint) 
     terms give gcd(X, Y, den) = 1, and X^2 - d Y^2 = +-den^2 then forces
     gcd(X, d Y) = 1: the cleared point is strictly primitive.
     """
+    check_context(ctx)
     if not isinstance(pt, RationalPellPoint):
         raise ValueError(f"need a RationalPellPoint, got {pt!r}")
     if pt.d != ctx.d:

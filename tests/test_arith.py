@@ -27,16 +27,17 @@ def test_factor_helpers_outside_positive_integers():
         factorize(0)
 
 
-@pytest.mark.parametrize("d,n", [(2, 7), (5, 4), (13, 3), (34, 9), (34, 33)])
+@pytest.mark.parametrize("d,n", [(2, 7), (5, 4), (13, 3), (34, 9), (34, 33), (113, 100408)])
 def test_strict_hits_match_oracle(d, n):
     expected = [
         (h.x, h.y, h.sign)
-        for h in brute_solutions(d, n, SearchBox(y_bound=500))
+        for h in brute_solutions(d, n, SearchBox(y_bound=2000))
         if h.strict and h.y > 0
     ]
-    assert list(strict_hits(d, n, 500, (1, -1))) == expected
+    assert expected  # 113 and 100408 have 12, of both signs, the last at y = 1913
+    assert list(strict_hits(d, n, 2000, (1, -1))) == expected
     plus = [hit for hit in expected if hit[2] == 1]
-    assert list(strict_hits(d, n, 500, (1,))) == plus
+    assert list(strict_hits(d, n, 2000, (1,))) == plus
 
 
 def _naive_hits(d, n_stop, y_max):
@@ -54,14 +55,16 @@ def _naive_hits(d, n_stop, y_max):
     return hits
 
 
-@pytest.mark.parametrize("d", [d for d in range(2, 60) if is_squarefree(d)])
+@pytest.mark.parametrize("d", [d for d in range(2, 131) if is_squarefree(d)])
 def test_strict_hits_parity_sweep(d):
-    """Every n in [2, 150) against a naive walk over x, for both sign tuples
-    and y bounds 0, 1, 40 and 300; small y leaves -n with no x at all."""
+    """Every n in [2, 150) against a naive walk over x, for both sign tuples and
+    y bounds 0, 1, 40, 63, 64, 65, 97 and 300; small y leaves -n with no x at all.
+    The square-free d < 131 meet every class mod 64 that a square-free d can take,
+    and the n every class mod 64, around y = 64 where the mod-64 screen starts."""
     naive = _naive_hits(d, 150, 300)
     for n in range(2, 150):
         every = naive.get(n, [])
-        for y_bound in (0, 1, 40, 300):
+        for y_bound in (0, 1, 40, 63, 64, 65, 97, 300):
             both = [h for h in every if h[1] <= y_bound]
             assert list(strict_hits(d, n, y_bound, (1, -1))) == both, (d, n, y_bound)
             assert list(strict_hits(d, n, y_bound, (1,))) == [h for h in both if h[2] == 1]

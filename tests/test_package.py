@@ -194,3 +194,37 @@ def test_pow_scaled_holds_the_only_square_and_multiply_loop():
         visit(ast.parse(path.read_text(), str(path)), path.stem, None)
     assert owners == [("quadfield", "_pow_scaled")]
     assert {("quadfield", "__pow__"), ("solver", "_element")} <= callers
+
+
+def _repeated_parts(node):
+    """What a loop runs on every pass: a for's body, a while's test and body, a
+    comprehension's element and conditions; never the iterable it walks."""
+    if isinstance(node, ast.For):
+        return node.body
+    if isinstance(node, ast.While):
+        return [node.test, *node.body]
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+        elts = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+        return elts + [cond for gen in node.generators for cond in gen.ifs]
+    return []
+
+
+def test_strict_hits_holds_the_only_isqrt_loop():
+    """Every bounded y-scan goes through arith.strict_hits, so a speed-up or a fix
+    of the scan reaches xi, spectrum and the solver's core window at once; the
+    oracle keeps its own naive loops on purpose, as the reference."""
+    owners = set()
+
+    def visit(node, module, owner):
+        if isinstance(node, ast.FunctionDef):
+            owner = node.name
+        if any(isinstance(n, ast.Name) and n.id == "isqrt" or isinstance(n, ast.Attribute) and n.attr == "isqrt"
+               for part in _repeated_parts(node) for n in ast.walk(part)):
+            owners.add((module, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for path in sorted((SRC / "pellbisect").glob("*.py")):
+        if path.stem != "oracle":
+            visit(ast.parse(path.read_text(), str(path)), path.stem, None)
+    assert owners == {("arith", "strict_hits")}

@@ -271,6 +271,11 @@ def _accept_xi_entry(args, e):
     return (e.d, e.p, e.l, e.x, e.y, e.norm_sign) == args and _entry_ok(e)
 
 
+def _accept_spectrum_fields(args, spec):
+    d, pmax, _ = args
+    return _squarefree_index(d) and type(pmax) is int and (spec.d, spec.pmax, spec.entries) == args
+
+
 def _accept_quad_elem(args, alpha):
     d, a, b = args
     return _squarefree_index(d) and (alpha.d, alpha.a, alpha.b) == (d, F(a), F(b))
@@ -433,14 +438,6 @@ SLOW_BISECT = pytest.mark.xfail(
     strict=True, raises=CensusTimeout,
     reason="ROADMAP 2(a), queued behind item 1: bisect factors a^2+1 and b^2+1 by trial division "
            "once their product is a square; a 60-digit rational pair has no small factors")
-BAD_HANDLE = pytest.mark.xfail(
-    strict=True, raises=AttributeError,
-    reason="ROADMAP item 7: an int or None where an element or a search box belongs ends in a bare "
-           "AttributeError")
-TYPE_INSIDE = pytest.mark.xfail(
-    strict=True, raises=TypeError,
-    reason="ROADMAP item 7: a None or an int where a coordinate or a range belongs ends in a TypeError "
-           "from inside the package")
 SLOW_XI = pytest.mark.xfail(
     strict=True, raises=CensusTimeout,
     reason="ROADMAP items 4 and 8: xi scans y level by level up to its bound; the level from reduced "
@@ -655,6 +652,14 @@ CENSUS = {
         ("int_context", (34, 3)),
         ("large_p", (CTX34, 1000003), SLOW_XI),
     ]),
+    "Spectrum": (Spectrum, _accept_spectrum_fields, [
+        ("valid", (34, 97, SPEC34.entries)),
+        ("no_entries", (34, 97, ())),
+        ("not_squarefree", (4, 97, ())),
+        ("float_d", (34.0, 97, ())),
+        ("no_pmax", (34, None, ())),
+        ("string_pmax", (34, "97", ())),
+    ]),
     "XiEntry": (XiEntry, _accept_xi_entry, [
         ("valid", (34, 3, 2, 5, 1, -1)),
         ("wrong_sign", (34, 3, 2, 5, 1, 1)),
@@ -679,7 +684,7 @@ CENSUS = {
         ("floats", (2, 0.5, 1.5)),
         ("strings", (2, "1/2", "3")),
         ("bad_string", (2, "x", 1)),
-        ("none", (34, None, 1), TYPE_INSIDE),
+        ("none", (34, None, 1)),
     ]),
     "exact_div": (exact_div, _accept_exact_div, [
         ("valid", (ETA34**3 * QuadElem(34, 5, 1), QuadElem(34, 5, 1))),
@@ -688,7 +693,7 @@ CENSUS = {
         ("negative", (-ETA34, ETA34**2)),
         ("floats", (QuadElem(2, 3.0, 1.0), QuadElem(2, 1.0, 1.0))),
         ("other_field", (ETA34, ETA5)),
-        ("int_divisor", (ETA34, 3), BAD_HANDLE),
+        ("int_divisor", (ETA34, 3)),
     ]),
     "render": (render, _accept_render, [
         ("valid", (ETA34,)),
@@ -697,7 +702,7 @@ CENSUS = {
         ("zero", (QuadElem(2, 0, 0),)),
         ("fraction", (QuadElem(2, F(-1, 3), F(2, 3)),)),
         ("ascii", (ETA34, True)),
-        ("int", (3,), BAD_HANDLE),
+        ("int", (3,)),
     ]),
     "RationalPellPoint": (RationalPellPoint, _accept_point, [
         ("valid", (2, F(1, 7), F(5, 7), 1)),
@@ -717,6 +722,7 @@ CENSUS = {
         ("other_d", (CTX2, SPEC2, RationalPellPoint(34, F(5, 3), F(1, 3), 1))),
         ("past_pmax", (CTX34, spectrum(CTX34, 2), RationalPellPoint(34, F(5, 3), F(1, 3), 1))),
         ("string_point", (CTX34, SPEC34, "x")),
+        ("no_context", (None, SPEC34, RationalPellPoint(34, F(5, 3), F(1, 3), 1))),
     ]),
     "generate_rational": (generate_rational, _accept_generated_point, [
         ("valid", (CTX2, SPEC2, Representation(d=2, n=-1, terms=(XiPower(7, 2),)))),
@@ -726,6 +732,7 @@ CENSUS = {
         ("other_d", (CTX2, SPEC2, Representation(d=34, n=1))),
         ("inert_prime", (CTX34, SPEC34, Representation(d=34, terms=(XiPower(7, 2),)))),
         ("string_rep", (CTX34, SPEC34, "x")),
+        ("no_context", (None, SPEC34, Representation(d=34, terms=(XiPower(3, 1),)))),
     ]),
     "rational_family": (rational_family, _accept_family, [
         ("valid", (CTX34, -1, 2, range(-1, 2), 13)),
@@ -856,7 +863,7 @@ CENSUS = {
         ("zero", (34, 0, SearchBox(5))),
         ("negative", (34, -9, SearchBox(5))),
         ("floats", (34.0, 9, SearchBox(5))),
-        ("no_box", (34, 9, None), BAD_HANDLE),
+        ("no_box", (34, 9, None)),
     ]),
     "brute_xi": (oracle.brute_xi, _accept_brute_xi, [
         ("valid", (34, 3, 4, SearchBox(100))),
@@ -865,7 +872,7 @@ CENSUS = {
         ("no_level", (34, 3, 0, SearchBox(10))),
         ("floats", (34, 3.0, 2, SearchBox(10))),
         ("strings", ("34", 3, 2, SearchBox(10))),
-        ("no_box", (34, 3, 2, None), BAD_HANDLE),
+        ("no_box", (34, 3, 2, None)),
     ]),
     "brute_rational_pell": (oracle.brute_rational_pell, _accept_brute_rational, [
         ("valid", (2, 1, SearchBox(10, 7))),
@@ -883,7 +890,7 @@ CENSUS = {
         ("negative", (-1, -7, -2)),
         ("floats", (0.75, 2.5, 1.5)),
         ("strings", ("3/4", "12/5", "9/7")),
-        ("none_c", (1, 2, None), TYPE_INSIDE),
+        ("none_c", (1, 2, None)),
     ]),
 }
 
