@@ -16,33 +16,52 @@ def require_ints(**values: int) -> None:
             raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
+def primes_upto(n: int) -> list[int]:
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return [p for p in range(2, n + 1) if sieve[p]]
+
+
+# the 1229 primes below 10^4 (2 to 9973), each with the square that ends the division by it
+_SMALL_PRIMES = tuple((p, p * p) for p in primes_upto(10_000))
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division, {p: exponent}."""
+    """Prime factorization by trial division, {p: exponent} in increasing p: by the primes
+    below 10^4, then by 6k +- 1 from 10001 for a cofactor of at least 10001^2."""
     if n <= 0:
         raise ValueError("factorize wants a positive integer")
     out: dict[int, int] = {}
-    for p in (2, 3):
+    for p, square in _SMALL_PRIMES:
+        if square > n:
+            break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        f += 6
+    else:
+        f = 10_001
+        while f * f <= n:
+            for p in (f, f + 2):
+                while n % p == 0:
+                    out[p] = out.get(p, 0) + 1
+                    n //= p
+            f += 6
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == {n: 1}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def is_squarefree(n: int) -> bool:
     return n >= 1 and all(e == 1 for e in factorize(n).values())
 
@@ -57,17 +76,6 @@ def divisors(n: int) -> list[int]:
 
 def is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
-
-
-def primes_upto(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [p for p in range(2, n + 1) if sieve[p]]
 
 
 def legendre(a: int, p: int) -> int:

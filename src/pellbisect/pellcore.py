@@ -100,7 +100,7 @@ def check_context(ctx: PellContext) -> PellContext:
     return ctx
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def make_context(d: int) -> PellContext:
     """Find the units of d; memoized, safe for concurrent readers.  With omega = (1 + sqrt(d))/2
     for d = 1 mod 4, else sqrt(d), and f/g the convergent of omega just before its period
@@ -187,7 +187,15 @@ class Spectrum:
 
     def __post_init__(self) -> None:
         check_field_index(self.d)
-        require_ints(pmax=self.pmax)
+        if not isinstance(self.pmax, int) or isinstance(self.pmax, bool):
+            raise ValueError(f"pmax must be an integer, got {self.pmax!r}")
+        if not isinstance(self.entries, tuple):
+            raise ValueError(f"entries must be a tuple of XiEntry, got {type(self.entries).__name__}")
+        last = 0
+        for e in self.entries:
+            if not isinstance(e, XiEntry) or e.d != self.d or not last < e.p <= self.pmax:
+                raise ValueError(f"entries must be XiEntry of d = {self.d} at strictly increasing p <= {self.pmax}")
+            last = e.p
 
     def get(self, p: int) -> XiEntry | None:
         if p > self.pmax:
@@ -216,7 +224,7 @@ def _in_s(ctx: PellContext, p: int) -> bool:
     return (p == 2 and ctx.d % 8 == 5 and not ctx.eta_in_zd) or _prime_splits(ctx.d, p)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def _xi_cached(d: int, p: int) -> XiEntry | None:
     """xi_p of a known prime: the minimal-y solution at the least level l.  Level l
     scans y up to (f1 + g1*ceil(sqrt(d))) * p^ceil(l/2), one eps-multiplication past
@@ -253,7 +261,7 @@ def spectrum(ctx: PellContext, pmax: int) -> Spectrum:
     return _spectrum_cached(check_context(ctx).d, pmax)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def class_number(d: int) -> int:
     """Class number h of Q(sqrt(d)): narrow h+, halved unless N(eta) = -1; memoized."""
     ctx = make_context(d)

@@ -140,7 +140,7 @@ def solution_y_bound(ctx: PellContext, modulus: int) -> int:
     return (ctx.f1 + ctx.g1 * (isqrt(d) + 1)) * (isqrt(max(modulus - 1, 0)) + 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _fundamental_window(d: int, modulus: int) -> tuple[tuple[int, int, int], ...]:
     """All strictly primitive (x, y, sign) with |x^2-dy^2| = modulus and y
     inside the class window; empty means no strictly primitive solutions."""

@@ -1,9 +1,10 @@
+import random
 from math import gcd, isqrt, prod
 
 import pytest
-from sympy import factorint
+from sympy import factorint, isprime, primerange
 
-from pellbisect.arith import divisors, factorize, is_prime, is_squarefree, strict_hits
+from pellbisect.arith import divisors, factorize, is_prime, is_squarefree, primes_upto, strict_hits
 from pellbisect.oracle import SearchBox, brute_solutions
 
 
@@ -18,6 +19,41 @@ def test_factor_helpers_match_sympy():
         assert all(n % q == 0 for q in divs)
         assert all(p < q for p, q in zip(divs, divs[1:]))
         assert len(divs) == prod(e + 1 for e in expected.values())
+
+
+def _matches_sympy(n, expected):
+    got = factorize(n)
+    return (got == expected and list(got) == sorted(got) and is_prime(n) == isprime(n)
+            and is_squarefree(n) == all(e == 1 for e in expected.values()))
+
+
+def test_factor_helpers_match_sympy_at_the_table_edge():
+    """factorize divides by the primes below 10^4 (the last is 9973) and hands a cofactor of
+    at least 10001^2 on to 6k +- 1 from 10001; these n sit on both sides of that hand-over."""
+    edge = (9973, 10007, 10009)
+    ns = {p**e for p in edge for e in (1, 2, 3)} | {p * q for p in edge for q in edge} | {prod(edge)}
+    ns |= {p * q for p in (2, 3, 97, 9949, 9967, 9973) for q in (10007, 10009, 1000003, 100000007)}
+    ns |= set(range(10**4 - 49, 10**4 + 50))
+    for n in sorted(ns):
+        assert _matches_sympy(n, factorint(n)), n
+
+
+def test_factor_helpers_match_sympy_on_seeded_large_n():
+    """1000 seeded n < 10^12 whose second-largest prime factor is below 10^5 and whose largest
+    is below 10^9, so trial division stops below 31 623 and stays fast."""
+    rng, checked = random.Random(24), 0
+    while checked < 1000:
+        n = rng.randrange(2, 10**12)
+        expected = factorint(n)
+        ps = sorted(expected)
+        if ps[-1] < 10**9 and (len(ps) == 1 or ps[-2] < 10**5):
+            assert _matches_sympy(n, expected), n
+            checked += 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9972, 9973, 10000, 10007, 20000])
+def test_primes_upto_matches_sympy(n):
+    assert primes_upto(n) == list(primerange(2, n + 1))
 
 
 def test_factor_helpers_outside_positive_integers():

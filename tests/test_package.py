@@ -228,3 +228,29 @@ def test_strict_hits_holds_the_only_isqrt_loop():
         if path.stem != "oracle":
             visit(ast.parse(path.read_text(), str(path)), path.stem, None)
     assert owners == {("arith", "strict_hits")}
+
+
+def test_factorize_holds_the_only_trial_division_loop():
+    """Every factorization goes through arith.factorize, so its table of small primes
+    (and any later splitting method) reaches bisect, the solver and the primality test at
+    once; the oracle keeps its own naive loops on purpose, as the reference. A
+    trial-division loop is an `n % p == 0` test on a name that an enclosing for binds."""
+    owners = set()
+
+    def visit(node, module, owner, bound):
+        if isinstance(node, ast.FunctionDef):
+            owner = node.name
+        if isinstance(node, (ast.For, ast.comprehension)):
+            bound = bound | {n.id for n in ast.walk(node.target) if isinstance(n, ast.Name)}
+        if (isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.Eq)
+                and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Mod)
+                and isinstance(node.left.right, ast.Name) and node.left.right.id in bound
+                and isinstance(node.comparators[0], ast.Constant) and node.comparators[0].value == 0):
+            owners.add((module, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner, bound)
+
+    for path in sorted((SRC / "pellbisect").glob("*.py")):
+        if path.stem != "oracle":
+            visit(ast.parse(path.read_text(), str(path)), path.stem, None, frozenset())
+    assert owners == {("arith", "factorize")}

@@ -272,8 +272,13 @@ def _accept_xi_entry(args, e):
 
 
 def _accept_spectrum_fields(args, spec):
-    d, pmax, _ = args
-    return _squarefree_index(d) and type(pmax) is int and (spec.d, spec.pmax, spec.entries) == args
+    """A field index d, an int pmax (not a bool), and a tuple of XiEntry of this d at strictly
+    increasing primes up to pmax, kept as given."""
+    d, pmax, entries = args
+    ps = [e.p for e in entries] if type(entries) is tuple and all(
+        type(e) is XiEntry and e.d == d for e in entries) else None
+    return (_squarefree_index(d) and type(pmax) is int and ps is not None and ps == sorted(set(ps))
+            and all(p <= pmax for p in ps) and (spec.d, spec.pmax, spec.entries) == args)
 
 
 def _accept_quad_elem(args, alpha):
@@ -659,6 +664,13 @@ CENSUS = {
         ("float_d", (34.0, 97, ())),
         ("no_pmax", (34, None, ())),
         ("string_pmax", (34, "97", ())),
+        ("bool_pmax", (34, True, ())),
+        ("none_entries", (34, 97, None)),
+        ("int_entries", (34, 97, (1, 2))),
+        ("string_entries", (34, 97, "ab")),
+        ("entries_of_d13", (34, 97, spectrum(make_context(13), 97).entries)),
+        ("descending_entries", (34, 97, SPEC34.entries[::-1])),
+        ("entries_past_pmax", (34, 5, SPEC34.entries)),
     ]),
     "XiEntry": (XiEntry, _accept_xi_entry, [
         ("valid", (34, 3, 2, 5, 1, -1)),

@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import signal
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import pellbisect
 from pellbisect import arith, pellcore
 from pellbisect.arith import is_prime, primes_upto
 from pellbisect.oracle import SearchBox, brute_xi
@@ -222,6 +225,20 @@ def test_spectrum_is_memoized_per_d_and_pmax():
     assert cache.cache_info().currsize == 0
     fresh = spectrum(ctx, 97)
     assert fresh is not s97 and fresh == s97
+
+
+def test_every_cache_of_the_package_is_bounded():
+    """A long-lived caller (a server, a sweep over many d) must not grow a memo forever."""
+    caches = {}
+    for m in pkgutil.iter_modules(pellbisect.__path__):
+        if m.name != "__main__":
+            for obj in vars(importlib.import_module(f"pellbisect.{m.name}")).values():
+                if callable(getattr(obj, "cache_info", None)):
+                    caches[f"{obj.__module__}.{obj.__qualname__}".removeprefix("pellbisect.")] = obj
+    assert set(caches) == {"arith.is_prime", "arith.is_squarefree", "pellcore.make_context", "pellcore._xi_cached",
+                           "pellcore._spectrum_cached", "pellcore.class_number", "solver._fundamental_window"}
+    unbounded = [name for name, cache in caches.items() if cache.cache_info().maxsize is None]
+    assert unbounded == []
 
 
 @contextmanager
