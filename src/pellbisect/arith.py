@@ -10,9 +10,9 @@ from math import gcd, isqrt
 
 
 def require_ints(**values: int) -> None:
-    """ValueError unless each value is an int; a float equal to an integer is refused too."""
+    """ValueError unless each value is an int; a bool, or a float equal to an integer, is refused too."""
     for name, v in values.items():
-        if not isinstance(v, int):
+        if type(v) is not int:
             raise ValueError(f"{name} must be an integer, got {v!r}")
 
 

@@ -13,9 +13,10 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 
+import pellbisect
+
 from .arith import primes_upto
-from .pellcore import XiEntry, make_context, spectrum, xi
-from .quadfield import render, render_rat, render_signed_power
+from .quadfield import render_rat, render_signed_power
 
 DEFAULT_D_LIST = (2, 5, 10, 13, 17, 26, 29, 34)
 DEFAULT_P_MAX = 97
@@ -54,19 +55,19 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _xi_doc(entry: XiEntry, ascii_mode: bool) -> dict:
+def _xi_doc(entry: pellbisect.XiEntry, ascii_mode: bool) -> dict:
     return {
         "p": entry.p,
         "l": entry.l,
         "x": entry.x,
         "y": entry.y,
         "norm": str(entry.norm_sign * entry.p**entry.l),
-        "elem": render(entry.elem, ascii_mode),
+        "elem": pellbisect.render(entry.elem, ascii_mode),
     }
 
 
 def _cmd_context(args) -> dict:
-    ctx = make_context(args.d)
+    ctx = pellbisect.make_context(args.d)
     return {
         "d": ctx.d,
         "disc": ctx.disc,
@@ -80,14 +81,14 @@ def _cmd_context(args) -> dict:
 
 
 def _cmd_xi(args) -> dict:
-    entry = xi(make_context(args.d), args.p)
+    entry = pellbisect.xi(pellbisect.make_context(args.d), args.p)
     if entry is None:
         return {"d": args.d, "p": args.p, "in_s": False}
     return {"d": args.d, "in_s": True, **_xi_doc(entry, args.ascii)}
 
 
 def _cmd_spectrum(args) -> list:
-    return [_xi_doc(e, args.ascii) for e in spectrum(make_context(args.d), args.pmax).entries]
+    return [_xi_doc(e, args.ascii) for e in pellbisect.spectrum(pellbisect.make_context(args.d), args.pmax).entries]
 
 
 def run_table(
@@ -101,8 +102,8 @@ def run_table(
     xi_p, N(xi_p) for every prime p <= p_max; byte-identical across runs."""
     columns = []
     for d in d_list:
-        ctx = make_context(d)
-        spc = spectrum(ctx, p_max)
+        ctx = pellbisect.make_context(d)
+        spc = pellbisect.spectrum(ctx, p_max)
         columns.append((d, ctx, {e.p: e for e in spc.entries}))
     primes = primes_upto(p_max)
 
@@ -111,14 +112,14 @@ def run_table(
         if entry is None:
             return "", ""
         return (
-            render(entry.elem, ascii_mode),
+            pellbisect.render(entry.elem, ascii_mode),
             render_signed_power(entry.norm_sign, p, entry.l, ascii_mode),
         )
 
     rows: list[tuple[str, list[str]]] = [
         ("d", [str(d) for d, _, _ in columns]),
         ("h", [str(ctx.h) for _, ctx, _ in columns]),
-        ("eta", [render(ctx.eta, ascii_mode) for _, ctx, _ in columns]),
+        ("eta", [pellbisect.render(ctx.eta, ascii_mode) for _, ctx, _ in columns]),
         ("N(eta)", [str(ctx.norm_eta) for _, ctx, _ in columns]),
     ]
     for p in primes:
@@ -135,7 +136,7 @@ def run_table(
                 {
                     "d": d,
                     "h": ctx.h,
-                    "eta": render(ctx.eta, ascii_mode),
+                    "eta": pellbisect.render(ctx.eta, ascii_mode),
                     "norm_eta": ctx.norm_eta,
                     "xi": [_xi_doc(entries[p], ascii_mode) for p in primes if p in entries],
                 }
@@ -165,8 +166,7 @@ _FIGURE_COLORS = ("#1f77b4", "#2ca02c", "#d62728", "#9467bd")
 def render_figure(a: Fraction, b: Fraction) -> str:
     """SVG with the two lines and both bisectors through the origin on a
     fixed 512x512 viewport; raises NoRationalBisector when c is irrational."""
-    from . import bisector
-    c_plus, c_minus = bisector.bisect(a, b)
+    c_plus, c_minus = pellbisect.bisect(a, b)
     slopes = [("a", a), ("b", b), ("c+", c_plus), ("c-", c_minus)]
     half = 238.0
     parts = [
@@ -296,8 +296,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_solve(args) -> dict:
-    from . import solver
-    verdict, solutions = solver.solve(make_context(args.d), args.z, args.n_range)
+    verdict, solutions = pellbisect.solve(pellbisect.make_context(args.d), args.z, args.n_range)
     return {
         "d": args.d,
         "z": args.z,
@@ -311,25 +310,22 @@ def _cmd_solve(args) -> dict:
 
 
 def _cmd_decompose(args) -> dict:
-    from . import solver
-    rep = solver.decompose(make_context(args.d), args.x, args.y)
+    rep = pellbisect.decompose(pellbisect.make_context(args.d), args.x, args.y)
     kind = "strict" if rep.scale == 1 else "square"  # a square answer has scale gcd(x, y) > 1
     return {"d": args.d, "x": args.x, "y": args.y, "kind": kind, "representation": rep.to_json()}
 
 
 def _cmd_rational(args) -> list:
-    from . import rationalpell
-    family = rationalpell.rational_family(make_context(args.d), args.sign, args.max_terms, args.n_range, args.pmax)
+    ctx = pellbisect.make_context(args.d)
     return [
         {"x": render_rat(pt.x), "y": render_rat(pt.y), "r": pt.r, "rep": rep.to_json()}
-        for pt, rep in family
+        for pt, rep in pellbisect.rational_family(ctx, args.sign, args.max_terms, args.n_range, args.pmax)
     ]
 
 
 def _cmd_bisect(args) -> dict:
-    from . import bisector
-    c_plus, c_minus = bisector.bisect(args.a, args.b)
-    d = bisector.classify_pair(args.a, args.b).d
+    c_plus, c_minus = pellbisect.bisect(args.a, args.b)
+    d = pellbisect.classify_pair(args.a, args.b).d
     return {
         "a": render_rat(args.a),
         "b": render_rat(args.b),
@@ -340,7 +336,7 @@ def _cmd_bisect(args) -> dict:
     }
 
 
-def _triple_doc(t: bisector.BisectorTriple, source: dict) -> dict:
+def _triple_doc(t: pellbisect.BisectorTriple, source: dict) -> dict:
     return {
         "a": render_rat(t.a),
         "b": render_rat(t.b),
@@ -350,7 +346,6 @@ def _triple_doc(t: bisector.BisectorTriple, source: dict) -> dict:
 
 
 def _cmd_triples(args) -> list:
-    from . import bisector
     docs = []
     if args.mode == "case1":
         for l in range(1, args.box + 1):
@@ -358,40 +353,38 @@ def _cmd_triples(args) -> list:
                 for n in range(1, args.box + 1):
                     if l * m == n * n:
                         continue
-                    for t in bisector.case1_generate(l, m, n):
+                    for t in pellbisect.case1_generate(l, m, n):
                         docs.append(_triple_doc(t, {"l": l, "m": m, "n": n}))
     elif args.mode == "case2":
         if args.d is None:
             raise ValueError("--d is required for case2")
-        ctx = make_context(args.d)
-        alphas = bisector.case2_alphas(ctx, args.box)
+        ctx = pellbisect.make_context(args.d)
+        alphas = pellbisect.case2_alphas(ctx, args.box)
         for i, alpha in enumerate(alphas):
             for beta in alphas[i + 1 :]:
-                source = {"alpha": render(alpha, args.ascii), "beta": render(beta, args.ascii)}
-                docs += [_triple_doc(t, source) for t in bisector.case2_generate(ctx, alpha, beta)]
+                source = {"alpha": pellbisect.render(alpha, args.ascii), "beta": pellbisect.render(beta, args.ascii)}
+                docs += [_triple_doc(t, source) for t in pellbisect.case2_generate(ctx, alpha, beta)]
     else:
         if args.d is None:
             raise ValueError("--d is required for integral mode")
-        ctx = make_context(args.d)
+        ctx = pellbisect.make_context(args.d)
         for m in range(1, args.box + 1):
             for n in range(1, args.box + 1):
-                t = bisector.integral_generate(ctx, m, n)
+                t = pellbisect.integral_generate(ctx, m, n)
                 docs.append(_triple_doc(t, {"family": "d", "m": m, "n": n}))
         if args.d == 2:
             for n in range(1, args.box + 1):
-                t = bisector.integral_generate2(n)
+                t = pellbisect.integral_generate2(n)
                 docs.append(_triple_doc(t, {"family": "2", "n": n}))
     return docs
 
 
 def _cmd_oracle_solutions(args) -> list:
-    from . import oracle
-    return [asdict(h) for h in oracle.brute_solutions(args.d, args.z, oracle.SearchBox(y_bound=args.ymax))]
+    return [asdict(h) for h in pellbisect.brute_solutions(args.d, args.z, pellbisect.SearchBox(y_bound=args.ymax))]
 
 
 def _cmd_oracle_xi(args) -> dict:
-    from . import oracle
-    hit = oracle.brute_xi(args.d, args.p, args.lmax, oracle.SearchBox(y_bound=args.ymax))
+    hit = pellbisect.brute_xi(args.d, args.p, args.lmax, pellbisect.SearchBox(y_bound=args.ymax))
     if hit is None:
         return {"d": args.d, "p": args.p, "found": False}
     l, x, y, sign = hit
@@ -399,15 +392,13 @@ def _cmd_oracle_xi(args) -> dict:
 
 
 def _cmd_oracle_rational(args) -> list:
-    from . import oracle
-    box = oracle.SearchBox(y_bound=args.ymax, denominator_bound=args.zmax)
-    pts = oracle.brute_rational_pell(args.d, args.r, box)
+    box = pellbisect.SearchBox(y_bound=args.ymax, denominator_bound=args.zmax)
+    pts = pellbisect.brute_rational_pell(args.d, args.r, box)
     return [{"x": render_rat(x), "y": render_rat(y)} for x, y in pts]
 
 
 def _cmd_oracle_tangent(args) -> dict:
-    from . import oracle
-    return {"bisects": oracle.tangent_bisector_check(args.a, args.b, args.c)}
+    return {"bisects": pellbisect.tangent_bisector_check(args.a, args.b, args.c)}
 
 
 def _merge_dash_values(argv: list[str]) -> list[str]:

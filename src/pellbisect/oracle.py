@@ -17,7 +17,7 @@ class SearchBox:
     denominator_bound: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.y_bound, int) or not isinstance(self.denominator_bound, int):
+        if type(self.y_bound) is not int or type(self.denominator_bound) is not int:
             raise ValueError("bounds must be integers")
         if self.y_bound < 1 or self.denominator_bound < 1:
             raise ValueError("bounds must be >= 1")
@@ -33,7 +33,7 @@ class BruteHit:
 
 def brute_solutions(d: int, z: int, box: SearchBox) -> list[BruteHit]:
     """All (x, y) with 0 <= y <= y_bound, x >= 0 and x^2 - d y^2 = +-z."""
-    if not isinstance(d, int) or not isinstance(z, int):
+    if type(d) is not int or type(z) is not int:
         raise ValueError("d and z must be integers")
     if not isinstance(box, SearchBox):
         raise ValueError(f"need a SearchBox, got {box!r}")
@@ -65,7 +65,7 @@ def brute_xi(d: int, p: int, l_max: int, box: SearchBox) -> tuple[int, int, int,
     Applies the fundamental-solution sign convention: only the + equation
     competes when x^2 - d y^2 = -1 has an integral solution inside the box.
     """
-    if not all(isinstance(v, int) for v in (d, p, l_max)):
+    if not all(type(v) is int for v in (d, p, l_max)):
         raise ValueError("d, p and l_max must be integers")
     if not isinstance(box, SearchBox):
         raise ValueError(f"need a SearchBox, got {box!r}")
@@ -87,7 +87,7 @@ def brute_xi(d: int, p: int, l_max: int, box: SearchBox) -> tuple[int, int, int,
 def brute_rational_pell(d: int, r: int, box: SearchBox) -> list[tuple[Fraction, Fraction]]:
     """All x = X/Z, y = Y/Z with gcd(X, Y, Z) = 1, Z <= denominator_bound,
     0 <= Y <= y_bound and X^2 - d Y^2 = (-1)^r Z^2."""
-    if not isinstance(d, int) or not isinstance(r, int):
+    if type(d) is not int or type(r) is not int:
         raise ValueError("d and r must be integers")
     if r not in (0, 1):
         raise ValueError("r must be 0 or 1")

@@ -120,7 +120,7 @@ def make_context(d: int) -> PellContext:
 
 def pell_sequence(d: int, n: int) -> tuple[int, int]:
     """(f_n, g_n) with f_n + g_n*sqrt(d) = eps^n; strictly increasing in n."""
-    if not isinstance(n, int) or n <= 0:
+    if type(n) is not int or n <= 0:
         raise ValueError("n must be a positive integer")
     return (make_context(d).eps ** n).int_coords()
 
@@ -187,8 +187,7 @@ class Spectrum:
 
     def __post_init__(self) -> None:
         check_field_index(self.d)
-        if not isinstance(self.pmax, int) or isinstance(self.pmax, bool):
-            raise ValueError(f"pmax must be an integer, got {self.pmax!r}")
+        require_ints(pmax=self.pmax)
         if not isinstance(self.entries, tuple):
             raise ValueError(f"entries must be a tuple of XiEntry, got {type(self.entries).__name__}")
         last = 0

@@ -104,7 +104,7 @@ class QuadElem:
         return NotImplemented
 
     def __pow__(self, k: int) -> QuadElem:
-        if isinstance(k, int) and k == 1:
+        if type(k) is int and k == 1:
             return self
         x, y, m = _pow_scaled(self.d, *self.scaled_coords(), k)
         return QuadElem._of(self.d, Fraction(x, m), Fraction(y, m))
@@ -147,7 +147,7 @@ def _mul_scaled(d: int, x1: int, y1: int, m1: int, x2: int, y2: int, m2: int) ->
 def _pow_scaled(d: int, x: int, y: int, m: int, k: int) -> tuple[int, int, int]:
     """((x + y*sqrt(d))/m)^k by left-to-right square-and-multiply on integer triples,
     as a triple (x, y, m) in lowest terms with m > 0."""
-    if not isinstance(k, int):
+    if type(k) is not int:
         raise ValueError(f"exponent must be an integer, got {k!r}")
     if k < 0:  # start from the conjugate over the norm
         n = x * x - d * y * y

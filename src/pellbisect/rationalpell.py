@@ -26,7 +26,7 @@ class RationalPellPoint:
         check_field_index(self.d)
         object.__setattr__(self, "x", Fraction(self.x))
         object.__setattr__(self, "y", Fraction(self.y))
-        if self.r not in (0, 1):
+        if type(self.r) is not int or self.r not in (0, 1):
             raise ValueError("r must be 0 or 1")
         if self.x**2 - self.d * self.y**2 != (-1) ** self.r:
             raise ValueError(f"({self.x}, {self.y}) is not on x^2-{self.d}y^2 = (-1)^{self.r}")

@@ -59,8 +59,13 @@ class Representation:
 
     def __post_init__(self) -> None:
         require_ints(sign=self.sign, m=self.m, n=self.n)
-        if not isinstance(self.scale, (int, Fraction)):
+        if type(self.scale) not in (int, Fraction):
             raise ValueError(f"scale must be an int or a Fraction, got {self.scale!r}")
+        if not isinstance(self.terms, tuple) or not all(isinstance(t, XiPower) for t in self.terms):
+            raise ValueError(f"terms must be a tuple of XiPower, got {self.terms!r}")
+        c = self.core
+        if c is not None and not (isinstance(c, CoreFactor) and type(c.modulus) is type(c.x) is type(c.y) is int):
+            raise ValueError(f"core must be None or a CoreFactor of integers, got {c!r}")
 
     def to_json(self) -> dict:
         """The fields in order, terms and core as dicts of their own fields."""

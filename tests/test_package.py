@@ -47,19 +47,48 @@ def fresh(code: str):
     return json.loads(r.stdout.splitlines()[-1])
 
 
-def test_context_command_loads_only_the_field_core():
-    loaded = fresh(
-        "import contextlib, io, json, sys\n"
-        "import pellbisect\n"
-        "after_import = sorted(sys.modules)\n"
-        "from pellbisect import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['context', '--d', '34']) == 0\n"
-        "print(json.dumps([after_import, sorted(sys.modules)]))\n"
-    )
-    for modules in loaded:
-        assert not set(LAZY_MODULES) & set(modules)
-        assert "pellbisect.pellcore" in modules
+# subcommands that run together in one fresh interpreter, and the lazy modules they load
+SUBCOMMAND_LOADS = [
+    ([["context", "--d", "34"], ["xi", "--d", "34", "--p", "3"], ["spectrum", "--d", "34", "--pmax", "20"],
+      ["table", "--pmax", "13"]], ()),
+    ([["solve", "--d", "34", "--z", "9"], ["decompose", "--d", "34", "--x", "5", "--y", "1"]], ("solver",)),
+    ([["rational", "--d", "34", "--pmax", "13"]], ("rationalpell", "solver")),
+    ([["bisect", "--a", "3/4", "--b", "12/5"], ["figure", "--a", "3/4", "--b", "12/5"],
+      ["triples", "--mode", "case1", "--range", "2"], ["triples", "--mode", "case2", "--d", "34", "--range", "1"],
+      ["triples", "--mode", "integral", "--d", "2", "--range", "1"]], ("bisector",)),
+    ([["oracle", "solutions", "--d", "34", "--z", "9", "--ymax", "10"],
+      ["oracle", "xi", "--d", "34", "--p", "3", "--ymax", "10"],
+      ["oracle", "rational", "--d", "2", "--r", "1", "--ymax", "10"],
+      ["oracle", "tangent", "--a", "1", "--b", "7", "--c", "2"]], ("oracle",)),
+]
+
+
+def test_each_subcommand_loads_only_its_lazy_modules():
+    for commands, modules in SUBCOMMAND_LOADS:
+        after_import, after_run = fresh(
+            "import contextlib, io, json, sys\n"
+            "import pellbisect\n"
+            "after_import = sorted(sys.modules)\n"
+            "from pellbisect import cli\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        if cli.main(argv) != 0:\n"
+            "            sys.exit(f'{argv} failed')\n"
+            "print(json.dumps([after_import, sorted(sys.modules)]))\n"
+        )
+        assert not set(LAZY_MODULES) & set(after_import)
+        assert "pellbisect.pellcore" in after_run
+        assert set(LAZY_MODULES) & set(after_run) == {f"pellbisect.{m}" for m in modules}, commands
+
+
+def test_no_module_imports_inside_a_function():
+    """Each module binds what it uses once, at its top; the package's lazy names are
+    the one place that decides when solver, rationalpell, bisector and oracle load."""
+    for path in sorted((SRC / "pellbisect").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        nested = [node.lineno for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+        assert not nested, (path.name, nested)
 
 
 def test_every_export_is_in_all_and_is_its_home_object():

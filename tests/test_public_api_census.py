@@ -8,7 +8,8 @@ identity on Fractions and tangent_bisector_check for the bisector, integer norm
 identities, brute-force searches written here, literature class numbers, and
 sympy (continued fractions, Pell solutions, Legendre symbols, arithmetic in
 Q(sqrt(d))) for the field and the solver. A timeout, a TypeError or
-AttributeError from inside the package, or an InvariantError fails. A row that
+AttributeError from inside the package, or an InvariantError fails. No check
+accepts an answer to an integer input given as a bool or a float. A row that
 fails today is a strict xfail that names the ROADMAP item that fixes it.
 """
 
@@ -55,6 +56,11 @@ def _capped(fn, args):
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     raise CensusTimeout(f"{fn.__name__} gave no answer within {CAP_S} s")
+
+
+def _ints(*values):
+    """Each integer input is an int: a bool or an integral float is refused, not read as a number."""
+    return all(type(v) is int for v in values)
 
 
 def _star(a, b, c):
@@ -233,7 +239,7 @@ def _accept_neg_pell_rational(args, ans):
 
 def _accept_pell_sequence(args, fg):
     d, n = args
-    return _elt(d, *fg) == _elt(d, *_eps(d)) ** n
+    return _ints(n) and _elt(d, *fg) == _elt(d, *_eps(d)) ** n
 
 
 def _accept_splits(args, ans):
@@ -304,7 +310,7 @@ def _accept_render(args, text):
 
 def _accept_point(args, pt):
     d, x, y, r = args
-    return (_squarefree_index(d) and (pt.d, pt.x, pt.y, pt.r) == (d, F(x), F(y), r)
+    return (_squarefree_index(d) and _ints(r) and (pt.d, pt.x, pt.y, pt.r) == (d, F(x), F(y), r)
             and pt.x**2 - d * pt.y**2 == (-1) ** r)
 
 
@@ -312,7 +318,7 @@ def _accept_decomposed(args, rep):
     """The representation evaluates, outside the solver, to the element it came from."""
     ctx, _, *point = args
     x, y = (point[0].x, point[0].y) if len(point) == 1 else point
-    return rep.d == ctx.d and _value(rep) == _elt(ctx.d, x, y)
+    return (len(point) == 1 or _ints(x, y)) and rep.d == ctx.d and _value(rep) == _elt(ctx.d, x, y)
 
 
 def _accept_generated_point(args, pt):
@@ -323,14 +329,19 @@ def _accept_generated_point(args, pt):
 
 
 def _accept_representation(args, rep):
+    """The fields as given: int sign, m and n, an int or Fraction scale, a tuple of XiPower
+    terms, and no core or a CoreFactor of integers."""
     names = ("d", "sign", "m", "n", "terms", "core", "scale")
-    return all(type(v) is int for v in (rep.sign, rep.m, rep.n)) and all(
-        getattr(rep, name) == v for name, v in zip(names, args))
+    core = rep.core
+    return (_ints(rep.sign, rep.m, rep.n) and type(rep.scale) in (int, F)
+            and type(rep.terms) is tuple and all(type(t) is XiPower for t in rep.terms)
+            and (core is None or type(core) is CoreFactor and _ints(core.modulus, core.x, core.y))
+            and all(getattr(rep, name) == v for name, v in zip(names, args)))
 
 
 def _accept_evaluation(args, alpha):
     (rep,) = args
-    return alpha.d == rep.d and _of(alpha) == _value(rep)
+    return _ints(*(t.exp for t in rep.terms)) and alpha.d == rep.d and _of(alpha) == _value(rep)
 
 
 def _accept_validation(args, report):
@@ -355,7 +366,7 @@ def _accept_generated(args, pairs):
     they hold every solution with y <= 50."""
     ctx, _, z, n_range = args
     d = ctx.d
-    return (pairs == sorted(set(pairs), key=lambda xy: (xy[1], xy[0]))
+    return (_ints(*n_range) and pairs == sorted(set(pairs), key=lambda xy: (xy[1], xy[0]))
             and all(y > 0 and abs(x * x - d * y * y) == z and gcd(x, d * y) == 1 for x, y in pairs)
             and (not set(range(-2, 3)) <= set(n_range) or _strict_pairs(d, z, 50) <= set(pairs)))
 
@@ -379,9 +390,10 @@ def _accept_decomposition(args, rep):
 def _accept_family(args, family):
     """Distinct points of x^2 - d y^2 = sign, sorted by (denominator of x, |x|, y), each with a
     representation whose value is a positive rational multiple of it."""
-    ctx, sign = args[:2]
+    ctx, sign, max_terms = args[:3]
     keys = [(pt.x.denominator, abs(pt.x), pt.y) for pt, _ in family]
-    return (keys == sorted(keys) and len({(pt.x, pt.y) for pt, _ in family}) == len(family)
+    return (_ints(sign, max_terms) and keys == sorted(keys)
+            and len({(pt.x, pt.y) for pt, _ in family}) == len(family)
             and all(pt.x**2 - ctx.d * pt.y**2 == sign and _accept_generated_point((ctx, None, rep), pt)
                     for pt, rep in family))
 
@@ -398,7 +410,7 @@ def _accept_alphas(args, alphas):
 
 def _accept_box(args, box):
     y_bound, denominator_bound = (*args, 1)[:2]
-    return (box.y_bound, box.denominator_bound) == (y_bound, denominator_bound) and min(args) >= 1
+    return _ints(*args) and (box.y_bound, box.denominator_bound) == (y_bound, denominator_bound) and min(args) >= 1
 
 
 def _accept_brute_solutions(args, hits):
@@ -407,7 +419,7 @@ def _accept_brute_solutions(args, hits):
     d, z, box = args
     count = sum(abs(x * x - d * y * y) == z for y in range(box.y_bound + 1)
                 for x in range(isqrt(d * y * y + z) + 1))
-    return len(hits) == count and all(
+    return _ints(d, z) and len(hits) == count and all(
         x >= 0 and 0 <= y <= box.y_bound and x * x - d * y * y == s * z and strict == (gcd(x, d * y) == 1)
         for x, y, s, strict in ((h.x, h.y, h.sign, h.strict) for h in hits))
 
@@ -415,7 +427,7 @@ def _accept_brute_solutions(args, hits):
 def _accept_brute_xi(args, ans):
     d, p, l_max, box = args
     plus_only = any(isqrt(d * y * y - 1) ** 2 == d * y * y - 1 for y in range(1, box.y_bound + 1))
-    return ans == _least(d, p, l_max, box.y_bound, (1,) if plus_only else (1, -1))
+    return _ints(d, p, l_max) and ans == _least(d, p, l_max, box.y_bound, (1,) if plus_only else (1, -1))
 
 
 def _accept_brute_rational(args, points):
@@ -424,7 +436,7 @@ def _accept_brute_rational(args, points):
     count = sum(X * X - d * Y * Y == (-1) ** r * Z * Z and gcd(X, Y, Z) == 1
                 for Z in range(1, box.denominator_bound + 1) for Y in range(box.y_bound + 1)
                 for X in range(isqrt(d * Y * Y + Z * Z) + 1))
-    return len(points) == count and all(x * x - d * y * y == (-1) ** r for x, y in points)
+    return _ints(d, r) and len(points) == count and all(x * x - d * y * y == (-1) ** r for x, y in points)
 
 
 def _accept_tangent(args, ans):
@@ -603,6 +615,7 @@ CENSUS = {
         ("half_unit_d", (5, 2)),
         ("d=34", (34, 1)),
         ("large_n", (2, 200)),
+        ("bool_n", (2, True)),
         ("zero", (2, 0)),
         ("negative", (2, -1)),
         ("not_squarefree", (4, 1)),
@@ -685,6 +698,7 @@ CENSUS = {
         ("float_sign", (34, 3, 2, 5, 1, -1.0)),
         ("float_x", (34, 3, 2, 5.0, 1, -1)),
         ("zero_level", (34, 3, 0, 35, 6, 1)),
+        ("bool_y", (34, 3, 2, 5, True, -1)),
     ]),
     "QuadElem": (QuadElem, _accept_quad_elem, [
         ("valid", (34, 35, 6)),
@@ -726,6 +740,8 @@ CENSUS = {
         ("negative_d", (-1, 0, 1, 0)),
         ("float_d", (34.0, 35, 6, 0)),
         ("strings", (2, "1/7", "5/7", 1)),
+        ("bool_r", (2, F(1, 7), F(5, 7), True)),
+        ("float_r", (2, F(1, 7), F(5, 7), 1.0)),
     ]),
     "decompose_rational": (decompose_rational, _accept_decomposed, [
         ("valid", (CTX2, SPEC2, RationalPellPoint(2, F(1, 7), F(5, 7), 1))),
@@ -757,6 +773,7 @@ CENSUS = {
         ("float_n", (CTX34, -1, 1, [0.5], 31)),
         ("int_range", (CTX34, -1, 2, 3, 31)),
         ("small_pmax", (CTX34, -1, 2, range(3), 1)),
+        ("bool_sign", (CTX34, True, 1, range(-1, 2), 31)),
         ("no_context", (None, -1, 2, range(3), 31)),
     ]),
     "Representation": (Representation, _accept_representation, [
@@ -766,6 +783,13 @@ CENSUS = {
         ("floats", (34, 1.0)),
         ("strings", (34, "1")),
         ("float_scale", (34, 1, 0, 0, (), None, 0.5)),
+        ("bool_scale", (34, 1, 0, 0, (), None, True)),
+        ("int_terms", (34, 1, 0, 0, (3,))),
+        ("list_terms", (34, 1, 0, 0, [XiPower(3, 1)])),
+        ("float_core", (34, 1, 0, 0, (), CoreFactor(9, 5.0, 1))),
+        ("bool_core", (34, 1, 0, 0, (), CoreFactor(9, 5, True))),
+        ("tuple_core", (34, 1, 0, 0, (), (9, 5, 1))),
+        ("core_in_terms", (34, 1, 0, 0, (XiPower(3, 1), CoreFactor(15, 7, 1)))),
     ]),
     "evaluate_representation": (evaluate_representation, _accept_evaluation, [
         ("valid", (Representation(d=34, terms=(XiPower(3, 1),)),)),
@@ -775,6 +799,7 @@ CENSUS = {
         ("inert_prime", (Representation(d=34, terms=(XiPower(7, 1),)),)),
         ("not_squarefree", (Representation(d=4),)),
         ("string", ("x",)),
+        ("bool_exp", (Representation(d=34, terms=(XiPower(3, True),)),)),
     ]),
     "validate_representation": (validate_representation, _accept_validation, [
         ("valid", (Representation(d=34, terms=(XiPower(3, 1),)),)),
@@ -844,6 +869,7 @@ CENSUS = {
         ("zero", (CTX34, 0, range(3))),
         ("floats", (CTX34, 9.0, range(3))),
         ("int_range", (CTX34, 9, 3)),
+        ("bool_n", (CTX34, 9, [True])),
         ("int_context", (34, 9, range(3))),
         ("no_context", (None, 9, range(3))),
     ]),
@@ -857,6 +883,7 @@ CENSUS = {
         ("zero", (CTX34, 0, 0)),
         ("floats", (CTX34, 5.0, 1)),
         ("strings", (CTX34, "5", 1)),
+        ("bool_y", (CTX34, 5, True)),
         ("int_context", (34, 5, 1)),
         ("no_context", (None, 5, 1)),
     ]),
@@ -867,6 +894,7 @@ CENSUS = {
         ("negative", (-1,)),
         ("floats", (2.0,)),
         ("strings", ("3",)),
+        ("bool", (True,)),
     ]),
     "brute_solutions": (oracle.brute_solutions, _accept_brute_solutions, [
         ("valid", (34, 9, SearchBox(50))),
@@ -876,6 +904,7 @@ CENSUS = {
         ("negative", (34, -9, SearchBox(5))),
         ("floats", (34.0, 9, SearchBox(5))),
         ("no_box", (34, 9, None)),
+        ("bool_z", (34, True, SearchBox(5))),
     ]),
     "brute_xi": (oracle.brute_xi, _accept_brute_xi, [
         ("valid", (34, 3, 4, SearchBox(100))),
@@ -885,6 +914,7 @@ CENSUS = {
         ("floats", (34, 3.0, 2, SearchBox(10))),
         ("strings", ("34", 3, 2, SearchBox(10))),
         ("no_box", (34, 3, 2, None)),
+        ("bool_level", (34, 3, True, SearchBox(100))),
     ]),
     "brute_rational_pell": (oracle.brute_rational_pell, _accept_brute_rational, [
         ("valid", (2, 1, SearchBox(10, 7))),
@@ -893,6 +923,7 @@ CENSUS = {
         ("r=2", (2, 2, SearchBox(5))),
         ("floats", (2.0, 1, SearchBox(5))),
         ("strings", (2, "1", SearchBox(5))),
+        ("bool_r", (2, True, SearchBox(10, 7))),
     ]),
     "tangent_bisector_check": (tangent_bisector_check, _accept_tangent, [
         ("valid", (F(3, 4), F(12, 5), F(9, 7))),

@@ -188,7 +188,7 @@ def test_pow_scaled_refuses_a_zero_base_inverse_and_a_non_int_exponent():
         for k in (-1, -4):
             with pytest.raises(ZeroDivisionError, match="zero-norm element has no inverse"):
                 quadfield._pow_scaled(d, 0, 0, 1, k)
-        for k in (2.0, 1.0, 0.0, F(1), "2"):
+        for k in (2.0, 1.0, 0.0, F(1), "2", True, False):
             with pytest.raises(ValueError, match="exponent must be an integer"):
                 quadfield._pow_scaled(d, 1, 1, 1, k)
 
