@@ -1,12 +1,14 @@
-"""Integer helpers: factorization and the tests derived from it, squares, small
-primes, the Legendre symbol, and the one bounded y-scan for strictly primitive
-solutions of |x^2 - d y^2| = n."""
+"""Integer helpers: the readers of numbers that come in, factorization and the tests
+derived from it, squares, small primes, the Legendre symbol, and the one bounded y-scan
+for strictly primitive solutions of |x^2 - d y^2| = n."""
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import itemgetter
 
 
 def require_ints(**values: int) -> None:
@@ -14,6 +16,16 @@ def require_ints(**values: int) -> None:
     for name, v in values.items():
         if type(v) is not int:
             raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
+def rational(v) -> Fraction:
+    """v if it is a Fraction, else Fraction(v); ValueError where Fraction fails (None, inf, "x", "1/0")."""
+    if type(v) is Fraction:
+        return v
+    try:
+        return Fraction(v)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as e:
+        raise ValueError(f"need a rational number, got {v!r}") from e
 
 
 def primes_upto(n: int) -> list[int]:
@@ -85,8 +97,9 @@ def legendre(a: int, p: int) -> int:
 
 
 _Y2_MOD_64 = tuple(y * y % 64 for y in range(32))  # y^2 mod 64 has period 32 in y
-_IS_SQUARE_MOD_64 = tuple(r in _Y2_MOD_64 for r in range(64))
-_OPEN, _SHUT = (True,) * 32, (False,) * 32
+_IS_SQUARE_MOD_64 = tuple(r % 64 in _Y2_MOD_64 for r in range(128))  # twice, so [k : k + 64][r] is r + k's
+# by d mod 64, the getter of the residues d y^2 mod 64 for y = 0..31
+_DY2_MOD_64 = tuple(itemgetter(*(d * s % 64 for s in _Y2_MOD_64)) for d in range(64))
 
 
 def strict_hits(
@@ -94,28 +107,25 @@ def strict_hits(
 ) -> Iterator[tuple[int, int, int]]:
     """Every (x, y, sign) with x^2 - d y^2 = sign * n, x > 0, 1 <= y <= y_bound and
     gcd(x, d y) = 1, by ascending y, + before -; n >= 1 and signs is (1,) or (1, -1).
-    Past y = 64 a y pays an isqrt only if d y^2 +- n is a square mod 64. That is exact, as a
-    solution makes d y^2 +- n = x^2; y^2 mod 64 has period 32 in y, so a 32-entry table per
-    sign decides (Cohen, GTM 138, 1.7.2)."""
+    A y pays an isqrt only if d y^2 +- n is a square mod 64. That is exact, as a solution
+    makes d y^2 +- n = x^2; y^2 mod 64 has period 32 in y, so a 32-entry table per sign
+    decides (Cohen, GTM 138, 1.7.2)."""
     if n < 1 or signs not in ((1,), (1, -1)):
         raise ValueError(f"strict_hits wants n >= 1 and signs (1,) or (1, -1), got {n}, {signs}")
-    minus = len(signs) == 2
+    residues, k = _DY2_MOD_64[d % 64], n % 64
+    plus = residues(_IS_SQUARE_MOD_64[k : k + 64])
+    less = residues(_IS_SQUARE_MOD_64[64 - k : 128 - k]) if len(signs) == 2 else (False,) * 32
     t, step, d2 = 0, d, 2 * d  # t = d y^2, stepped by d (2y - 1)
-    plus, less = _OPEN, _OPEN if minus else _SHUT
-    for ys in (range(1, min(y_bound, 64) + 1), range(65, y_bound + 1)):
-        if ys.start == 65 and ys:  # most scans end sooner, so only a long one builds the tables
-            plus = [_IS_SQUARE_MOD_64[(d * s + n) % 64] for s in _Y2_MOD_64]
-            less = [_IS_SQUARE_MOD_64[(d * s - n) % 64] for s in _Y2_MOD_64] if minus else _SHUT
-        for y in ys:
-            t, step = t + step, step + d2
-            r = y & 31
-            if plus[r]:
-                x2 = t + n
-                x = isqrt(x2)
-                if x * x == x2 and gcd(x, d * y) == 1:
-                    yield x, y, 1
-            if less[r] and t > n:
-                x2 = t - n
-                x = isqrt(x2)
-                if x * x == x2 and gcd(x, d * y) == 1:
-                    yield x, y, -1
+    for y in range(1, y_bound + 1):
+        t, step = t + step, step + d2
+        r = y & 31
+        if plus[r]:
+            x2 = t + n
+            x = isqrt(x2)
+            if x * x == x2 and gcd(x, d * y) == 1:
+                yield x, y, 1
+        if less[r] and t > n:
+            x2 = t - n
+            x = isqrt(x2)
+            if x * x == x2 and gcd(x, d * y) == 1:
+                yield x, y, -1

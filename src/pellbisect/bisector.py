@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .arith import factorize, is_square, primes_upto, require_ints
+from .arith import factorize, is_square, primes_upto, rational, require_ints
 from .pellcore import PellContext, check_context, xi
 from .quadfield import InvariantError, QuadElem
 
@@ -26,11 +26,9 @@ class TrivialPairError(ValueError):
 
 def verify_star(a: Fraction, b: Fraction, c: Fraction) -> bool:
     """Exact check of (a-c)^2 (b^2+1) == (b-c)^2 (a^2+1) on numerators: with a = an/ad
-    and so on, both sides share the denominator (ad*bd*cd)^2.  Strings go through Fraction()."""
-    try:
-        (an, ad), (bn, bd), (cn, cd) = a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
-    except AttributeError:
-        return verify_star(Fraction(a), Fraction(b), Fraction(c))
+    and so on, both sides share the denominator (ad*bd*cd)^2.  Each slope goes through arith.rational."""
+    a, b, c = rational(a), rational(b), rational(c)
+    (an, ad), (bn, bd), (cn, cd) = a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
     return (an * cd - cn * ad) ** 2 * (bn * bn + bd * bd) == (bn * cd - cn * bd) ** 2 * (an * an + ad * ad)
 
 
@@ -41,9 +39,7 @@ class BisectorTriple:
     c: Fraction
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "c"):
-            if type(getattr(self, name)) is not Fraction:
-                object.__setattr__(self, name, Fraction(getattr(self, name)))
+        self.__dict__.update(a=rational(self.a), b=rational(self.b), c=rational(self.c))
         if not verify_star(self.a, self.b, self.c):
             raise ValueError(f"({self.a}, {self.b}, {self.c}) is not a bisector triple")
 
@@ -75,7 +71,7 @@ def _squarefree_kernel(n: int) -> int:
 
 def classify_pair(a: Fraction, b: Fraction) -> PairClassification:
     """Find the common d with a^2+1 = d a2^2 and b^2+1 = d b2^2, if any."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = rational(a), rational(b)
     if abs(a) == abs(b):
         raise TrivialPairError("|a| = |b| is a trivial pair")
     den = lcm(a.denominator, b.denominator)
@@ -106,8 +102,9 @@ def from_pell_points(
 ) -> tuple[Fraction | None, Fraction | None]:
     """The two candidate bisector slopes from two points on x^2 - d y^2 = -1; each is None
     where b2 = -a2 or b2 = a2.  When both exist they are perpendicular: c+ * c- = -1."""
+    require_ints(d=d)
     coords: list[int] = []
-    for x, y in ((Fraction(a1), Fraction(a2)), (Fraction(b1), Fraction(b2))):
+    for x, y in ((rational(a1), rational(a2)), (rational(b1), rational(b2))):
         m = lcm(x.denominator, y.denominator)
         sx, sy = x.numerator * (m // x.denominator), y.numerator * (m // y.denominator)
         if sx * sx - d * sy * sy != -m * m:

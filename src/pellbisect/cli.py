@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pellbisect
 
-from .arith import primes_upto
+from .arith import primes_upto, rational
 from .quadfield import render_rat, render_signed_power
 
 DEFAULT_D_LIST = (2, 5, 10, 13, 17, 26, 29, 34)
@@ -26,13 +26,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit 1 on usage errors
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _rat(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational literal: {text!r}")
 
 
 def _int_range(text: str) -> range:
@@ -192,7 +185,7 @@ def render_figure(a: Fraction, b: Fraction) -> str:
     for i, (name, slope) in enumerate(slopes):
         parts.append(
             f'<text x="20" y="{24 + 18 * i}" font-family="monospace" font-size="14" '
-            f'fill="{_FIGURE_COLORS[i]}">{name} = {render_rat(Fraction(slope))}</text>'
+            f'fill="{_FIGURE_COLORS[i]}">{name} = {render_rat(rational(slope))}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -250,8 +243,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--pmax", type=int, default=31)
 
     p = add_parser("bisect", _cmd_bisect, help="bisector slopes of two rational slopes")
-    p.add_argument("--a", type=_rat, required=True)
-    p.add_argument("--b", type=_rat, required=True)
+    p.add_argument("--a", type=rational, required=True)
+    p.add_argument("--b", type=rational, required=True)
 
     p = add_parser("triples", _cmd_triples, help="enumerate bisector triples")
     p.add_argument("--mode", choices=("case1", "case2", "integral"), required=True)
@@ -265,8 +258,8 @@ def _build_parser() -> _Parser:
 
     p = add_parser("figure", lambda args: render_figure(args.a, args.b),
                    help="SVG of the two lines and their bisectors")
-    p.add_argument("--a", type=_rat, required=True)
-    p.add_argument("--b", type=_rat, required=True)
+    p.add_argument("--a", type=rational, required=True)
+    p.add_argument("--b", type=rational, required=True)
 
     p = add_parser("oracle", None, help="brute-force reference sweeps")  # run set per sweep
     osub = p.add_subparsers(dest="oracle_command", required=True)
@@ -289,9 +282,9 @@ def _build_parser() -> _Parser:
     q.add_argument("--ymax", type=int, default=1000)
     q = osub.add_parser("tangent")
     q.set_defaults(run=_cmd_oracle_tangent)
-    q.add_argument("--a", type=_rat, required=True)
-    q.add_argument("--b", type=_rat, required=True)
-    q.add_argument("--c", type=_rat, required=True)
+    q.add_argument("--a", type=rational, required=True)
+    q.add_argument("--b", type=rational, required=True)
+    q.add_argument("--c", type=rational, required=True)
     return parser
 
 

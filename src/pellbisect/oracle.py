@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
+from .arith import rational
+
 
 @dataclass(frozen=True)
 class SearchBox:
@@ -110,10 +112,7 @@ def tangent_bisector_check(a: Fraction, b: Fraction, c: Fraction) -> bool | None
 
     Returns None when both branches have an undefined guard.
     """
-    try:
-        a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    except TypeError as e:
-        raise ValueError(f"slopes must be rationals, got {a!r}, {b!r} and {c!r}") from e
+    a, b, c = rational(a), rational(b), rational(c)
 
     def branch(slope: Fraction) -> bool | None:
         ga, gb = 1 + a * slope, 1 + b * slope

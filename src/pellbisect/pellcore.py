@@ -197,6 +197,7 @@ class Spectrum:
             last = e.p
 
     def get(self, p: int) -> XiEntry | None:
+        require_ints(p=p)
         if p > self.pmax:
             raise ValueError(f"spectrum only covers primes <= {self.pmax}, asked for {p}")
         for e in self.entries:

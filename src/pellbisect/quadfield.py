@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arith import is_squarefree
+from .arith import is_squarefree, rational
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
@@ -44,11 +44,8 @@ class QuadElem:
 
     def __post_init__(self) -> None:
         check_field_index(self.d)
-        try:
-            object.__setattr__(self, "a", Fraction(self.a))
-            object.__setattr__(self, "b", Fraction(self.b))
-        except TypeError as e:
-            raise ValueError(f"coordinates must be rationals, got {self.a!r} and {self.b!r}") from e
+        object.__setattr__(self, "a", rational(self.a))
+        object.__setattr__(self, "b", rational(self.b))
 
     @classmethod
     def from_int_pair(cls, d: int, x: int, y: int) -> QuadElem:

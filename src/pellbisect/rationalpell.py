@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .arith import is_square, require_ints
+from .arith import is_square, rational, require_ints
 from .pellcore import PellContext, Spectrum, _xi_cached, check_context, spectrum
 from .quadfield import InvariantError, check_field_index
 from .solver import Representation, XiPower, _checked, _decompose_scaled, _evaluate_scaled
@@ -24,8 +24,8 @@ class RationalPellPoint:
 
     def __post_init__(self) -> None:
         check_field_index(self.d)
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
+        object.__setattr__(self, "x", rational(self.x))
+        object.__setattr__(self, "y", rational(self.y))
         if type(self.r) is not int or self.r not in (0, 1):
             raise ValueError("r must be 0 or 1")
         if self.x**2 - self.d * self.y**2 != (-1) ** self.r:

@@ -58,7 +58,7 @@ class Representation:
     scale: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
-        require_ints(sign=self.sign, m=self.m, n=self.n)
+        require_ints(d=self.d, sign=self.sign, m=self.m, n=self.n)
         if type(self.scale) not in (int, Fraction):
             raise ValueError(f"scale must be an int or a Fraction, got {self.scale!r}")
         if not isinstance(self.terms, tuple) or not all(isinstance(t, XiPower) for t in self.terms):
@@ -391,7 +391,7 @@ def decompose(ctx: PellContext, x: int, y: int) -> Representation:
 
 
 def validate_representation(rep: Representation) -> ValidationReport:
-    """Structural checks: sign, m, a positive scale, spectrum membership, the
+    """Structural checks: sign, m, a positive scale, int exponents >= 0, int spectrum primes, the
     core's modulus and strict primitivity, the unit-exponent congruence for
     odd moduli, and the parity/cap conditions when a scale is present."""
     if not isinstance(rep, Representation):
@@ -405,9 +405,11 @@ def validate_representation(rep: Representation) -> ValidationReport:
     if rep.scale <= 0:
         problems.append("scale must be positive")
     for t in rep.terms:
-        if t.exp < 0:
+        if type(t.exp) is not int:
+            problems.append(f"exponent at p={t.p} must be an integer, got {t.exp!r}")
+        elif t.exp < 0:
             problems.append(f"negative exponent at p={t.p}")
-        if not is_prime(t.p) or xi(ctx, t.p) is None:
+        if type(t.p) is not int or not is_prime(t.p) or xi(ctx, t.p) is None:
             problems.append(f"p={t.p} is outside the spectrum of d={rep.d}")
     if rep.core is not None:
         c = rep.core

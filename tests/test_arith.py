@@ -96,7 +96,8 @@ def test_strict_hits_parity_sweep(d):
     """Every n in [2, 150) against a naive walk over x, for both sign tuples and
     y bounds 0, 1, 40, 63, 64, 65, 97 and 300; small y leaves -n with no x at all.
     The square-free d < 131 meet every class mod 64 that a square-free d can take,
-    and the n every class mod 64, around y = 64 where the mod-64 screen starts."""
+    and the n every class mod 64, so every pair of mod-64 screen tables is read from
+    y = 1 on, across several periods of y^2 mod 64 (32 in y)."""
     naive = _naive_hits(d, 150, 300)
     for n in range(2, 150):
         every = naive.get(n, [])

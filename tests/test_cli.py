@@ -194,9 +194,12 @@ def test_solve_prints_solutions_past_the_int_digit_limit(capsys):
 
 
 def test_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bisect", "--a", "1//2", "--b", "2"])
-    assert exc.value.code == 1
+    for bad in ("1//2", "1/0", "inf", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["bisect", "--a", bad, "--b", "2"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"argument --a: invalid rational value: '{bad}'" in captured.err
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
     assert exc.value.code == 1

@@ -259,6 +259,30 @@ def test_strict_hits_holds_the_only_isqrt_loop():
     assert owners == {("arith", "strict_hits")}
 
 
+def test_rational_holds_the_only_conversion_handler():
+    """Every slope and coordinate that comes in is read by arith.rational, so what passes
+    as a rational is decided once: no other handler in the package catches a failed
+    conversion (TypeError, AttributeError, OverflowError, ZeroDivisionError) or raises a
+    ValueError in its place."""
+    owners = set()
+
+    def visit(node, module, owner):
+        if isinstance(node, ast.FunctionDef):
+            owner = node.name
+        if isinstance(node, ast.ExceptHandler):
+            caught = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)} if node.type else set()
+            raised = {n.exc.func.id for n in ast.walk(node) if isinstance(n, ast.Raise)
+                      and isinstance(n.exc, ast.Call) and isinstance(n.exc.func, ast.Name)}
+            if caught & {"TypeError", "AttributeError", "OverflowError", "ZeroDivisionError"} or "ValueError" in raised:
+                owners.add((module, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for path in sorted((SRC / "pellbisect").glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem, None)
+    assert owners == {("arith", "rational")}
+
+
 def test_factorize_holds_the_only_trial_division_loop():
     """Every factorization goes through arith.factorize, so its table of small primes
     (and any later splitting method) reaches bisect, the solver and the primality test at

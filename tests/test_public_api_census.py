@@ -36,6 +36,7 @@ from pellbisect.solver import (CoreFactor, Representation, XiPower, decompose, d
                                validate_representation)
 
 CAP_S = 0.5
+INF = float("inf")
 
 
 class CensusTimeout(Exception):
@@ -93,9 +94,10 @@ def _accept_classification(args, cls):
 
 
 def _accept_pell_points(args, ans):
-    a1, _, b1, _, _ = (F(v) for v in args)
+    a1, _, b1, _, d = args
     slopes = [c for c in ans if c is not None]
-    return slopes and all(_star(a1, b1, c) and tangent_bisector_check(a1, b1, c) is not False for c in slopes)
+    return _ints(d) and slopes and all(_star(a1, b1, c) and tangent_bisector_check(a1, b1, c) is not False
+                                       for c in slopes)
 
 
 def _accept_bisect(args, ans):
@@ -329,11 +331,11 @@ def _accept_generated_point(args, pt):
 
 
 def _accept_representation(args, rep):
-    """The fields as given: int sign, m and n, an int or Fraction scale, a tuple of XiPower
+    """The fields as given: int d, sign, m and n, an int or Fraction scale, a tuple of XiPower
     terms, and no core or a CoreFactor of integers."""
     names = ("d", "sign", "m", "n", "terms", "core", "scale")
     core = rep.core
-    return (_ints(rep.sign, rep.m, rep.n) and type(rep.scale) in (int, F)
+    return (_ints(rep.d, rep.sign, rep.m, rep.n) and type(rep.scale) in (int, F)
             and type(rep.terms) is tuple and all(type(t) is XiPower for t in rep.terms)
             and (core is None or type(core) is CoreFactor and _ints(core.modulus, core.x, core.y))
             and all(getattr(rep, name) == v for name, v in zip(names, args)))
@@ -346,11 +348,13 @@ def _accept_evaluation(args, alpha):
 
 def _accept_validation(args, report):
     """ok needs the structure a representation must have: sign +-1, m in {0, 1}, a positive
-    scale, spectrum primes with exponents >= 0 and a strictly primitive core of its modulus."""
+    scale, int spectrum primes with int exponents >= 0 and a strictly primitive core of its
+    modulus."""
     (rep,) = args
     d, core = rep.d, rep.core
     structural = (rep.sign in (1, -1) and rep.m in (0, 1) and rep.scale > 0
-                  and all(t.exp >= 0 and sympy.isprime(t.p) and _in_s_ref(d, t.p) for t in rep.terms)
+                  and all(_ints(t.p, t.exp) and t.exp >= 0 and sympy.isprime(t.p) and _in_s_ref(d, t.p)
+                          for t in rep.terms)
                   and (core is None or (abs(core.x**2 - d * core.y**2) == core.modulus
                                         and gcd(core.x, d * core.y) == 1)))
     return report.ok == (not report.problems) and (structural or not report.ok)
@@ -471,6 +475,8 @@ CENSUS = {
         ("floats", (0.75, 2.5, -1.5)),
         ("strings", ("1", 2, 3)),
         ("bad_string", ("x", 2, 3)),
+        ("none", (None, 1, 2)),
+        ("inf", (INF, 1, 2)),
     ]),
     "BisectorTriple": (bisector.BisectorTriple, _accept_triple, [
         ("valid", (1, 7, 2)),
@@ -480,6 +486,8 @@ CENSUS = {
         ("negative", (-1, -7, -2)),
         ("floats", (1.0, 7.0, 2.0)),
         ("strings", ("3/4", "12/5", "9/7")),
+        ("none", (None, 1, 2)),
+        ("inf", (INF, 1, 2)),
     ]),
     "classify_pair": (bisector.classify_pair, _accept_classification, [
         ("valid", (F(3, 4), F(12, 5))),
@@ -492,6 +500,8 @@ CENSUS = {
         ("strings", ("3/4", "12/5")),
         ("60digit", (PAIR60.a, PAIR60.b), SLOW_BISECT),
         ("float_tenths", (0.1, 0.2)),
+        ("none", (None, 1)),
+        ("inf", (INF, 2)),
     ]),
     "from_pell_points": (bisector.from_pell_points, _accept_pell_points, [
         ("valid", (1, 1, 7, 5, 2)),
@@ -501,6 +511,10 @@ CENSUS = {
         ("negative", (-1, 1, -7, 5, 2)),
         ("floats", (1.0, 1.0, 7.0, 5.0, 2)),
         ("strings", ("1", "1", "7", "5", 2)),
+        ("none", (None, 1, 1, 1, 2)),
+        ("inf", (INF, 1, 1, 1, 2)),
+        ("string_d", (1, 1, 7, 5, "2")),
+        ("float_d", (1, 1, 7, 5, 2.0)),
     ]),
     "bisect": (bisector.bisect, _accept_bisect, [
         ("valid", (F(3, 4), F(12, 5))),
@@ -512,6 +526,10 @@ CENSUS = {
         ("strings", ("3/4", "12/5")),
         ("60digit", (PAIR60.a, PAIR60.b), SLOW_BISECT),
         ("float_tenths", (0.1, 0.2)),
+        ("none", (None, 1)),
+        ("list", (1, [2])),
+        ("complex", (1j, 2)),
+        ("inf", (INF, 2)),
     ]),
     "case1_generate": (bisector.case1_generate, _accept_pair, [
         ("valid", (2, 5, 1)),
@@ -711,6 +729,7 @@ CENSUS = {
         ("strings", (2, "1/2", "3")),
         ("bad_string", (2, "x", 1)),
         ("none", (34, None, 1)),
+        ("inf", (2, INF, 1)),
     ]),
     "exact_div": (exact_div, _accept_exact_div, [
         ("valid", (ETA34**3 * QuadElem(34, 5, 1), QuadElem(34, 5, 1))),
@@ -742,6 +761,8 @@ CENSUS = {
         ("strings", (2, "1/7", "5/7", 1)),
         ("bool_r", (2, F(1, 7), F(5, 7), True)),
         ("float_r", (2, F(1, 7), F(5, 7), 1.0)),
+        ("none", (2, None, 1, 0)),
+        ("inf", (2, INF, 1, 0)),
     ]),
     "decompose_rational": (decompose_rational, _accept_decomposed, [
         ("valid", (CTX2, SPEC2, RationalPellPoint(2, F(1, 7), F(5, 7), 1))),
@@ -790,6 +811,7 @@ CENSUS = {
         ("bool_core", (34, 1, 0, 0, (), CoreFactor(9, 5, True))),
         ("tuple_core", (34, 1, 0, 0, (), (9, 5, 1))),
         ("core_in_terms", (34, 1, 0, 0, (XiPower(3, 1), CoreFactor(15, 7, 1)))),
+        ("string_d", ("34",)),
     ]),
     "evaluate_representation": (evaluate_representation, _accept_evaluation, [
         ("valid", (Representation(d=34, terms=(XiPower(3, 1),)),)),
@@ -810,6 +832,9 @@ CENSUS = {
         ("composite_p", (Representation(d=34, terms=(XiPower(9, 1),)),)),
         ("not_squarefree", (Representation(d=4),)),
         ("string", ("x",)),
+        ("str_exp", (Representation(d=34, terms=(XiPower(3, "a"),)),)),
+        ("none_exp", (Representation(d=34, terms=(XiPower(3, None),)),)),
+        ("str_p", (Representation(d=34, terms=(XiPower("3", 1),)),)),
     ]),
     "strict_exists": (strict_exists, _accept_verdict, [
         ("valid", (CTX34, SPEC34, 9)),
@@ -934,8 +959,15 @@ CENSUS = {
         ("floats", (0.75, 2.5, 1.5)),
         ("strings", ("3/4", "12/5", "9/7")),
         ("none_c", (1, 2, None)),
+        ("none", (None, 1, 2)),
+        ("inf", (INF, 1, 2)),
     ]),
 }
+
+
+# the callables that read a slope or coordinate through arith.rational
+RATIONAL_INPUTS = (QuadElem, bisector.BisectorTriple, bisector.verify_star, bisector.classify_pair, bisector.bisect,
+                   bisector.from_pell_points, tangent_bisector_check, RationalPellPoint)
 
 
 def _rows():
@@ -968,3 +1000,9 @@ def test_every_public_callable_has_four_rows():
               and (not isinstance(obj, type) or hasattr(obj, "__post_init__"))}
     assert public == set(CENSUS)
     assert all(len(rows) >= 4 for _, _, rows in CENSUS.values())
+
+
+def test_every_rational_input_has_none_and_inf_rows():
+    for fn in RATIONAL_INPUTS:
+        (rows,) = [rows for f, _, rows in CENSUS.values() if f is fn]
+        assert {"none", "inf"} <= {row[0] for row in rows}, fn.__name__

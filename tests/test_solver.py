@@ -207,6 +207,9 @@ def test_validate_representation():
 def test_validate_reports_negative_exponent_without_evaluating():
     report = validate_representation(Representation(d=34, terms=(XiPower(3, -1),), scale=2))
     assert report.problems == ("negative exponent at p=3",)
+    for exp in ("a", None, 1.0):
+        report = validate_representation(Representation(d=34, terms=(XiPower(3, exp),)))
+        assert report.problems == (f"exponent at p=3 must be an integer, got {exp!r}",)
 
 
 def test_validate_flags_a_core_with_the_wrong_modulus():
@@ -222,6 +225,8 @@ def test_validate_flags_a_core_with_the_wrong_modulus():
 def test_validate_reports_a_composite_prime_as_outside_the_spectrum():
     report = validate_representation(Representation(d=34, terms=(XiPower(4, 1),)))
     assert report.problems == ("p=4 is outside the spectrum of d=34",)
+    report = validate_representation(Representation(d=34, terms=(XiPower("3", 1),)))
+    assert report.problems == ("p=3 is outside the spectrum of d=34",)
 
 
 @pytest.mark.parametrize("scale", (F(0), F(-1), F(-2, 3)))

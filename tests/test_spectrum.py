@@ -78,6 +78,9 @@ def test_spectrum_get_bound():
     s = spectrum(make_context(2), 31)
     with pytest.raises(ValueError):
         s.get(37)
+    for p in ("a", None):
+        with pytest.raises(ValueError, match="p must be an integer"):
+            spectrum(make_context(34), 97).get(p)
     with pytest.raises(ValueError, match="pmax must be at least 2"):
         spectrum(make_context(2), 1)
 
