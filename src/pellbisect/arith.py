@@ -7,7 +7,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import itemgetter
 
 
@@ -19,10 +19,12 @@ def require_ints(**values: int) -> None:
 
 
 def rational(v) -> Fraction:
-    """v if it is a Fraction, else Fraction(v); ValueError where Fraction fails (None, inf, "x", "1/0")."""
+    """v if it is a Fraction, else Fraction(v); ValueError for a bool and where Fraction fails (None, inf, "x")."""
     if type(v) is Fraction:
         return v
     try:
+        if isinstance(v, bool):
+            raise TypeError("bool is not a rational number")
         return Fraction(v)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as e:
         raise ValueError(f"need a rational number, got {v!r}") from e
@@ -39,22 +41,36 @@ def primes_upto(n: int) -> list[int]:
     return [p for p in range(2, n + 1) if sieve[p]]
 
 
-# the 1229 primes below 10^4 (2 to 9973), each with the square that ends the division by it
+# the 1229 primes below 10^4 (2 to 9973), each with the square that ends the division by it, as (product,
+# primes) blocks of _BLOCK; the first block's product is 0, so it is never skipped: most n have a factor there
+_BLOCK = 32
 _SMALL_PRIMES = tuple((p, p * p) for p in primes_upto(10_000))
+_PRIME_BLOCKS = tuple((prod(p for p, _ in block) if k else 0, block)
+                      for k in range(0, len(_SMALL_PRIMES), _BLOCK) for block in [_SMALL_PRIMES[k : k + _BLOCK]])
 
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division, {p: exponent} in increasing p: by the primes
-    below 10^4, then by 6k +- 1 from 10001 for a cofactor of at least 10001^2."""
+    below 10^4, skipping a block of them whose product is coprime to what is left of n
+    (Bernstein, "How to find smooth parts of integers", 2004), then by 6k +- 1 from 10001
+    for a cofactor of at least 10001^2."""
     if n <= 0:
         raise ValueError("factorize wants a positive integer")
     out: dict[int, int] = {}
-    for p, square in _SMALL_PRIMES:
-        if square > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+    for block_product, block in _PRIME_BLOCKS:
+        if block_product and gcd(n, block_product) == 1:
+            if block[0][1] > n:  # what is left is 1 or a prime
+                break
+            continue
+        for p, square in block:
+            if square > n:
+                break
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+        else:
+            continue
+        break  # a square passed n inside the block: what is left is 1 or a prime
     else:
         f = 10_001
         while f * f <= n:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
 from .arith import factorize, is_square, primes_upto, rational, require_ints
 from .pellcore import PellContext, check_context, xi
@@ -62,29 +62,32 @@ class PairClassification:
 
 
 def _squarefree_kernel(n: int) -> int:
-    kernel = 1
-    for p, e in factorize(n).items():
-        if e % 2:
-            kernel *= p
-    return kernel
+    return prod(p for p, e in factorize(n).items() if e % 2)
+
+
+def _pair_kernel(a: Fraction, b: Fraction) -> tuple[int, int, int, int, int, int]:
+    """(d, A, A2, B, B2, D) on integers, D the least common denominator of a and b:
+    a = A/D and b = B/D lie on x^2 - d y^2 = -1 with y = A2/D and B2/D, A2, B2 > 0."""
+    a, b = rational(a), rational(b)
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    if ad == bd and abs(an) == abs(bn):  # lowest terms: |a| = |b|
+        raise TrivialPairError("|a| = |b| is a trivial pair")
+    D = lcm(ad, bd)
+    A, B = an * (D // ad), bn * (D // bd)
+    na, nb = A * A + D * D, B * B + D * D
+    if not is_square(na * nb):  # the kernels differ: decided before any factoring
+        raise NoRationalBisector(f"slopes {a} and {b} lead to distinct square-free kernels of a^2+1 and b^2+1")
+    d, db = _squarefree_kernel(na), _squarefree_kernel(nb)
+    A2, B2 = isqrt(na // d), isqrt(nb // d)
+    if d != db or na != d * A2 * A2 or nb != d * B2 * B2:
+        raise InvariantError(f"({a}, {b}) do not lie on x^2 - {d} y^2 = -1 with ({Fraction(A2, D)}, {Fraction(B2, D)})")
+    return d, A, A2, B, B2, D
 
 
 def classify_pair(a: Fraction, b: Fraction) -> PairClassification:
     """Find the common d with a^2+1 = d a2^2 and b^2+1 = d b2^2, if any."""
-    a, b = rational(a), rational(b)
-    if abs(a) == abs(b):
-        raise TrivialPairError("|a| = |b| is a trivial pair")
-    den = lcm(a.denominator, b.denominator)
-    na = int(a * den) ** 2 + den * den
-    nb = int(b * den) ** 2 + den * den
-    if not is_square(na * nb):  # the kernels differ: decided before any factoring
-        raise NoRationalBisector(f"slopes {a} and {b} lead to distinct square-free kernels of a^2+1 and b^2+1")
-    da, db = _squarefree_kernel(na), _squarefree_kernel(nb)
-    a2 = Fraction(isqrt(na // da), den)
-    b2 = Fraction(isqrt(nb // da), den)
-    if da != db or a * a + 1 != da * a2 * a2 or b * b + 1 != da * b2 * b2:
-        raise InvariantError(f"({a}, {b}) do not lie on x^2 - {da} y^2 = -1 with ({a2}, {b2})")
-    return PairClassification(d=da, a2=a2, b2=b2)
+    d, _, A2, _, B2, D = _pair_kernel(a, b)
+    return PairClassification(d=d, a2=Fraction(A2, D), b2=Fraction(B2, D))
 
 
 def _slopes(x1: int, y1: int, m1: int, x2: int, y2: int, m2: int) -> tuple[Fraction | None, Fraction | None]:
@@ -117,11 +120,13 @@ def from_pell_points(
 
 
 def bisect(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
-    """Both bisector slopes (c+, c-) for a non-trivial rational pair."""
-    cls = classify_pair(a, b)
-    c_plus, c_minus = from_pell_points(a, cls.a2, b, cls.b2, cls.d)
-    if c_plus is None or c_minus is None:  # a2, b2 > 0 and |a| != |b| rule both out
+    """Both bisector slopes (c+, c-) for a non-trivial rational pair, by _slopes on _pair_kernel's points."""
+    _, A, A2, B, B2, D = _pair_kernel(a, b)
+    c_plus, c_minus = _slopes(A, A2, D, B, B2, D)
+    if c_plus is None or c_minus is None:  # A2, B2 > 0 and |A| != |B| rule both out
         raise InvariantError(f"degenerate bisector denominator for ({a}, {b})")
+    if c_plus * c_minus != -1:
+        raise InvariantError(f"bisector slopes {c_plus} and {c_minus} are not perpendicular")
     return c_plus, c_minus
 
 

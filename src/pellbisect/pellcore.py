@@ -228,15 +228,18 @@ def _in_s(ctx: PellContext, p: int) -> bool:
 def _xi_cached(d: int, p: int) -> XiEntry | None:
     """xi_p of a known prime: the minimal-y solution at the least level l.  Level l
     scans y up to (f1 + g1*ceil(sqrt(d))) * p^ceil(l/2), one eps-multiplication past
-    each class's minimal member.  h only guards the loop once a level misses: 3h
-    covers the index-3 unit subgroup for d = 1 mod 4, +2 the cofactor 2 at p = 2."""
+    each class's minimal member.  At p = 2 the scan starts at l = 2 for d = 5 mod 8,
+    where a half-coordinate unit pins l_2 = 2, and at l = 3 for d = 1 mod 8, where an
+    even norm with gcd(x, d y) = 1 makes x, y odd and so x^2 - d y^2 = 1 - d = 0 mod 8.
+    h only guards the loop once a level misses: 3h covers the index-3 unit subgroup
+    for d = 1 mod 4, +2 the cofactor 2 at p = 2."""
     ctx = make_context(d)
     if not _in_s(ctx, p):
         return None
     f1, g1 = ctx.f1, ctx.g1
     base = f1 + g1 * (isqrt(d) + 1)
     signs = (1,) if f1 * f1 - d * g1 * g1 == -1 else (1, -1)  # N(eps) = -1: only + competes
-    for l in count(2 if p == 2 and d % 8 == 5 else 1):  # a half-coordinate unit pins l_2 = 2
+    for l in count({1: 3, 5: 2}.get(d % 8, 1) if p == 2 else 1):
         for x, y, sign in strict_hits(d, p**l, base * p ** ((l + 1) // 2), signs):
             return XiEntry(d=d, p=p, l=l, x=x, y=y, norm_sign=sign)
         if l >= 3 * ctx.h + 2:

@@ -4,7 +4,7 @@ from math import gcd, isqrt, prod
 import pytest
 from sympy import factorint, isprime, primerange
 
-from pellbisect.arith import divisors, factorize, is_prime, is_squarefree, primes_upto, strict_hits
+from pellbisect.arith import _BLOCK, divisors, factorize, is_prime, is_squarefree, primes_upto, rational, strict_hits
 from pellbisect.oracle import SearchBox, brute_solutions
 
 
@@ -38,6 +38,20 @@ def test_factor_helpers_match_sympy_at_the_table_edge():
         assert _matches_sympy(n, factorint(n)), n
 
 
+def test_factor_helpers_match_sympy_at_every_block_edge():
+    """factorize skips a block of _BLOCK table primes when its product is coprime to what is
+    left of n; these n put a prime at each end of every block, square it, span a block from
+    end to end or straddle two adjacent blocks, alone and times 10007, past the table."""
+    primes = primes_upto(10_000)
+    blocks = [primes[k : k + _BLOCK] for k in range(0, len(primes), _BLOCK)]
+    ends = [p for block in blocks for p in (block[0], block[-1])]
+    ns = {p**e for p in ends for e in (1, 2)} | {block[0] * block[-1] for block in blocks}
+    ns |= {left[-1] * right[0] for left, right in zip(blocks, blocks[1:])}
+    ns |= {n * 10007 for n in ns}
+    for n in sorted(ns):
+        assert _matches_sympy(n, factorint(n)), n
+
+
 def test_factor_helpers_match_sympy_on_seeded_large_n():
     """1000 seeded n < 10^12 whose second-largest prime factor is below 10^5 and whose largest
     is below 10^9, so trial division stops below 31 623 and stays fast."""
@@ -61,6 +75,13 @@ def test_factor_helpers_outside_positive_integers():
     assert not any(is_squarefree(n) for n in (-1, 0))
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def test_rational_refuses_a_bool():
+    """True and False are no numbers here, as require_ints refuses them where an integer comes in."""
+    for v in (True, False):
+        with pytest.raises(ValueError, match=f"^need a rational number, got {v}$"):
+            rational(v)
 
 
 @pytest.mark.parametrize("d,n", [(2, 7), (5, 4), (13, 3), (34, 9), (34, 33), (113, 100408)])

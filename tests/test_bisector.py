@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction as F
+from math import isqrt, prod
 
 import pytest
+from sympy import factorint
 
 from pellbisect import bisector
 from pellbisect.arith import is_squarefree
@@ -11,6 +13,7 @@ from pellbisect.bisector import (
     TrivialPairError,
     bisect,
     case1_generate,
+    case2_alphas,
     case2_generate,
     classify_pair,
     from_pell_points,
@@ -23,6 +26,7 @@ from pellbisect.pellcore import make_context
 from pellbisect.quadfield import InvariantError, QuadElem
 
 CASE2_DS = (2, 5, 10, 13, 17, 26, 29, 37, 41, 53)
+TABLE_DS = (2, 5, 10, 13, 17, 26, 29, 34)
 
 
 def test_verify_star_fixtures():
@@ -445,6 +449,59 @@ def test_bisect_matches_the_fraction_from_pell_points():
     for a, b in pairs:
         cls = classify_pair(a, b)
         assert bisect(a, b) == _from_pell_points_reference(a, cls.a2, b, cls.b2, cls.d), (a, b)
+
+
+def _classify_reference(a, b):
+    """classify_pair on Fractions: the square-free kernels of a^2+1 and b^2+1 from sympy's factorint."""
+    if abs(a) == abs(b):
+        raise TrivialPairError
+    kernels, ys = [], []
+    for x in (a, b):
+        n = x.numerator**2 + x.denominator**2  # (x^2 + 1) * denominator^2
+        kernels.append(prod(p for p, e in factorint(n).items() if e % 2))
+        ys.append(F(isqrt(n // kernels[-1]), x.denominator))
+    if kernels[0] != kernels[1]:
+        raise NoRationalBisector
+    return kernels[0], *ys
+
+
+def _error_type_or(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+def _pair_parity(a, b):
+    """classify_pair and bisect against _classify_reference and _from_pell_points_reference,
+    error types included; True for a rational pair."""
+    expected = _error_type_or(_classify_reference, a, b)
+    cls = _error_type_or(classify_pair, a, b)
+    if isinstance(expected, type):
+        assert cls is expected and _error_type_or(bisect, a, b) is expected, (a, b)
+        return False
+    d, a2, b2 = expected
+    assert (cls.d, cls.a2, cls.b2) == expected, (a, b)
+    assert bisect(a, b) == _from_pell_points_reference(a, a2, b, b2, d), (a, b)
+    return True
+
+
+def test_bisect_and_classify_pair_match_the_fraction_references():
+    """Case-I pairs with 1 <= l, m, n <= 11 (the trivial ones too), case-II pairs of at most
+    4 digits on the 8 table d, and 3000 seeded random pairs with parts of at most 4 digits."""
+    case1 = [(F(l * l - n * n, 2 * l * n), F(m * m - n * n, 2 * m * n))
+             for l in range(1, 12) for m in range(1, 12) for n in range(1, 12)]
+    case2 = []
+    for d in TABLE_DS:
+        alphas = case2_alphas(make_context(d), 3)
+        alphas += [-x for x in alphas] + [x.conj() for x in alphas]
+        case2 += [(x.a, y.a) for x in alphas for y in alphas
+                  if all(abs(v.numerator) < 10**4 and v.denominator < 10**4 for v in (x.a, y.a))]
+    rng = random.Random(27)
+    randoms = [tuple(F(rng.randint(-9999, 9999), rng.randint(1, 9999)) for _ in range(2)) for _ in range(3000)]
+    for pairs, (least_rational, least_other) in ((case1, (1000, 100)), (case2, (100, 10)), (randoms, (0, 2900))):
+        rational = sum(_pair_parity(a, b) for a, b in pairs)
+        assert rational >= least_rational and len(pairs) - rational >= least_other
 
 
 def test_from_pell_points_matches_the_fraction_formula_and_its_errors():

@@ -9,7 +9,8 @@ identities, brute-force searches written here, literature class numbers, and
 sympy (continued fractions, Pell solutions, Legendre symbols, arithmetic in
 Q(sqrt(d))) for the field and the solver. A timeout, a TypeError or
 AttributeError from inside the package, or an InvariantError fails. No check
-accepts an answer to an integer input given as a bool or a float. A row that
+accepts an answer to an integer input given as a bool or a float, nor to a slope
+or coordinate given as a bool. A row that
 fails today is a strict xfail that names the ROADMAP item that fixes it.
 """
 
@@ -64,6 +65,11 @@ def _ints(*values):
     return all(type(v) is int for v in values)
 
 
+def _no_bools(*values):
+    """No slope or coordinate is a bool: True and False are no numbers, so no answer to one is accepted."""
+    return not any(isinstance(v, bool) for v in values)
+
+
 def _star(a, b, c):
     a, b, c = F(a), F(b), F(c)
     return (a - c) ** 2 * (b * b + 1) == (b - c) ** 2 * (a * a + 1)
@@ -79,31 +85,31 @@ def _triple_ok(t):
 
 
 def _accept_verify_star(args, ans):
-    return ans is _star(*args)
+    return _no_bools(*args) and ans is _star(*args)
 
 
 def _accept_triple(args, t):
     """A BisectorTriple may be trivial (|a| = |b|), where any c satisfies the star."""
-    return _star(t.a, t.b, t.c) and (t.trivial or tangent_bisector_check(t.a, t.b, t.c) is True)
+    return _no_bools(*args) and _star(t.a, t.b, t.c) and (t.trivial or tangent_bisector_check(t.a, t.b, t.c) is True)
 
 
 def _accept_classification(args, cls):
     a, b = (F(v) for v in args)
-    return ((cls.d == 1 or is_squarefree(cls.d)) and cls.a2 > 0 and cls.b2 > 0
+    return (_no_bools(*args) and (cls.d == 1 or is_squarefree(cls.d)) and cls.a2 > 0 and cls.b2 > 0
             and a * a + 1 == cls.d * cls.a2**2 and b * b + 1 == cls.d * cls.b2**2)
 
 
 def _accept_pell_points(args, ans):
     a1, _, b1, _, d = args
     slopes = [c for c in ans if c is not None]
-    return _ints(d) and slopes and all(_star(a1, b1, c) and tangent_bisector_check(a1, b1, c) is not False
+    return _ints(d) and _no_bools(*args) and slopes and all(_star(a1, b1, c) and tangent_bisector_check(a1, b1, c) is not False
                                        for c in slopes)
 
 
 def _accept_bisect(args, ans):
     a, b = (F(v) for v in args)
     c_plus, c_minus = ans
-    return _bisects(a, b, c_plus) and _bisects(a, b, c_minus) and c_plus * c_minus == -1
+    return _no_bools(*args) and _bisects(a, b, c_plus) and _bisects(a, b, c_minus) and c_plus * c_minus == -1
 
 
 def _accept_pair(args, ts):
@@ -291,7 +297,7 @@ def _accept_spectrum_fields(args, spec):
 
 def _accept_quad_elem(args, alpha):
     d, a, b = args
-    return _squarefree_index(d) and (alpha.d, alpha.a, alpha.b) == (d, F(a), F(b))
+    return _squarefree_index(d) and _no_bools(a, b) and (alpha.d, alpha.a, alpha.b) == (d, F(a), F(b))
 
 
 def _accept_exact_div(args, gamma):
@@ -312,7 +318,7 @@ def _accept_render(args, text):
 
 def _accept_point(args, pt):
     d, x, y, r = args
-    return (_squarefree_index(d) and _ints(r) and (pt.d, pt.x, pt.y, pt.r) == (d, F(x), F(y), r)
+    return (_squarefree_index(d) and _ints(r) and _no_bools(x, y) and (pt.d, pt.x, pt.y, pt.r) == (d, F(x), F(y), r)
             and pt.x**2 - d * pt.y**2 == (-1) ** r)
 
 
@@ -445,7 +451,7 @@ def _accept_brute_rational(args, points):
 
 def _accept_tangent(args, ans):
     """None only where the check cannot decide; otherwise the star identity's verdict."""
-    return ans is None or ans is _star(*args)
+    return _no_bools(*args) and (ans is None or ans is _star(*args))
 
 
 CTX2, CTX3, CTX5, CTX34, CTX53 = make_context(2), make_context(3), make_context(5), make_context(34), make_context(53)
@@ -477,6 +483,7 @@ CENSUS = {
         ("bad_string", ("x", 2, 3)),
         ("none", (None, 1, 2)),
         ("inf", (INF, 1, 2)),
+        ("bool", (True, 7, 2)),
     ]),
     "BisectorTriple": (bisector.BisectorTriple, _accept_triple, [
         ("valid", (1, 7, 2)),
@@ -488,6 +495,7 @@ CENSUS = {
         ("strings", ("3/4", "12/5", "9/7")),
         ("none", (None, 1, 2)),
         ("inf", (INF, 1, 2)),
+        ("bool", (True, 7, 2)),
     ]),
     "classify_pair": (bisector.classify_pair, _accept_classification, [
         ("valid", (F(3, 4), F(12, 5))),
@@ -502,6 +510,7 @@ CENSUS = {
         ("float_tenths", (0.1, 0.2)),
         ("none", (None, 1)),
         ("inf", (INF, 2)),
+        ("bool", (True, 7)),
     ]),
     "from_pell_points": (bisector.from_pell_points, _accept_pell_points, [
         ("valid", (1, 1, 7, 5, 2)),
@@ -515,6 +524,7 @@ CENSUS = {
         ("inf", (INF, 1, 1, 1, 2)),
         ("string_d", (1, 1, 7, 5, "2")),
         ("float_d", (1, 1, 7, 5, 2.0)),
+        ("bool", (True, True, 7, 5, 2)),
     ]),
     "bisect": (bisector.bisect, _accept_bisect, [
         ("valid", (F(3, 4), F(12, 5))),
@@ -530,6 +540,7 @@ CENSUS = {
         ("list", (1, [2])),
         ("complex", (1j, 2)),
         ("inf", (INF, 2)),
+        ("bool", (True, 7)),
     ]),
     "case1_generate": (bisector.case1_generate, _accept_pair, [
         ("valid", (2, 5, 1)),
@@ -730,6 +741,7 @@ CENSUS = {
         ("bad_string", (2, "x", 1)),
         ("none", (34, None, 1)),
         ("inf", (2, INF, 1)),
+        ("bool", (2, True, False)),
     ]),
     "exact_div": (exact_div, _accept_exact_div, [
         ("valid", (ETA34**3 * QuadElem(34, 5, 1), QuadElem(34, 5, 1))),
@@ -763,6 +775,7 @@ CENSUS = {
         ("float_r", (2, F(1, 7), F(5, 7), 1.0)),
         ("none", (2, None, 1, 0)),
         ("inf", (2, INF, 1, 0)),
+        ("bool", (2, True, True, 1)),
     ]),
     "decompose_rational": (decompose_rational, _accept_decomposed, [
         ("valid", (CTX2, SPEC2, RationalPellPoint(2, F(1, 7), F(5, 7), 1))),
@@ -961,6 +974,7 @@ CENSUS = {
         ("none_c", (1, 2, None)),
         ("none", (None, 1, 2)),
         ("inf", (INF, 1, 2)),
+        ("bool", (True, 7, 2)),
     ]),
 }
 
@@ -1002,7 +1016,7 @@ def test_every_public_callable_has_four_rows():
     assert all(len(rows) >= 4 for _, _, rows in CENSUS.values())
 
 
-def test_every_rational_input_has_none_and_inf_rows():
+def test_every_rational_input_has_none_inf_and_bool_rows():
     for fn in RATIONAL_INPUTS:
         (rows,) = [rows for f, _, rows in CENSUS.values() if f is fn]
-        assert {"none", "inf"} <= {row[0] for row in rows}, fn.__name__
+        assert {"none", "inf", "bool"} <= {row[0] for row in rows}, fn.__name__

@@ -1,4 +1,5 @@
 import importlib
+import json
 import os
 import pkgutil
 import signal
@@ -12,7 +13,7 @@ import pytest
 
 import pellbisect
 from pellbisect import arith, pellcore
-from pellbisect.arith import is_prime, primes_upto
+from pellbisect.arith import is_prime, is_squarefree, primes_upto
 from pellbisect.oracle import SearchBox, brute_xi
 from pellbisect.pellcore import XiEntry, XiEntryError, class_number, in_s, make_context, spectrum, xi
 from pellbisect.quadfield import InvariantError, NotSquareFreeError, QuadElem
@@ -138,6 +139,28 @@ def test_no_l1_entry_at_2_for_odd_d():
         e = entry(d, 2)
         if e is not None:
             assert e.l >= 2
+
+
+def test_xi2_scan_starts_at_level_3_for_d_1_mod_8(monkeypatch):
+    """For d = 1 mod 8 an even norm with gcd(x, d y) = 1 makes x and y odd, so x^2 - d y^2
+    = 1 - d = 0 mod 8: the cold scan for xi_2 starts at 2^3. Each square-free d below 200
+    that answers within 0.5 s matches its row of tests/data/xi_sympy.json, which has one for
+    every square-free d < 300 and spectrum prime p <= 97."""
+    rows = {tuple(row[:2]): row for row in json.loads((SRC.parent / "tests/data/xi_sympy.json").read_text())}
+    real, moduli = pellcore.strict_hits, []
+    monkeypatch.setattr(pellcore, "strict_hits", lambda d, n, *rest: moduli.append(n) or real(d, n, *rest))
+    answered = 0
+    for d in filter(is_squarefree, range(17, 200, 8)):
+        moduli.clear()
+        try:
+            with _within(0.5):
+                e = pellcore._xi_cached.__wrapped__(d, 2)
+        except TimeoutError:
+            continue
+        assert moduli[0] == 8 and e.l >= 3, d
+        assert [d, 2, e.l, e.x, e.y, e.norm_sign] == rows[d, 2]
+        answered += 1
+    assert answered >= 10
 
 
 def test_xi2_is_a_unit_multiple_of_2eta():
