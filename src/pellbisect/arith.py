@@ -23,7 +23,7 @@ def rational(v) -> Fraction:
     if type(v) is Fraction:
         return v
     try:
-        if isinstance(v, bool):
+        if type(v) is bool:
             raise TypeError("bool is not a rational number")
         return Fraction(v)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as e:

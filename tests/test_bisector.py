@@ -465,20 +465,13 @@ def _classify_reference(a, b):
     return kernels[0], *ys
 
 
-def _error_type_or(fn, *args):
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return type(exc)
-
-
 def _pair_parity(a, b):
     """classify_pair and bisect against _classify_reference and _from_pell_points_reference,
     error types included; True for a rational pair."""
-    expected = _error_type_or(_classify_reference, a, b)
-    cls = _error_type_or(classify_pair, a, b)
+    expected = _outcome_any(lambda: _classify_reference(a, b))
+    cls = _outcome_any(lambda: classify_pair(a, b))
     if isinstance(expected, type):
-        assert cls is expected and _error_type_or(bisect, a, b) is expected, (a, b)
+        assert cls is expected and _outcome_any(lambda: bisect(a, b)) is expected, (a, b)
         return False
     d, a2, b2 = expected
     assert (cls.d, cls.a2, cls.b2) == expected, (a, b)
