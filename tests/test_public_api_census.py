@@ -102,8 +102,8 @@ def _accept_classification(args, cls):
 def _accept_pell_points(args, ans):
     a1, _, b1, _, d = args
     slopes = [c for c in ans if c is not None]
-    return _ints(d) and _no_bools(*args) and slopes and all(_star(a1, b1, c) and tangent_bisector_check(a1, b1, c) is not False
-                                       for c in slopes)
+    return _ints(d) and _no_bools(*args) and slopes and all(
+        _star(a1, b1, c) and tangent_bisector_check(a1, b1, c) is not False for c in slopes)
 
 
 def _accept_bisect(args, ans):
