@@ -4,6 +4,7 @@ for strictly primitive solutions of |x^2 - d y^2| = n."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
@@ -31,8 +32,9 @@ def rational(v) -> Fraction:
 
 
 def primes_upto(n: int) -> list[int]:
-    if n < 2:
-        return []
+    """The primes up to n, ascending: for n <= 10^4 a slice of the table below, else by a sieve."""
+    if n <= 10_000:
+        return list(_PRIMES[: bisect_right(_PRIMES, n)])
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
     for p in range(2, isqrt(n) + 1):
@@ -41,10 +43,12 @@ def primes_upto(n: int) -> list[int]:
     return [p for p in range(2, n + 1) if sieve[p]]
 
 
-# the 1229 primes below 10^4 (2 to 9973), each with the square that ends the division by it, as (product,
-# primes) blocks of _BLOCK; the first block's product is 0, so it is never skipped: most n have a factor there
+# the 1229 primes below 10^4 (2 to 9973), sieved once (10001 = 73 * 137); for factorize, each with the square
+# that ends the division by it, as (product, primes) blocks of _BLOCK; the first block's product is 0, so it
+# is never skipped: most n have a factor there
+_PRIMES = tuple(primes_upto(10_001))
 _BLOCK = 32
-_SMALL_PRIMES = tuple((p, p * p) for p in primes_upto(10_000))
+_SMALL_PRIMES = tuple((p, p * p) for p in _PRIMES)
 _PRIME_BLOCKS = tuple((prod(p for p, _ in block) if k else 0, block)
                       for k in range(0, len(_SMALL_PRIMES), _BLOCK) for block in [_SMALL_PRIMES[k : k + _BLOCK]])
 
@@ -114,6 +118,7 @@ def legendre(a: int, p: int) -> int:
 
 _Y2_MOD_64 = tuple(y * y % 64 for y in range(32))  # y^2 mod 64 has period 32 in y
 _IS_SQUARE_MOD_64 = tuple(r % 64 in _Y2_MOD_64 for r in range(128))  # twice, so [k : k + 64][r] is r + k's
+_SHIFTED_SQUARES_MOD_64 = tuple(_IS_SQUARE_MOD_64[k : k + 64] for k in range(64))  # [k][r]: is r + k a square
 # by d mod 64, the getter of the residues d y^2 mod 64 for y = 0..31
 _DY2_MOD_64 = tuple(itemgetter(*(d * s % 64 for s in _Y2_MOD_64)) for d in range(64))
 
@@ -129,8 +134,8 @@ def strict_hits(
     if n < 1 or signs not in ((1,), (1, -1)):
         raise ValueError(f"strict_hits wants n >= 1 and signs (1,) or (1, -1), got {n}, {signs}")
     residues, k = _DY2_MOD_64[d % 64], n % 64
-    plus = residues(_IS_SQUARE_MOD_64[k : k + 64])
-    less = residues(_IS_SQUARE_MOD_64[64 - k : 128 - k]) if len(signs) == 2 else (False,) * 32
+    plus = residues(_SHIFTED_SQUARES_MOD_64[k])
+    less = residues(_SHIFTED_SQUARES_MOD_64[-k % 64]) if len(signs) == 2 else (False,) * 32
     t, step, d2 = 0, d, 2 * d  # t = d y^2, stepped by d (2y - 1)
     for y in range(1, y_bound + 1):
         t, step = t + step, step + d2

@@ -317,15 +317,15 @@ def _cmd_rational(args) -> list:
 
 
 def _cmd_bisect(args) -> dict:
-    c_plus, c_minus = pellbisect.bisect(args.a, args.b)
-    d = pellbisect.classify_pair(args.a, args.b).d
+    pair = pellbisect.classify_pair(args.a, args.b)  # the one factoring of a^2+1 and b^2+1
+    c_plus, c_minus = pellbisect.from_pell_points(args.a, pair.a2, args.b, pair.b2, pair.d)
     return {
         "a": render_rat(args.a),
         "b": render_rat(args.b),
         "c_plus": render_rat(c_plus),
         "c_minus": render_rat(c_minus),
-        "case": "I" if d == 1 else "II",
-        "d": d,
+        "case": "I" if pair.d == 1 else "II",
+        "d": pair.d,
     }
 
 

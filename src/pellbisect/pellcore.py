@@ -12,7 +12,7 @@ from itertools import count
 from math import gcd, isqrt
 
 from .arith import divisors, factorize, is_prime, legendre, primes_upto, require_ints, strict_hits
-from .quadfield import InvariantError, QuadElem, check_field_index
+from .quadfield import InvariantError, QuadElem, _pow_scaled, check_field_index
 
 
 @dataclass(frozen=True)
@@ -111,11 +111,12 @@ def make_context(d: int) -> PellContext:
     f0, f, g0, g = 1, cf.a0, 0, 1
     for a in cf.period[:-1]:
         f0, f, g0, g = f, a * f + f0, g, a * g + g0
-    eta = QuadElem(d, Fraction(q * f - (q - 1) * g, q), Fraction(g, q))
-    eps = eta if eta.b.denominator == 1 else eta**3
-    if eta.norm() not in (1, -1) or eps.a.denominator != 1 or eps.b.denominator != 1:
+    x = q * f - (q - 1) * g  # eta = (x + g*sqrt(d))/q, built on integers: d is checked once, above
+    eta = QuadElem._of(d, Fraction(x, q), Fraction(g, q))
+    ex, ey, em = _pow_scaled(d, x, g, q, 1 if g % q == 0 else 3)  # eps in lowest terms
+    if x * x - d * g * g not in (q * q, -q * q) or em != 1:
         raise InvariantError(f"convergent of omega for d = {d} gives {eta}, not a unit with eps in Z[sqrt(d)]")
-    return PellContext(d, eta, eps)
+    return PellContext(d, eta, QuadElem._of(d, Fraction(ex), Fraction(ey)))
 
 
 def pell_sequence(d: int, n: int) -> tuple[int, int]:
@@ -168,9 +169,20 @@ class XiEntry:
         require_ints(p=self.p, l=self.l, x=self.x, y=self.y, norm_sign=self.norm_sign)
         if self.l < 1 or self.norm_sign not in (1, -1):
             raise ValueError(f"{self} needs a level l >= 1 and a sign norm_sign of 1 or -1")
+        self._solves()
+
+    def _solves(self) -> XiEntry:  # self, once (x, y) is a positive strictly primitive solution
         x, y, d = self.x, self.y, self.d
         if x <= 0 or y <= 0 or x * x - d * y * y != self.norm_sign * self.p**self.l or gcd(x, d * y) != 1:
             raise XiEntryError(f"{self} is not a positive strictly primitive solution")
+        return self
+
+    @staticmethod
+    def _of(d: int, p: int, l: int, x: int, y: int, norm_sign: int) -> XiEntry:
+        """A scan hit: d is already checked and the rest are ints, so only _solves runs."""
+        entry = object.__new__(XiEntry)
+        entry.__dict__.update(d=d, p=p, l=l, x=x, y=y, norm_sign=norm_sign)
+        return entry._solves()
 
     @property
     def elem(self) -> QuadElem:
@@ -200,10 +212,7 @@ class Spectrum:
         require_ints(p=p)
         if p > self.pmax:
             raise ValueError(f"spectrum only covers primes <= {self.pmax}, asked for {p}")
-        for e in self.entries:
-            if e.p == p:
-                return e
-        return None
+        return next((e for e in self.entries if e.p == p), None)
 
     @property
     def primes(self) -> tuple[int, ...]:
@@ -224,6 +233,13 @@ def _in_s(ctx: PellContext, p: int) -> bool:
     return (p == 2 and ctx.d % 8 == 5 and not ctx.eta_in_zd) or _prime_splits(ctx.d, p)
 
 
+@lru_cache(maxsize=1024)
+def _scan_constants(d: int) -> tuple[PellContext, int, tuple[int, ...]]:
+    """Once per d, what each scan of _xi_cached reads: the context, its y-bound's base, the competing signs."""
+    ctx = make_context(d)
+    return ctx, ctx.f1 + ctx.g1 * (isqrt(d) + 1), (1,) if ctx.norm_eta == -1 else (1, -1)
+
+
 @lru_cache(maxsize=8192)
 def _xi_cached(d: int, p: int) -> XiEntry | None:
     """xi_p of a known prime: the minimal-y solution at the least level l.  Level l
@@ -233,15 +249,12 @@ def _xi_cached(d: int, p: int) -> XiEntry | None:
     even norm with gcd(x, d y) = 1 makes x, y odd and so x^2 - d y^2 = 1 - d = 0 mod 8.
     h only guards the loop once a level misses: 3h covers the index-3 unit subgroup
     for d = 1 mod 4, +2 the cofactor 2 at p = 2."""
-    ctx = make_context(d)
+    ctx, base, signs = _scan_constants(d)
     if not _in_s(ctx, p):
         return None
-    f1, g1 = ctx.f1, ctx.g1
-    base = f1 + g1 * (isqrt(d) + 1)
-    signs = (1,) if f1 * f1 - d * g1 * g1 == -1 else (1, -1)  # N(eps) = -1: only + competes
     for l in count({1: 3, 5: 2}.get(d % 8, 1) if p == 2 else 1):
         for x, y, sign in strict_hits(d, p**l, base * p ** ((l + 1) // 2), signs):
-            return XiEntry(d=d, p=p, l=l, x=x, y=y, norm_sign=sign)
+            return XiEntry._of(d, p, l, x, y, sign)
         if l >= 3 * ctx.h + 2:
             raise InvariantError(f"no fundamental element found for d={d}, p={p} within level bound")
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .arith import factorize, is_prime, is_square, require_ints, strict_hits
-from .pellcore import PellContext, Spectrum, XiEntry, _xi_cached, check_context, make_context, xi
+from .pellcore import PellContext, Spectrum, XiEntry, _scan_constants, _xi_cached, check_context, make_context, xi
 from .quadfield import InvariantError, QuadElem, _mul_scaled, _pow_scaled, exact_div, render_rat
 
 
@@ -141,8 +141,7 @@ def evaluate_representation(rep: Representation) -> QuadElem:
 
 def solution_y_bound(ctx: PellContext, modulus: int) -> int:
     """Window guaranteed to contain a representative of every solution class."""
-    d = ctx.d
-    return (ctx.f1 + ctx.g1 * (isqrt(d) + 1)) * (isqrt(max(modulus - 1, 0)) + 1)
+    return _scan_constants(ctx.d)[1] * (isqrt(max(modulus - 1, 0)) + 1)  # xi's base f1 + g1*(isqrt(d) + 1)
 
 
 @lru_cache(maxsize=1024)
@@ -228,6 +227,19 @@ def strict_exists(ctx: PellContext, spec: Spectrum, z: int) -> ExistenceVerdict:
     )
 
 
+@lru_cache(maxsize=1)
+def _verdict(d: int, z: int, pmax: int) -> ExistenceVerdict:
+    """strict_exists for generate_strict and its decompose_strict calls, which share one z."""
+    return strict_exists(make_context(d), Spectrum(d, pmax, ()), z)
+
+
+def _plan(ctx: PellContext, spec: Spectrum, z: int) -> ExistenceVerdict:
+    """strict_exists(ctx, spec, z), from the private memo where spec and z can key it."""
+    if isinstance(spec, Spectrum) and spec.d == ctx.d and type(z) is int:
+        return _verdict(ctx.d, z, spec.pmax)
+    return strict_exists(ctx, spec, z)
+
+
 def _choices(ctx: PellContext, plan: ExistenceVerdict) -> list[list[XiPower | CoreFactor]]:
     """The candidate factors for each part of z, each followed by its
     conjugate: odd primes first, then p = 2, then the core's window
@@ -251,7 +263,7 @@ def generate_strict(ctx, spec: Spectrum, z: int, n_range) -> list[tuple[int, int
     d = check_context(ctx).d
     if not isinstance(n_range, Iterable):
         raise ValueError(f"n_range must be an iterable of integers, got {n_range!r}")
-    plan = strict_exists(ctx, spec, z)
+    plan = _plan(ctx, spec, z)
     if not plan.exists:
         raise ValueError(f"|x^2-{d}y^2| = {z} has no strictly primitive solutions")
 
@@ -312,7 +324,7 @@ def decompose_strict(ctx, spec: Spectrum, x: int, y: int) -> Representation:
         raise ValueError("need |x^2 - d y^2| > 1")
     if gcd(x, d * y) != 1:
         raise ValueError(f"({x}, {y}) is not strictly primitive for d={d}")
-    plan = strict_exists(ctx, spec, z)
+    plan = _plan(ctx, spec, z)
     if not plan.exists:
         raise InvariantError(f"({x}, {y}) is a solution, yet the verdict says none exists")
 

@@ -11,6 +11,7 @@ from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
+from sympy.solvers.diophantine.diophantine import diop_DN
 
 from pellbisect.bisector import (
     case1_generate,
@@ -216,6 +217,40 @@ def test_criterion_5_closure_products(d, p, i, q, j):
     prod = e1.elem**i * e2.elem**j
     assert abs(prod.norm()) == p ** (e1.l * i) * q ** (e2.l * j)
     assert _strictly_primitive(d, prod)
+
+
+def _same_class(d, x, y, u, v):
+    """(x, y) and (u, v) solve x^2 - d y^2 = n for one n, and their quotient is a unit of Z[sqrt(d)]."""
+    n = x * x - d * y * y
+    return (x * u - d * y * v) % n == 0 and (x * v - y * u) % n == 0
+
+
+@pytest.mark.parametrize("d", (5, 13, 17, 29))
+def test_criterion_5_closure_products_in_o_k(d):
+    """The closure claim at p = 2 as the solver uses it, beside the Z[sqrt(d)] rows above.
+    For d = 1 mod 8 the 2-part is 2 (xi_2/2)^i, a rung of the xi_2/2 ladder in O_K, with
+    |N| = 2^(2 + (l_2 - 2) i); for d = 5 mod 8, xi_2 is 2 times a unit of O_K, and one xi_2
+    is all a strictly primitive solution holds: 2^4 q^(l j) has none (sympy's diop_DN).
+    Each product with xi_q^j is strictly primitive and lies in a class diop_DN lists."""
+    ctx = make_context(d)
+    spc = spectrum(ctx, 31)
+    xi2 = spc.get(2)
+    half = xi2.elem / 2
+    assert d % 8 in (1, 5) and xi2.l == (3 if d % 8 == 1 else 2) and (d % 8 == 1 or abs(half.norm()) == 1)
+    for e in spc.entries[1:]:
+        for i in (1, 2):
+            for j in (1, 2):
+                modulus = e.p ** (e.l * j)
+                if d % 8 == 5 and i == 2:
+                    assert not any(gcd(x, d * y) == 1 for n in (16 * modulus, -16 * modulus) for x, y in diop_DN(d, n))
+                    continue
+                two_part = 2 * half**i if d % 8 == 1 else xi2.elem
+                prod = two_part * e.elem**j
+                assert abs(prod.norm()) == 2 ** (2 + (xi2.l - 2) * i) * modulus
+                assert _strictly_primitive(d, prod)
+                x, y = prod.int_coords()
+                assert any(_same_class(d, x, y, u, s * v) for u, v in diop_DN(d, x * x - d * y * y) for s in (1, -1))
+    _report(5, f"(p = 2 closure in O_K for d = {d}, checked against diop_DN)")
 
 
 def test_criterion_5_unit_flip():

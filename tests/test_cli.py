@@ -183,6 +183,19 @@ def test_bisect_json_and_exit_codes(capsys):
     assert json.loads(out)["error"] == "NoRationalBisector"
 
 
+def test_bisect_factors_each_norm_once(capsys, monkeypatch):
+    """The CLI's bisect takes d, a2 and b2 from one classify_pair and its slopes from
+    from_pell_points, which does not factor: a^2+1 and b^2+1 are factored once each."""
+    from pellbisect import bisector
+
+    seen = []
+    real = bisector.factorize
+    monkeypatch.setattr(bisector, "factorize", lambda n: seen.append(n) or real(n))
+    code, out = run(capsys, "bisect", "--a", "3/4", "--b", "12/5")
+    assert code == 0 and json.loads(out)["c_plus"] == "9/7"
+    assert seen == [625, 2704]  # (3/4)^2 + 1 and (12/5)^2 + 1 over the common denominator 20
+
+
 def test_solve_prints_solutions_past_the_int_digit_limit(capsys):
     """x has 4371 and 4385 digits, past Python's 4300-digit int-to-str limit,
     which the CLI lifts for its own process."""

@@ -261,8 +261,9 @@ def test_every_cache_of_the_package_is_bounded():
             for obj in vars(importlib.import_module(f"pellbisect.{m.name}")).values():
                 if callable(getattr(obj, "cache_info", None)):
                     caches[f"{obj.__module__}.{obj.__qualname__}".removeprefix("pellbisect.")] = obj
-    assert set(caches) == {"arith.is_prime", "arith.is_squarefree", "pellcore.make_context", "pellcore._xi_cached",
-                           "pellcore._spectrum_cached", "pellcore.class_number", "solver._fundamental_window"}
+    assert set(caches) == {"arith.is_prime", "arith.is_squarefree", "pellcore.make_context", "pellcore._scan_constants",
+                           "pellcore._xi_cached", "pellcore._spectrum_cached", "pellcore.class_number",
+                           "solver._fundamental_window", "solver._verdict"}
     unbounded = [name for name, cache in caches.items() if cache.cache_info().maxsize is None]
     assert unbounded == []
 
@@ -335,3 +336,70 @@ def test_a_warm_xi_repeats_no_trial_division(monkeypatch):
     with pytest.raises(ValueError, match="^9 is not prime$"):
         xi(ctx, 9)
     assert calls == [9]
+
+
+def _every_program_cache_cleared():
+    """What the benchmark does before each cold op: empty every functools cache of the package."""
+    for name, mod in list(sys.modules.items()):
+        if name == "pellbisect" or name.startswith("pellbisect."):
+            for obj in list(vars(mod).values()):
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+def test_a_scan_hit_is_checked_as_a_solution(monkeypatch):
+    """A scan hit becomes an XiEntry without the public constructor's re-checks of d and
+    of each int, yet its norm and gcd are still checked: a wrong (x, y) raises XiEntryError
+    from xi and from spectrum."""
+    real = pellcore.strict_hits
+    monkeypatch.setattr(pellcore, "strict_hits", lambda *args: ((x, y + 1, s) for x, y, s in real(*args)))
+    _every_program_cache_cleared()
+    for call in (lambda: xi(make_context(34), 3), lambda: spectrum(make_context(34), 97)):
+        with pytest.raises(XiEntryError, match=r"^XiEntry\(d=34, p=3, .* is not a positive strictly primitive"):
+            call()
+    monkeypatch.undo()
+    for e in spectrum(make_context(34), 97).entries:  # the private path builds what the public one does
+        assert vars(e) == vars(XiEntry(**vars(e)))
+
+
+def test_a_scan_hit_is_checked_as_a_solution_under_optimize():
+    code = (
+        "from pellbisect import pellcore\n"
+        "real = pellcore.strict_hits\n"
+        "pellcore.strict_hits = lambda *args: ((x, y + 1, s) for x, y, s in real(*args))\n"
+        "print(__debug__)\n"
+        "for call in (lambda: pellcore.xi(pellcore.make_context(34), 3),\n"
+        "             lambda: pellcore.spectrum(pellcore.make_context(34), 97)):\n"
+        "    try:\n"
+        "        print(call())\n"
+        "    except pellcore.XiEntryError as e:\n"
+        "        print(type(e).__name__)\n"
+    )
+    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert r.stdout.splitlines() == ["False", "XiEntryError", "XiEntryError"], r.stdout + r.stderr
+
+
+def test_cold_stays_cold(monkeypatch):
+    """Once every functools cache of the package is emptied, a new spectrum scans as
+    often as the first one did: no per-d constant outlives the caches, and no
+    module-level dict, list or set grows as a memo would."""
+    real, calls = pellcore.strict_hits, []
+    monkeypatch.setattr(pellcore, "strict_hits", lambda *args: calls.append(args[:2]) or real(*args))
+    modules = [importlib.import_module(f"pellbisect.{m.name}") for m in pkgutil.iter_modules(pellbisect.__path__)
+               if m.name != "__main__"]
+
+    def containers():
+        return {(mod.__name__, name): len(v) for mod in modules for name, v in vars(mod).items()
+                if not name.startswith("__") and isinstance(v, (dict, list, set))}
+
+    before = containers()
+    counts = []
+    for _ in range(2):
+        _every_program_cache_cleared()
+        calls.clear()
+        assert spectrum(make_context(70), 97).d == 70
+        counts.append(list(calls))
+    assert counts[0] and counts[1] == counts[0]
+    assert containers() == before
