@@ -338,8 +338,9 @@ def test_a_warm_xi_repeats_no_trial_division(monkeypatch):
     assert calls == [9]
 
 
-def _every_program_cache_cleared():
-    """What the benchmark does before each cold op: empty every functools cache of the package."""
+def _clear_program_caches():
+    """Empty every functools cache in the package, as the benchmark does
+    before each cold round."""
     for name, mod in list(sys.modules.items()):
         if name == "pellbisect" or name.startswith("pellbisect."):
             for obj in list(vars(mod).values()):
@@ -353,7 +354,7 @@ def test_a_scan_hit_is_checked_as_a_solution(monkeypatch):
     from xi and from spectrum."""
     real = pellcore.strict_hits
     monkeypatch.setattr(pellcore, "strict_hits", lambda *args: ((x, y + 1, s) for x, y, s in real(*args)))
-    _every_program_cache_cleared()
+    _clear_program_caches()
     for call in (lambda: xi(make_context(34), 3), lambda: spectrum(make_context(34), 97)):
         with pytest.raises(XiEntryError, match=r"^XiEntry\(d=34, p=3, .* is not a positive strictly primitive"):
             call()
@@ -397,7 +398,7 @@ def test_cold_stays_cold(monkeypatch):
     before = containers()
     counts = []
     for _ in range(2):
-        _every_program_cache_cleared()
+        _clear_program_caches()
         calls.clear()
         assert spectrum(make_context(70), 97).d == 70
         counts.append(list(calls))
