@@ -105,6 +105,8 @@ def rational_family(ctx: PellContext, sign: int, max_terms: int, n_range: Iterab
     require_ints(sign=sign, max_terms=max_terms)
     if sign not in (1, -1):
         raise ValueError(f"sign must be 1 or -1, got {sign}")
+    if max_terms < 0:
+        raise ValueError("max_terms must be >= 0")
     if not isinstance(n_range, Iterable):
         raise ValueError(f"n_range must be an iterable of integers, got {n_range!r}")
     n_range = tuple(n_range)  # _family walks it once per term set

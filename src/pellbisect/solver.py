@@ -66,6 +66,9 @@ class Representation:
         c = self.core
         if c is not None and not (isinstance(c, CoreFactor) and type(c.modulus) is type(c.x) is type(c.y) is int):
             raise ValueError(f"core must be None or a CoreFactor of integers, got {c!r}")
+        for label in self.terms if c is None else self.terms + (c,):
+            if type(label.conj) is not bool:
+                raise ValueError(f"conj must be a bool, got {label!r}")
 
     def to_json(self) -> dict:
         """The fields in order, terms and core as dicts of their own fields."""
@@ -176,36 +179,38 @@ def _two_adic_admissible(ctx: PellContext, e: int) -> bool:
     return e >= 3  # d = 1 mod 8
 
 
-def strict_exists(ctx: PellContext, spec: Spectrum, z: int) -> ExistenceVerdict:
-    """Decide strictly primitive solvability of |x^2 - d y^2| = z.
-
-    Per-prime congruence conditions run first; z is then split into xi-peelable
-    prime powers (the verdict's witness_exponents, with the cofactor-2 flag m)
-    and a residual core modulus, which the bounded class-window search settles.
-    spec only bounds the primes of z: each xi_p comes from the memo of xi.
-    """
-    d = check_context(ctx).d
+def _gate(d: int, spec: Spectrum, z: int) -> int:
+    """spec's bound on the primes of z, once z and then spec are checked (ValueError): the checks
+    of strict_exists, generate_strict and decompose_strict before they decide or read a verdict."""
     if not isinstance(z, int) or z <= 1:
         raise ValueError("z must be an integer > 1")
     if not isinstance(spec, Spectrum):
         raise ValueError(f"need a Spectrum, got {spec!r}")
     if spec.d != d:
         raise ValueError(f"the spectrum of d={spec.d} does not belong to d={d}")
+    return spec.pmax
+
+
+def _decide(ctx: PellContext, z: int, pmax: int) -> ExistenceVerdict:
+    """The verdict on a z that _gate passed: a prime past pmax is refused (ValueError) before
+    any xi_p is read, per-prime congruences run, and z splits into xi-peelable prime powers
+    (witness_exponents, with the cofactor-2 flag m) and a core modulus, which the bounded
+    class-window search settles."""
+    d = ctx.d
     factors = factorize(z)  # in increasing order, so the first prime past pmax is the least
-    past = next((p for p in factors if p > spec.pmax), None)
-    if past is not None:
-        raise ValueError(f"spectrum only covers primes <= {spec.pmax}, asked for {past}")
+    if max(factors) > pmax:
+        raise ValueError(f"spectrum only covers primes <= {pmax}, asked for {min(p for p in factors if p > pmax)}")
     entries = {p: _xi_cached(d, p) for p in factors}
     tags = {p: _case_tag(ctx, p, entry) for p, entry in entries.items()}
     m = 0
     exponents: dict[int, int] = {}
     core = 1
-    for p, e in sorted(factors.items()):
+    for p, e in factors.items():
         entry = entries[p]
         if p == 2:
             if not _two_adic_admissible(ctx, e):
                 return ExistenceVerdict(exists=False, case_tags=tags)
-            if entry is not None and ctx.d % 8 == 5:
+            if entry is not None and d % 8 == 5:
                 exponents[p] = 1  # e == 2 and l_2 == 2 here
             elif entry is not None and (e - 2) % (entry.l - 2) == 0:
                 m = 1  # d = 1 mod 8: 2^e = 2^2 * |N(xi_2 / 2)|^k
@@ -222,22 +227,21 @@ def strict_exists(ctx: PellContext, spec: Spectrum, z: int) -> ExistenceVerdict:
                 core *= p**r
     if core > 1 and not _fundamental_window(d, core):
         return ExistenceVerdict(exists=False, case_tags=tags, core_modulus=core)
-    return ExistenceVerdict(
-        exists=True, case_tags=tags, witness_exponents=exponents, core_modulus=core, m=m
-    )
+    return ExistenceVerdict(exists=True, case_tags=tags, witness_exponents=exponents, core_modulus=core, m=m)
+
+
+def strict_exists(ctx: PellContext, spec: Spectrum, z: int) -> ExistenceVerdict:
+    """Decide strictly primitive solvability of |x^2 - d y^2| = z, uncached.  spec only
+    bounds the primes of z: each xi_p comes from the memo of xi."""
+    pmax = _gate(check_context(ctx).d, spec, z)
+    return _decide(ctx, z, pmax)
 
 
 @lru_cache(maxsize=1)
 def _verdict(d: int, z: int, pmax: int) -> ExistenceVerdict:
-    """strict_exists for generate_strict and its decompose_strict calls, which share one z."""
-    return strict_exists(make_context(d), Spectrum(d, pmax, ()), z)
-
-
-def _plan(ctx: PellContext, spec: Spectrum, z: int) -> ExistenceVerdict:
-    """strict_exists(ctx, spec, z), from the private memo where spec and z can key it."""
-    if isinstance(spec, Spectrum) and spec.d == ctx.d and type(z) is int:
-        return _verdict(ctx.d, z, spec.pmax)
-    return strict_exists(ctx, spec, z)
+    """_decide for generate_strict, its decompose_strict calls and solve, which share one z.
+    Its dicts are shared between the calls, so it never leaves this module."""
+    return _decide(make_context(d), z, pmax)
 
 
 def _choices(ctx: PellContext, plan: ExistenceVerdict) -> list[list[XiPower | CoreFactor]]:
@@ -263,7 +267,7 @@ def generate_strict(ctx, spec: Spectrum, z: int, n_range) -> list[tuple[int, int
     d = check_context(ctx).d
     if not isinstance(n_range, Iterable):
         raise ValueError(f"n_range must be an iterable of integers, got {n_range!r}")
-    plan = _plan(ctx, spec, z)
+    plan = _verdict(d, z, _gate(d, spec, z))
     if not plan.exists:
         raise ValueError(f"|x^2-{d}y^2| = {z} has no strictly primitive solutions")
 
@@ -310,23 +314,29 @@ def _unit_exponent(ctx: PellContext, x: int, y: int, m: int) -> tuple[int, int]:
 
 
 def decompose_strict(ctx, spec: Spectrum, x: int, y: int) -> Representation:
-    """Canonical factorization of a strictly primitive solution.
-
-    Peels one factor per part of z, the first choice that divides (so the
-    unconjugated element wins a tie), and identifies the leftover unit
-    +-eta^n.  Once the xi powers are off, |N(alpha)| is the core modulus,
-    so an exact quotient by a window element is already a unit.
-    """
+    """Canonical factorization of a strictly primitive solution."""
     require_ints(x=x, y=y)
-    d = check_context(ctx).d
-    z = abs(x * x - d * y * y)
-    if z <= 1:
+    if abs(x * x - check_context(ctx).d * y * y) <= 1:
         raise ValueError("need |x^2 - d y^2| > 1")
-    if gcd(x, d * y) != 1:
+    return _decompose_scaled(ctx, spec, x, y)
+
+
+def _decompose_scaled(ctx, spec: Spectrum, x: int, y: int, scale: Fraction = Fraction(1)) -> Representation:
+    """Factorization of (x + y*sqrt(d)) * scale, where (x, y) is a unit or a strictly primitive
+    solution (else ValueError).  Peels one factor per part of z, the first choice that divides
+    (so the unconjugated element wins a tie), and identifies the leftover unit +-eta^n.  Once
+    the xi powers are off, |N(alpha)| is the core modulus, so an exact quotient by a window
+    element is already a unit.  A unit's plan is empty: it peels nothing, and spec is unread."""
+    d = ctx.d
+    z = abs(x * x - d * y * y)
+    if z == 1:
+        plan = ExistenceVerdict(exists=True)
+    elif gcd(x, d * y) != 1:
         raise ValueError(f"({x}, {y}) is not strictly primitive for d={d}")
-    plan = _plan(ctx, spec, z)
-    if not plan.exists:
-        raise InvariantError(f"({x}, {y}) is a solution, yet the verdict says none exists")
+    else:
+        plan = _verdict(d, z, _gate(d, spec, z))
+        if not plan.exists:
+            raise InvariantError(f"({x}, {y}) is a solution, yet the verdict says none exists")
 
     alpha = QuadElem.from_int_pair(d, x, y)
     peeled: list[XiPower | CoreFactor] = []
@@ -346,21 +356,9 @@ def decompose_strict(ctx, spec: Spectrum, x: int, y: int) -> Representation:
     n, sign = _unit_exponent(ctx, *alpha.scaled_coords())
     terms = tuple(sorted((t for t in peeled if isinstance(t, XiPower)), key=lambda t: t.p))
     core = peeled[-1] if plan.core_modulus > 1 else None
-    rep = Representation(d=d, sign=sign, m=plan.m, n=n, terms=terms, core=core)
+    rep = Representation(d=d, sign=sign, m=plan.m, n=n, terms=terms, core=core, scale=scale)
     if _evaluate_scaled(rep) != (x, y, 1):
-        raise InvariantError(f"{rep} does not evaluate to ({x}, {y})")
-    return rep
-
-
-def _decompose_scaled(ctx, spec: Spectrum, x: int, y: int, scale: Fraction) -> Representation:
-    """Factorization of (x + y*sqrt(d)) * scale, where (x, y) is a unit or a
-    strictly primitive solution; decompose_strict checks the latter itself."""
-    if abs(x * x - ctx.d * y * y) != 1:
-        return replace(decompose_strict(ctx, spec, x, y), scale=scale)
-    n, sign = _unit_exponent(ctx, x, y, 1)
-    rep = Representation(d=ctx.d, sign=sign, n=n, scale=scale)
-    if _evaluate_scaled(rep) != (x, y, 1):
-        raise InvariantError(f"{rep} does not evaluate to ({x}, {y}) * {scale}")
+        raise InvariantError(f"{rep} does not evaluate to ({x}, {y})" + (f" * {scale}" if scale != 1 else ""))
     return rep
 
 
@@ -379,12 +377,13 @@ def decompose_square(ctx, spec: Spectrum, x: int, y: int) -> Representation:
 def solve(ctx: PellContext, z: int, n_range) -> tuple[ExistenceVerdict, list[tuple[int, int, Representation]]]:
     """The verdict on |x^2 - d y^2| = z and, on a yes, each strictly primitive solution with
     unit exponent in n_range as (x, y, its decompose_strict), in generate_strict's order."""
-    check_context(ctx)
+    d = check_context(ctx).d
     if not isinstance(z, int) or z <= 1:
         raise ValueError("z must be an integer > 1")
-    spec = Spectrum(ctx.d, z, ())  # the solver reads only d and the bound pmax on z's primes
-    verdict = strict_exists(ctx, spec, z)
-    solutions = generate_strict(ctx, spec, z, n_range) if verdict.exists else []
+    spec = Spectrum(d, z, ())  # the solver reads only d and the bound pmax on z's primes
+    plan = _verdict(d, z, z)  # the one decision; the calls below read it from the memo
+    verdict = replace(plan, case_tags=dict(plan.case_tags), witness_exponents=dict(plan.witness_exponents))
+    solutions = generate_strict(ctx, spec, z, n_range) if plan.exists else []
     return verdict, [(x, y, decompose_strict(ctx, spec, x, y)) for x, y in solutions]
 
 

@@ -167,6 +167,8 @@ def test_rational_contains_reference_point(capsys):
     doc = json.loads(out)
     assert any(pt["x"] == "5/3" and pt["y"] == "1/3" for pt in doc)
     assert all(pt["r"] == 1 for pt in doc)
+    code, out = run(capsys, "rational", "--d", "34", "--sign", "1", "--max-terms", "-5")
+    assert code == 2 and json.loads(out)["error"] == "ValueError"
 
 
 def test_bisect_json_and_exit_codes(capsys):

@@ -338,12 +338,13 @@ def _accept_generated_point(args, pt):
 
 def _accept_representation(args, rep):
     """The fields as given: int d, sign, m and n, an int or Fraction scale, a tuple of XiPower
-    terms, and no core or a CoreFactor of integers."""
+    terms, and no core or a CoreFactor of integers; every conj is a bool."""
     names = ("d", "sign", "m", "n", "terms", "core", "scale")
     core = rep.core
     return (_ints(rep.d, rep.sign, rep.m, rep.n) and type(rep.scale) in (int, F)
-            and type(rep.terms) is tuple and all(type(t) is XiPower for t in rep.terms)
-            and (core is None or type(core) is CoreFactor and _ints(core.modulus, core.x, core.y))
+            and type(rep.terms) is tuple and all(type(t) is XiPower and type(t.conj) is bool for t in rep.terms)
+            and (core is None or type(core) is CoreFactor and _ints(core.modulus, core.x, core.y)
+                 and type(core.conj) is bool)
             and all(getattr(rep, name) == v for name, v in zip(names, args)))
 
 
@@ -402,7 +403,7 @@ def _accept_family(args, family):
     representation whose value is a positive rational multiple of it."""
     ctx, sign, max_terms = args[:3]
     keys = [(pt.x.denominator, abs(pt.x), pt.y) for pt, _ in family]
-    return (_ints(sign, max_terms) and keys == sorted(keys)
+    return (_ints(sign, max_terms) and max_terms >= 0 and keys == sorted(keys)
             and len({(pt.x, pt.y) for pt, _ in family}) == len(family)
             and all(pt.x**2 - ctx.d * pt.y**2 == sign and _accept_generated_point((ctx, None, rep), pt)
                     for pt, rep in family))
@@ -808,6 +809,7 @@ CENSUS = {
         ("int_range", (CTX34, -1, 2, 3, 31)),
         ("small_pmax", (CTX34, -1, 2, range(3), 1)),
         ("bool_sign", (CTX34, True, 1, range(-1, 2), 31)),
+        ("negative_terms", (CTX34, 1, -5, range(-1, 2), 31)),
         ("no_context", (None, -1, 2, range(3), 31)),
     ]),
     "Representation": (Representation, _accept_representation, [
@@ -824,6 +826,8 @@ CENSUS = {
         ("bool_core", (34, 1, 0, 0, (), CoreFactor(9, 5, True))),
         ("tuple_core", (34, 1, 0, 0, (), (9, 5, 1))),
         ("core_in_terms", (34, 1, 0, 0, (XiPower(3, 1), CoreFactor(15, 7, 1)))),
+        ("str_conj", (34, 1, 0, 0, (XiPower(3, 1, conj="no"),))),
+        ("list_conj", (34, 1, 0, 0, (), CoreFactor(9, 5, 1, conj=[0]))),
         ("string_d", ("34",)),
     ]),
     "evaluate_representation": (evaluate_representation, _accept_evaluation, [

@@ -10,7 +10,7 @@ from pellbisect.oracle import SearchBox, brute_rational_pell
 from pellbisect.pellcore import make_context, spectrum
 from pellbisect.quadfield import NotSquareFreeError
 from pellbisect.rationalpell import RationalPellPoint, decompose_rational, generate_rational, rational_family
-from pellbisect.solver import Representation, XiPower
+from pellbisect.solver import Representation, XiPower, decompose_square, evaluate_representation
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # each lies on its curve for its own d, which is no field index: 4 and 1 are squares,
@@ -96,10 +96,30 @@ def test_decompose_examples():
         decompose_rational(ctx, spec, RationalPellPoint(34, F(5, 3), F(1, 3), 1))
 
 
+TABLE_DS = (2, 5, 10, 13, 17, 26, 29, 34)
+
+
 def test_decompose_integral_point_is_a_unit_power():
+    """+-eta^n in Z[sqrt(d)] for n in -3..3 on each table d, as a rational point and, doubled,
+    through decompose_square, peels to the unit power alone.  The half-coordinate powers of
+    d = 5 mod 8 clear to a norm of 4 and peel xi_2 instead, so they are left out here."""
     ctx, spec = ctx_spec(5)
     rep = decompose_rational(ctx, spec, RationalPellPoint(5, F(2), F(1), 1))
     assert rep.terms == () and rep.n == 3  # 2 + sqrt(5) = eta^3
+    checked = 0
+    for d in TABLE_DS:
+        ctx, spec = ctx_spec(d)
+        for n in range(-3, 4):
+            for sign in (1, -1):
+                unit = evaluate_representation(Representation(d, sign, n=n))
+                if unit.a.denominator != 1 or unit.b.denominator != 1:
+                    continue
+                x, y = int(unit.a), int(unit.b)
+                point = RationalPellPoint(d, x, y, 0 if x * x - d * y * y == 1 else 1)
+                assert decompose_rational(ctx, spec, point) == Representation(d, sign, n=n), (d, n, sign)
+                assert decompose_square(ctx, spec, 2 * x, 2 * y) == Representation(d, sign, n=n, scale=F(2))
+                checked += 1
+    assert checked == 2 * (5 * 7 + 3 * 3)
 
 
 def test_parity_law():

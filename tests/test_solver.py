@@ -582,8 +582,8 @@ def test_generate_strict_builds_no_quadelem(monkeypatch):
 def test_the_warm_path_checks_no_context_and_no_prime(monkeypatch):
     """Generating, decomposing and evaluating the 48 solutions of
     |x^2 - 34 y^2| = 5985507575 checks the context once per generate_strict or
-    decompose_strict call, plus once in the one strict_exists they share, and never
-    per factor; no p is checked again, since every factor reads the memo."""
+    decompose_strict call and never per factor, nor in the verdict they share; no p
+    is checked again, since every factor reads the memo."""
     ctx, spec = ctx_spec(34)
     solver._verdict.cache_clear()
     calls = []
@@ -594,7 +594,7 @@ def test_the_warm_path_checks_no_context_and_no_prime(monkeypatch):
     assert len(solutions) == 48
     for x, y in solutions:
         assert evaluate_representation(decompose_strict(ctx, spec, x, y)) == QuadElem.from_int_pair(34, x, y)
-    assert calls == ["check_context"] * (1 + 1 + 48)
+    assert calls == ["check_context"] * (1 + 48)
 
 
 @pytest.mark.parametrize("d", (5, 13, 17, 34))
@@ -669,6 +669,26 @@ def test_solve_is_the_verdict_the_solutions_and_their_factorizations(d):
         solutions = generate_strict(ctx, spec, z, range(-2, 3)) if verdict.exists else []
         expected = (verdict, [(x, y, decompose_strict(ctx, spec, x, y)) for x, y in solutions])
         assert solve(ctx, z, range(-2, 3)) == expected, z
+
+
+def test_solve_decides_a_yes_once_and_keeps_its_memo(monkeypatch):
+    """A yes costs solve one verdict, so z is factored once; the verdict it returns is
+    the caller's own, so mutating it changes no later generate_strict or decompose_strict
+    on that z, which read the memo that solve filled."""
+    ctx, z = make_context(34), 5985507575
+    spec = Spectrum(34, z, ())  # the spectrum solve builds, so the calls below share its memo
+    seen = []
+    real = solver.factorize
+    monkeypatch.setattr(solver, "factorize", lambda n: seen.append(n) or real(n))
+    solver._verdict.cache_clear()
+    verdict, solutions = solve(ctx, z, range(-1, 2))
+    assert verdict.exists and len(solutions) == 48 and seen == [z]
+    for p in verdict.witness_exponents:
+        verdict.witness_exponents[p] += 1
+    verdict.case_tags.clear()
+    assert generate_strict(ctx, spec, z, range(-1, 2)) == [(x, y) for x, y, _ in solutions]
+    assert [decompose_strict(ctx, spec, x, y) for x, y, _ in solutions] == [rep for _, _, rep in solutions]
+    assert seen == [z]
 
 
 def _decompose_reference(ctx, x, y):
