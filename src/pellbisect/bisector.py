@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import isqrt, lcm, prod
 
 from .arith import factorize, is_square, primes_upto, rational, require_ints
-from .pellcore import PellContext, check_context, xi
+from .pellcore import PellContext, _xi_cached, check_context
 from .quadfield import InvariantError, QuadElem
 
 
@@ -169,7 +169,7 @@ def case2_alphas(ctx: PellContext, k: int) -> list[QuadElem]:
     require_ints(k=k)
     if check_context(ctx).neg_pell_integral:
         return [ctx.eta ** (2 * i + 1) for i in range(k)]
-    entries = filter(None, (xi(ctx, p) for p in primes_upto(31)))  # up to the first seed
+    entries = filter(None, (_xi_cached(ctx.d, p) for p in primes_upto(31)))  # up to the first seed
     seed = next((e for e in entries if e.norm_sign == -1 and e.l % 2 == 0), None)
     if seed is None:
         raise NoRationalBisector(f"x^2-{ctx.d}y^2 = -1 has no rational solutions to pair up")

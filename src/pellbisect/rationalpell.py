@@ -12,7 +12,7 @@ from math import isqrt, lcm
 from .arith import is_square, rational, require_ints
 from .pellcore import PellContext, Spectrum, _xi_cached, check_context, spectrum
 from .quadfield import InvariantError, check_field_index
-from .solver import Representation, XiPower, _checked, _decompose_scaled, _evaluate_scaled
+from .solver import Representation, XiPower, _bound, _checked, _decompose_scaled, _evaluate_scaled
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,12 @@ def generate_rational(ctx: PellContext, spec: Spectrum, rep: Representation) -> 
     check_context(ctx)
     if _checked(rep).d != ctx.d:
         raise ValueError("representation and context disagree on d")
+    _bound(ctx.d, spec)
+    return _point(ctx, rep)
+
+
+def _point(ctx: PellContext, rep: Representation) -> RationalPellPoint:
+    """generate_rational's point, for a rep of ctx's d whose every p is prime."""
     x, y, m = _evaluate_scaled(rep)
     norm = x * x - ctx.d * y * y
     z_core = Fraction(abs(norm), m * m)
@@ -78,14 +84,14 @@ def decompose_rational(ctx: PellContext, spec: Spectrum, pt: RationalPellPoint) 
     if pt.d != ctx.d:
         raise ValueError("point and context disagree on d")
     den = lcm(pt.x.denominator, pt.y.denominator)
-    return _decompose_scaled(ctx, spec, int(pt.x * den), int(pt.y * den), Fraction(1, den))
+    return _decompose_scaled(ctx, _bound(ctx.d, spec), int(pt.x * den), int(pt.y * den), Fraction(1, den))
 
 
-def _family(ctx: PellContext, spec: Spectrum, max_terms: int, n_range: Iterable[int]) -> Iterator[Representation]:
-    """rational_family's candidates in its order: each subset of at most max_terms primes of
-    spec, each at exponent 1 if the level of its xi_p is even, else 2, under every conjugation,
+def _family(ctx: PellContext, primes: Iterable, max_terms: int, n_range: Iterable[int]) -> Iterator[Representation]:
+    """rational_family's candidates in its order: each subset of at most max_terms of the spectrum
+    primes, each at exponent 1 if the level of its xi_p is even, else 2, under every conjugation,
     unit exponent in n_range and sign.  The half-coordinate xi_2 / 2 of d = 1 mod 8 stays out."""
-    usable = [(p, 1 + _xi_cached(ctx.d, p).l % 2) for p in spec.primes if not (p == 2 and ctx.d % 8 == 1)]
+    usable = [(p, 1 + _xi_cached(ctx.d, p).l % 2) for p in primes if not (p == 2 and ctx.d % 8 == 1)]
     subsets: list[list[tuple[int, int]]] = [[]]
     for p, e in usable:
         subsets += [s + [(p, e)] for s in subsets if len(s) < max_terms]
@@ -110,11 +116,11 @@ def rational_family(ctx: PellContext, sign: int, max_terms: int, n_range: Iterab
     if not isinstance(n_range, Iterable):
         raise ValueError(f"n_range must be an iterable of integers, got {n_range!r}")
     n_range = tuple(n_range)  # _family walks it once per term set
-    spec = spectrum(ctx, pmax)
+    primes = spectrum(ctx, pmax).primes
     want_r = 1 if sign == -1 else 0
     seen = {}
-    for rep in _family(ctx, spec, max_terms, n_range):
+    for rep in _family(ctx, primes, max_terms, n_range):
         if _parity_r(ctx, rep) == want_r:
-            pt = generate_rational(ctx, spec, rep)
+            pt = _point(ctx, rep)
             seen.setdefault((pt.x, pt.y), (pt, rep))
     return sorted(seen.values(), key=lambda pr: (pr[0].x.denominator, abs(pr[0].x), pr[0].y))

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .arith import factorize, is_prime, is_square, require_ints, strict_hits
-from .pellcore import PellContext, Spectrum, XiEntry, _scan_constants, _xi_cached, check_context, make_context, xi
+from .pellcore import PellContext, Spectrum, XiEntry, _scan_constants, _xi_cached, check_context, make_context
 from .quadfield import InvariantError, QuadElem, _mul_scaled, _pow_scaled, exact_div, render_rat
 
 
@@ -179,11 +179,9 @@ def _two_adic_admissible(ctx: PellContext, e: int) -> bool:
     return e >= 3  # d = 1 mod 8
 
 
-def _gate(d: int, spec: Spectrum, z: int) -> int:
-    """spec's bound on the primes of z, once z and then spec are checked (ValueError): the checks
-    of strict_exists, generate_strict and decompose_strict before they decide or read a verdict."""
-    if not isinstance(z, int) or z <= 1:
-        raise ValueError("z must be an integer > 1")
+def _bound(d: int, spec: Spectrum) -> int:
+    """spec's bound on the primes of z, once spec is checked as a Spectrum of d (ValueError): the
+    one read of a Spectrum, where each public function that takes one lets it in."""
     if not isinstance(spec, Spectrum):
         raise ValueError(f"need a Spectrum, got {spec!r}")
     if spec.d != d:
@@ -192,7 +190,7 @@ def _gate(d: int, spec: Spectrum, z: int) -> int:
 
 
 def _decide(ctx: PellContext, z: int, pmax: int) -> ExistenceVerdict:
-    """The verdict on a z that _gate passed: a prime past pmax is refused (ValueError) before
+    """The verdict on an integer z > 1: a prime past pmax is refused (ValueError) before
     any xi_p is read, per-prime congruences run, and z splits into xi-peelable prime powers
     (witness_exponents, with the cofactor-2 flag m) and a core modulus, which the bounded
     class-window search settles."""
@@ -233,8 +231,10 @@ def _decide(ctx: PellContext, z: int, pmax: int) -> ExistenceVerdict:
 def strict_exists(ctx: PellContext, spec: Spectrum, z: int) -> ExistenceVerdict:
     """Decide strictly primitive solvability of |x^2 - d y^2| = z, uncached.  spec only
     bounds the primes of z: each xi_p comes from the memo of xi."""
-    pmax = _gate(check_context(ctx).d, spec, z)
-    return _decide(ctx, z, pmax)
+    d = check_context(ctx).d
+    if not isinstance(z, int) or z <= 1:
+        raise ValueError("z must be an integer > 1")
+    return _decide(ctx, z, _bound(d, spec))
 
 
 @lru_cache(maxsize=1)
@@ -267,10 +267,17 @@ def generate_strict(ctx, spec: Spectrum, z: int, n_range) -> list[tuple[int, int
     d = check_context(ctx).d
     if not isinstance(n_range, Iterable):
         raise ValueError(f"n_range must be an iterable of integers, got {n_range!r}")
-    plan = _verdict(d, z, _gate(d, spec, z))
+    if not isinstance(z, int) or z <= 1:
+        raise ValueError("z must be an integer > 1")
+    plan = _verdict(d, z, _bound(d, spec))
     if not plan.exists:
         raise ValueError(f"|x^2-{d}y^2| = {z} has no strictly primitive solutions")
+    return _generate(ctx, plan, z, n_range)
 
+
+def _generate(ctx: PellContext, plan: ExistenceVerdict, z: int, n_range: Iterable) -> list[tuple[int, int]]:
+    """generate_strict's solutions from a yes plan for z, over checked inputs."""
+    d = ctx.d
     stems = [(2**plan.m, 0, 1)]
     for group in _choices(ctx, plan):
         elems = [_element(ctx, label) for label in group]
@@ -318,15 +325,15 @@ def decompose_strict(ctx, spec: Spectrum, x: int, y: int) -> Representation:
     require_ints(x=x, y=y)
     if abs(x * x - check_context(ctx).d * y * y) <= 1:
         raise ValueError("need |x^2 - d y^2| > 1")
-    return _decompose_scaled(ctx, spec, x, y)
+    return _decompose_scaled(ctx, _bound(ctx.d, spec), x, y)
 
 
-def _decompose_scaled(ctx, spec: Spectrum, x: int, y: int, scale: Fraction = Fraction(1)) -> Representation:
+def _decompose_scaled(ctx: PellContext, pmax: int, x: int, y: int, scale: Fraction = Fraction(1)) -> Representation:
     """Factorization of (x + y*sqrt(d)) * scale, where (x, y) is a unit or a strictly primitive
-    solution (else ValueError).  Peels one factor per part of z, the first choice that divides
-    (so the unconjugated element wins a tie), and identifies the leftover unit +-eta^n.  Once
-    the xi powers are off, |N(alpha)| is the core modulus, so an exact quotient by a window
-    element is already a unit.  A unit's plan is empty: it peels nothing, and spec is unread."""
+    solution (else ValueError) whose primes pmax bounds.  Peels one factor per part of z, the first
+    choice that divides (so the unconjugated element wins a tie), and identifies the leftover unit
+    +-eta^n.  Once the xi powers are off, |N(alpha)| is the core modulus, so an exact quotient by a
+    window element is already a unit.  A unit's plan is empty: it peels nothing."""
     d = ctx.d
     z = abs(x * x - d * y * y)
     if z == 1:
@@ -334,7 +341,7 @@ def _decompose_scaled(ctx, spec: Spectrum, x: int, y: int, scale: Fraction = Fra
     elif gcd(x, d * y) != 1:
         raise ValueError(f"({x}, {y}) is not strictly primitive for d={d}")
     else:
-        plan = _verdict(d, z, _gate(d, spec, z))
+        plan = _verdict(d, z, pmax)
         if not plan.exists:
             raise InvariantError(f"({x}, {y}) is a solution, yet the verdict says none exists")
 
@@ -367,11 +374,10 @@ def decompose_square(ctx, spec: Spectrum, x: int, y: int) -> Representation:
     gcd cofactor becomes the scale, the strictly primitive core is peeled."""
     require_ints(x=x, y=y)
     z2 = abs(x * x - check_context(ctx).d * y * y)
-    z = isqrt(z2)
-    if z2 <= 1 or z * z != z2:
+    if z2 <= 1 or not is_square(z2):
         raise ValueError("|x^2 - d y^2| must be a perfect square > 1")
     g = gcd(x, y)
-    return _decompose_scaled(ctx, spec, x // g, y // g, Fraction(g))
+    return _decompose_scaled(ctx, _bound(ctx.d, spec), x // g, y // g, Fraction(g))
 
 
 def solve(ctx: PellContext, z: int, n_range) -> tuple[ExistenceVerdict, list[tuple[int, int, Representation]]]:
@@ -380,25 +386,26 @@ def solve(ctx: PellContext, z: int, n_range) -> tuple[ExistenceVerdict, list[tup
     d = check_context(ctx).d
     if not isinstance(z, int) or z <= 1:
         raise ValueError("z must be an integer > 1")
-    spec = Spectrum(d, z, ())  # the solver reads only d and the bound pmax on z's primes
-    plan = _verdict(d, z, z)  # the one decision; the calls below read it from the memo
+    if not isinstance(n_range, Iterable):
+        raise ValueError(f"n_range must be an iterable of integers, got {n_range!r}")
+    plan = _verdict(d, z, z)  # the one decision, bounded by z itself; each peel reads it from the memo
     verdict = replace(plan, case_tags=dict(plan.case_tags), witness_exponents=dict(plan.witness_exponents))
-    solutions = generate_strict(ctx, spec, z, n_range) if plan.exists else []
-    return verdict, [(x, y, decompose_strict(ctx, spec, x, y)) for x, y in solutions]
+    solutions = _generate(ctx, plan, z, n_range) if plan.exists else []
+    return verdict, [(x, y, _decompose_scaled(ctx, z, x, y)) for x, y in solutions]
 
 
 def decompose(ctx: PellContext, x: int, y: int) -> Representation:
-    """Canonical factorization of an integral solution of |x^2 - d y^2| = z > 1: decompose_strict
-    when gcd(x, d y) = 1, else decompose_square, which answers for a square z with scale gcd(x, y) > 1."""
+    """Canonical factorization of an integral solution of |x^2 - d y^2| = z > 1: decompose_strict's
+    when gcd(x, d y) = 1, else decompose_square's, which answers for a square z with scale gcd(x, y) > 1."""
     require_ints(x=x, y=y)
     d = check_context(ctx).d
     z = abs(x * x - d * y * y)
     if z <= 1:
         raise ValueError("|x^2 - d y^2| must exceed 1")
-    spec = Spectrum(ctx.d, z, ())  # the solver reads only d and the bound pmax on z's primes
-    if gcd(x, d * y) == 1:
-        return decompose_strict(ctx, spec, x, y)
-    return decompose_square(ctx, spec, x, y)
+    if gcd(x, d * y) != 1 and not is_square(z):
+        raise ValueError("|x^2 - d y^2| must be a perfect square > 1")
+    g = gcd(x, y)  # 1 on the strict path
+    return _decompose_scaled(ctx, z, x // g, y // g, Fraction(g))  # z bounds the primes of z / g^2
 
 
 def validate_representation(rep: Representation) -> ValidationReport:
@@ -420,7 +427,7 @@ def validate_representation(rep: Representation) -> ValidationReport:
             problems.append(f"exponent at p={t.p} must be an integer, got {t.exp!r}")
         elif t.exp < 0:
             problems.append(f"negative exponent at p={t.p}")
-        if type(t.p) is not int or not is_prime(t.p) or xi(ctx, t.p) is None:
+        if type(t.p) is not int or not is_prime(t.p) or _xi_cached(rep.d, t.p) is None:
             problems.append(f"p={t.p} is outside the spectrum of d={rep.d}")
     if rep.core is not None:
         c = rep.core

@@ -364,5 +364,5 @@ def test_rational_parity_filter_agrees_with_evaluation(d):
 
     ctx = make_context(d)
     spec = spectrum(ctx, 31)
-    for rep in _family(ctx, spec, 2, range(-1, 2)):
+    for rep in _family(ctx, spec.primes, 2, range(-1, 2)):
         assert _parity_r(ctx, rep) == generate_rational(ctx, spec, rep).r, rep

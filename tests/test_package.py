@@ -7,6 +7,7 @@ this test process has long since imported every module.
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -169,6 +170,21 @@ def test_the_cli_only_parses_and_prints():
     module that owns it, so the CLI reaches no private name of the package."""
     tree = ast.parse((SRC / "pellbisect" / "cli.py").read_text())
     assert list(_private_reaches(tree)) == []
+
+
+def test_only_the_cli_calls_a_checking_entry_point():
+    """Each input is checked once, where it enters: inside the package, a public function of
+    solver or rationalpell, or pellcore.xi, is reached through its body, never called. spectrum()
+    stays allowed, as rational_family's check of its context and pmax."""
+    checking = {name for module in ("solver", "rationalpell") for name in EXPORTS[module]
+                if inspect.isfunction(getattr(importlib.import_module(f"pellbisect.{module}"), name))} | {"xi"}
+    calls = []
+    for path in sorted((SRC / "pellbisect").glob("*.py")):
+        if path.name != "cli.py":
+            calls += [(path.name, node.lineno) for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                      if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None))
+                      in checking]
+    assert calls == []
 
 
 def test_every_cache_decorates_a_module_level_function():

@@ -16,6 +16,7 @@ fails today is a strict xfail that names the ROADMAP item that fixes it.
 
 import re
 import signal
+from collections.abc import Iterable
 from fractions import Fraction as F
 from functools import lru_cache
 from math import gcd, isqrt
@@ -322,18 +323,32 @@ def _accept_point(args, pt):
             and pt.x**2 - d * pt.y**2 == (-1) ** r)
 
 
-def _accept_decomposed(args, rep):
+def _spectrum_of(ctx, spec):
+    """spec is a Spectrum of the context's d: no answer to a call with any other spec is accepted,
+    even where the answer does not depend on it."""
+    return isinstance(spec, Spectrum) and spec.d == ctx.d
+
+
+def _decomposes(ctx, x, y, rep):
     """The representation evaluates, outside the solver, to the element it came from."""
-    ctx, _, *point = args
+    return rep.d == ctx.d and _value(rep) == _elt(ctx.d, x, y)
+
+
+def _accept_decomposed(args, rep):
+    ctx, spec, *point = args
     x, y = (point[0].x, point[0].y) if len(point) == 1 else point
-    return (len(point) == 1 or _ints(x, y)) and rep.d == ctx.d and _value(rep) == _elt(ctx.d, x, y)
+    return _spectrum_of(ctx, spec) and (len(point) == 1 or _ints(x, y)) and _decomposes(ctx, x, y, rep)
+
+
+def _scales_to(ctx, rep, pt):
+    """The point is on its curve and the representation's value over it is a positive rational."""
+    ratio = _field(ctx.d).to_sympy(_value(rep) / _elt(ctx.d, pt.x, pt.y))
+    return pt.d == ctx.d and pt.x**2 - ctx.d * pt.y**2 == (-1) ** pt.r and ratio.is_Rational and ratio > 0
 
 
 def _accept_generated_point(args, pt):
-    """The point is on its curve and the representation's value over it is a positive rational."""
-    ctx, _, rep = args
-    ratio = _field(ctx.d).to_sympy(_value(rep) / _elt(ctx.d, pt.x, pt.y))
-    return pt.d == ctx.d and pt.x**2 - ctx.d * pt.y**2 == (-1) ** pt.r and ratio.is_Rational and ratio > 0
+    ctx, spec, rep = args
+    return _spectrum_of(ctx, spec) and _scales_to(ctx, rep, pt)
 
 
 def _accept_representation(args, rep):
@@ -367,35 +382,44 @@ def _accept_validation(args, report):
     return report.ok == (not report.problems) and (structural or not report.ok)
 
 
-def _accept_verdict(args, verdict):
-    ctx, _, z = args
+def _decided(ctx, z, verdict):
     return verdict.exists == bool(_strict_pairs(ctx.d, z, 2000))
 
 
-def _accept_generated(args, pairs):
+def _accept_verdict(args, verdict):
+    ctx, spec, z = args
+    return _spectrum_of(ctx, spec) and _decided(ctx, z, verdict)
+
+
+def _generated(ctx, z, n_range, pairs):
     """Sorted, distinct, strictly primitive solutions; with unit exponents -2..2 at least,
     they hold every solution with y <= 50."""
-    ctx, _, z, n_range = args
     d = ctx.d
     return (_ints(*n_range) and pairs == sorted(set(pairs), key=lambda xy: (xy[1], xy[0]))
             and all(y > 0 and abs(x * x - d * y * y) == z and gcd(x, d * y) == 1 for x, y in pairs)
             and (not set(range(-2, 3)) <= set(n_range) or _strict_pairs(d, z, 50) <= set(pairs)))
 
 
+def _accept_generated(args, pairs):
+    ctx, spec, z, n_range = args
+    return _spectrum_of(ctx, spec) and _generated(ctx, z, n_range, pairs)
+
+
 def _accept_solved(args, ans):
-    """The verdict as strict_exists's is accepted; on a yes the solutions as generate_strict's
-    are, each with a representation that evaluates, outside the solver, to it; on a no, none."""
+    """n_range is an iterable, even on a no; the verdict as strict_exists's is accepted; on a yes
+    the solutions as generate_strict's are, each with a representation that evaluates, outside
+    the solver, to it; on a no, none."""
     ctx, z, n_range = args
     verdict, solutions = ans
     pairs = [(x, y) for x, y, _ in solutions]
-    return (_accept_verdict((ctx, None, z), verdict)
-            and (_accept_generated((ctx, None, z, n_range), pairs) if verdict.exists else not solutions)
-            and all(_accept_decomposed((ctx, None, x, y), rep) for x, y, rep in solutions))
+    return (isinstance(n_range, Iterable) and _decided(ctx, z, verdict)
+            and (_generated(ctx, z, n_range, pairs) if verdict.exists else not solutions)
+            and all(_ints(x, y) and _decomposes(ctx, x, y, rep) for x, y, rep in solutions))
 
 
 def _accept_decomposition(args, rep):
     ctx, x, y = args
-    return _accept_decomposed((ctx, None, x, y), rep)
+    return _ints(x, y) and _decomposes(ctx, x, y, rep)
 
 
 def _accept_family(args, family):
@@ -405,7 +429,7 @@ def _accept_family(args, family):
     keys = [(pt.x.denominator, abs(pt.x), pt.y) for pt, _ in family]
     return (_ints(sign, max_terms) and max_terms >= 0 and keys == sorted(keys)
             and len({(pt.x, pt.y) for pt, _ in family}) == len(family)
-            and all(pt.x**2 - ctx.d * pt.y**2 == sign and _accept_generated_point((ctx, None, rep), pt)
+            and all(pt.x**2 - ctx.d * pt.y**2 == sign and _scales_to(ctx, rep, pt)
                     for pt, rep in family))
 
 
@@ -786,6 +810,8 @@ CENSUS = {
         ("past_pmax", (CTX34, spectrum(CTX34, 2), RationalPellPoint(34, F(5, 3), F(1, 3), 1))),
         ("string_point", (CTX34, SPEC34, "x")),
         ("no_context", (None, SPEC34, RationalPellPoint(34, F(5, 3), F(1, 3), 1))),
+        ("unit_no_spec", (CTX34, None, RationalPellPoint(34, 35, 6, 0))),
+        ("unit_other_d_spec", (CTX34, SPEC5, RationalPellPoint(34, 35, 6, 0))),
     ]),
     "generate_rational": (generate_rational, _accept_generated_point, [
         ("valid", (CTX2, SPEC2, Representation(d=2, n=-1, terms=(XiPower(7, 2),)))),
@@ -796,6 +822,7 @@ CENSUS = {
         ("inert_prime", (CTX34, SPEC34, Representation(d=34, terms=(XiPower(7, 2),)))),
         ("string_rep", (CTX34, SPEC34, "x")),
         ("no_context", (None, SPEC34, Representation(d=34, terms=(XiPower(3, 1),)))),
+        ("no_spec", (CTX34, None, Representation(d=34, terms=(XiPower(3, 1),)))),
     ]),
     "rational_family": (rational_family, _accept_family, [
         ("valid", (CTX34, -1, 2, range(-1, 2), 13)),
@@ -900,6 +927,7 @@ CENSUS = {
         ("zero", (CTX34, SPEC34, 0, 0)),
         ("floats", (CTX34, SPEC34, 15.0, 3)),
         ("no_context", (None, SPEC34, 15, 3)),
+        ("unit_no_spec", (CTX34, None, 70, 12)),
     ]),
     "solve": (solve, _accept_solved, [
         ("valid", (CTX34, 9, range(-2, 3))),
@@ -911,6 +939,7 @@ CENSUS = {
         ("zero", (CTX34, 0, range(3))),
         ("floats", (CTX34, 9.0, range(3))),
         ("int_range", (CTX34, 9, 3)),
+        ("no_int_range", (CTX34, 7, 5)),
         ("bool_n", (CTX34, 9, [True])),
         ("int_context", (34, 9, range(3))),
         ("no_context", (None, 9, range(3))),

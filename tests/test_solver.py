@@ -597,6 +597,23 @@ def test_the_warm_path_checks_no_context_and_no_prime(monkeypatch):
     assert calls == ["check_context"] * (1 + 48)
 
 
+def test_solve_and_decompose_check_the_context_once_and_build_no_spectrum(monkeypatch):
+    """solve and decompose check their inputs where they enter and then call the solver's
+    bodies: one context check per call and no Spectrum, for 48 solutions as for one."""
+    ctx = make_context(34)
+    solver._verdict.cache_clear()
+    checks, spectra = [], []
+    real_check, real_init = solver.check_context, Spectrum.__post_init__
+    monkeypatch.setattr(solver, "check_context", lambda c: checks.append(c) or real_check(c))
+    monkeypatch.setattr(Spectrum, "__post_init__", lambda self: spectra.append(self) or real_init(self))
+    calls = [lambda: len(solve(ctx, 5985507575, range(-1, 2))[1]),
+             lambda: decompose(ctx, 405, 75).scale, lambda: decompose(ctx, 5, 1).scale]
+    for call, answer in zip(calls, (48, 15, 1)):
+        checks.clear()
+        assert call() == answer
+        assert (len(checks), len(spectra)) == (1, 0)
+
+
 @pytest.mark.parametrize("d", (5, 13, 17, 34))
 def test_evaluate_scaled_raises_eta_on_the_triple(d, monkeypatch):
     """eta^n for n in -3..3 comes from the integer power kernel, never from QuadElem.__pow__."""
@@ -676,7 +693,7 @@ def test_solve_decides_a_yes_once_and_keeps_its_memo(monkeypatch):
     the caller's own, so mutating it changes no later generate_strict or decompose_strict
     on that z, which read the memo that solve filled."""
     ctx, z = make_context(34), 5985507575
-    spec = Spectrum(34, z, ())  # the spectrum solve builds, so the calls below share its memo
+    spec = Spectrum(34, z, ())  # solve's bound on the primes of z, so the calls below share its memo
     seen = []
     real = solver.factorize
     monkeypatch.setattr(solver, "factorize", lambda n: seen.append(n) or real(n))
