@@ -7,12 +7,12 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 from .arith import is_square, rational, require_ints
 from .pellcore import PellContext, Spectrum, _xi_cached, check_context, spectrum
 from .quadfield import InvariantError, check_field_index
-from .solver import Representation, XiPower, _bound, _checked, _decompose_scaled, _evaluate_scaled
+from .solver import Representation, XiPower, _bound, _checked, _evaluate_scaled, _label
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,10 @@ def generate_rational(ctx: PellContext, spec: Spectrum, rep: Representation) -> 
     check_context(ctx)
     if _checked(rep).d != ctx.d:
         raise ValueError("representation and context disagree on d")
-    _bound(ctx.d, spec)
+    pmax = _bound(ctx.d, spec)
+    past = [t.p for t in rep.terms if t.p > pmax]
+    if past:
+        raise ValueError(f"spectrum only covers primes <= {pmax}, asked for {min(past)}")
     return _point(ctx, rep)
 
 
@@ -71,20 +74,15 @@ def _point(ctx: PellContext, rep: Representation) -> RationalPellPoint:
 
 
 def decompose_rational(ctx: PellContext, spec: Spectrum, pt: RationalPellPoint) -> Representation:
-    """Clear denominators and factor the resulting solution, then divide the
-    scale back out; round-trips exactly through generate.
-
-    With den the least common denominator, x = X/den and y = Y/den in lowest
-    terms give gcd(X, Y, den) = 1, and X^2 - d Y^2 = +-den^2 then forces
-    gcd(X, d Y) = 1: the cleared point is strictly primitive.
-    """
+    """The canonical label of the point: its cleared solution factored, with the scale
+    1/den of its common denominator, and on d = 5 mod 8 no xi_2 where xi_2 / 2 is a unit.
+    generate_rational gives the point back from it."""
     check_context(ctx)
     if not isinstance(pt, RationalPellPoint):
         raise ValueError(f"need a RationalPellPoint, got {pt!r}")
     if pt.d != ctx.d:
         raise ValueError("point and context disagree on d")
-    den = lcm(pt.x.denominator, pt.y.denominator)
-    return _decompose_scaled(ctx, _bound(ctx.d, spec), int(pt.x * den), int(pt.y * den), Fraction(1, den))
+    return _label(ctx, _bound(ctx.d, spec), pt.x, pt.y)
 
 
 def _family(ctx: PellContext, primes: Iterable, max_terms: int, n_range: Iterable[int]) -> Iterator[Representation]:

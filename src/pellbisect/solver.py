@@ -16,7 +16,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .arith import factorize, is_prime, is_square, require_ints, strict_hits
 from .pellcore import PellContext, Spectrum, XiEntry, _scan_constants, _xi_cached, check_context, make_context
@@ -333,7 +333,9 @@ def _decompose_scaled(ctx: PellContext, pmax: int, x: int, y: int, scale: Fracti
     solution (else ValueError) whose primes pmax bounds.  Peels one factor per part of z, the first
     choice that divides (so the unconjugated element wins a tie), and identifies the leftover unit
     +-eta^n.  Once the xi powers are off, |N(alpha)| is the core modulus, so an exact quotient by a
-    window element is already a unit.  A unit's plan is empty: it peels nothing."""
+    window element is already a unit.  A unit's plan is empty: it peels nothing.  On d = 5 mod 8,
+    xi_2 / 2 is a unit of O_K, so a scale with a factor 1/2 takes it back as +-eta^k and the label
+    holds no xi_2."""
     d = ctx.d
     z = abs(x * x - d * y * y)
     if z == 1:
@@ -362,11 +364,27 @@ def _decompose_scaled(ctx: PellContext, pmax: int, x: int, y: int, scale: Fracti
 
     n, sign = _unit_exponent(ctx, *alpha.scaled_coords())
     terms = tuple(sorted((t for t in peeled if isinstance(t, XiPower)), key=lambda t: t.p))
+    half = d % 8 == 5 and 2 in plan.witness_exponents and scale.denominator % 2 == 0
+    if half:  # terms[0] is xi_2, sorted first
+        k, s = _unit_exponent(ctx, *_element(ctx, terms[0])[:2], 2)
+        n, sign, terms = n + k, sign * s, terms[1:]
     core = peeled[-1] if plan.core_modulus > 1 else None
-    rep = Representation(d=d, sign=sign, m=plan.m, n=n, terms=terms, core=core, scale=scale)
-    if _evaluate_scaled(rep) != (x, y, 1):
+    rep = Representation(d=d, sign=sign, m=plan.m, n=n, terms=terms, core=core, scale=scale * 2 if half else scale)
+    if _evaluate_scaled(rep) != (x, y, 2 if half else 1):
         raise InvariantError(f"{rep} does not evaluate to ({x}, {y})" + (f" * {scale}" if scale != 1 else ""))
     return rep
+
+
+def _label(ctx: PellContext, pmax: int, a: int | Fraction, b: int | Fraction) -> Representation:
+    """The canonical label of a + b*sqrt(d), a and b rational: cleared by their least common denominator
+    den, the pair loses its gcd g into the scale g/den and the rest is peeled.  That rest is strictly
+    primitive for a point of x^2 - d y^2 = +-1 (g = 1) and for an integral solution of square modulus.
+    pmax bounds the primes of the cleared modulus."""
+    den = lcm(a.denominator, b.denominator)
+    x, y = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    g = gcd(x, y)
+    x, y = x // g, y // g
+    return _decompose_scaled(ctx, pmax, x, y, Fraction(g, den))
 
 
 def decompose_square(ctx, spec: Spectrum, x: int, y: int) -> Representation:
@@ -376,8 +394,7 @@ def decompose_square(ctx, spec: Spectrum, x: int, y: int) -> Representation:
     z2 = abs(x * x - check_context(ctx).d * y * y)
     if z2 <= 1 or not is_square(z2):
         raise ValueError("|x^2 - d y^2| must be a perfect square > 1")
-    g = gcd(x, y)
-    return _decompose_scaled(ctx, _bound(ctx.d, spec), x // g, y // g, Fraction(g))
+    return _label(ctx, _bound(ctx.d, spec), x, y)
 
 
 def solve(ctx: PellContext, z: int, n_range) -> tuple[ExistenceVerdict, list[tuple[int, int, Representation]]]:
@@ -404,14 +421,13 @@ def decompose(ctx: PellContext, x: int, y: int) -> Representation:
         raise ValueError("|x^2 - d y^2| must exceed 1")
     if gcd(x, d * y) != 1 and not is_square(z):
         raise ValueError("|x^2 - d y^2| must be a perfect square > 1")
-    g = gcd(x, y)  # 1 on the strict path
-    return _decompose_scaled(ctx, z, x // g, y // g, Fraction(g))  # z bounds the primes of z / g^2
+    return _label(ctx, z, x, y)  # z bounds the primes of z / g^2
 
 
 def validate_representation(rep: Representation) -> ValidationReport:
-    """Structural checks: sign, m, a positive scale, int exponents >= 0, int spectrum primes, the
-    core's modulus and strict primitivity, the unit-exponent congruence for
-    odd moduli, and the parity/cap conditions when a scale is present."""
+    """Input checks: sign, m, a positive scale, int exponents >= 0, int spectrum primes, the core's
+    modulus and strict primitivity.  Then rep is valid exactly when it is the label the peel gives
+    its own value, which must be a point of x^2 - d y^2 = +-1 or a solution that decompose accepts."""
     if not isinstance(rep, Representation):
         raise ValueError(f"need a Representation, got {rep!r}")
     ctx = make_context(rep.d)
@@ -439,31 +455,11 @@ def validate_representation(rep: Representation) -> ValidationReport:
         return ValidationReport(False, tuple(problems))
 
     x, y, m = _evaluate_scaled(rep)
-    z_core = abs(x * x - rep.d * y * y) // (m * m)
-    if rep.scale.denominator == 1:
-        # integral context: odd modulus with a half-coordinate unit forces
-        # the unit exponent into the cube subgroup
-        if z_core % 2 == 1 and not ctx.eta_in_zd and rep.n % 3 != 0:
-            problems.append("unit exponent must be divisible by 3 for odd moduli")
-        if rep.scale != 1:
-            if not is_square(z_core):
-                problems.append("scaled representations need a square core modulus")
-            else:
-                # only these two p = 2 caps can bind: p^(l*exp) divides
-                # z_core, hence z_total^2, so exp <= 2*ord_p(z_total) // l
-                z_total = isqrt(z_core) * int(rep.scale)
-                e_total = (z_total & -z_total).bit_length() - 1  # ord_2(z_total)
-                for t in rep.terms:
-                    if t.p == 2 and not ctx.eta_in_zd and rep.n % 3 != 0:
-                        cap = e_total - 1
-                    elif t.p == 2 and ctx.d % 8 == 1:
-                        cap = max(2 * e_total - 2, 0)
-                    else:
-                        continue
-                    if t.exp > cap:
-                        problems.append(f"exponent at p={t.p} exceeds its cap {cap}")
-    else:
-        # rational context: the scale must exactly cancel the core modulus
-        if not is_square(z_core) or rep.scale != Fraction(1, isqrt(z_core)):
-            problems.append("scale must be the inverse square root of the core modulus")
-    return ValidationReport(not problems, tuple(problems))
+    a, b = Fraction(x, m) * rep.scale, Fraction(y, m) * rep.scale
+    norm = abs(a * a - rep.d * b * b)
+    if norm != 1 and not (a.denominator == b.denominator == 1
+                          and (gcd(a.numerator, rep.d * b.numerator) == 1 or is_square(norm.numerator))):
+        return ValidationReport(False, (f"its value is no point of x^2 - {rep.d}y^2 = +-1 and no solution "
+                                        "that decompose accepts",))
+    label = _label(ctx, norm.numerator * a.denominator, a, b)  # a point clears to den^2, a solution to |N|
+    return ValidationReport(label == rep, () if label == rep else (f"the peel labels its value {label}",))

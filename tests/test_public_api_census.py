@@ -347,8 +347,10 @@ def _scales_to(ctx, rep, pt):
 
 
 def _accept_generated_point(args, pt):
+    """No answer to a representation with a prime past spec's pmax: decompose_rational
+    refuses that prime over the same spec."""
     ctx, spec, rep = args
-    return _spectrum_of(ctx, spec) and _scales_to(ctx, rep, pt)
+    return _spectrum_of(ctx, spec) and all(t.p <= spec.pmax for t in rep.terms) and _scales_to(ctx, rep, pt)
 
 
 def _accept_representation(args, rep):
@@ -368,10 +370,33 @@ def _accept_evaluation(args, alpha):
     return _ints(*(t.exp for t in rep.terms)) and alpha.d == rep.d and _of(alpha) == _value(rep)
 
 
+def _coords(v):
+    """The rationals (a, b) with v = a + b*sqrt(d) for an element v of sympy's Q(sqrt(d))."""
+    b, a = ([0, 0] + v.to_list())[-2:]
+    return F(int(a.numerator), int(a.denominator)), F(int(b.numerator), int(b.denominator))
+
+
+def _peels_back(rep):
+    """The public decomposer of rep's reference value gives rep back: decompose_rational for a point
+    of x^2 - d y^2 = +-1, over the spectrum up to the greatest prime of its denominator, and decompose
+    for an integral value.  A ValueError from either is a no."""
+    d, ctx = rep.d, make_context(rep.d)
+    a, b = _coords(_value(rep))
+    norm = a * a - d * b * b
+    try:
+        if abs(norm) == 1:
+            spec = spectrum(ctx, max(sympy.primefactors(a.denominator), default=2))
+            return decompose_rational(ctx, spec, RationalPellPoint(d, a, b, 0 if norm == 1 else 1)) == rep
+        return a.denominator == b.denominator == 1 and decompose(ctx, int(a), int(b)) == rep
+    except ValueError:
+        return False
+
+
 def _accept_validation(args, report):
     """ok needs the structure a representation must have: sign +-1, m in {0, 1}, a positive
     scale, int spectrum primes with int exponents >= 0 and a strictly primitive core of its
-    modulus."""
+    modulus.  With that structure, ok holds exactly when the public decomposer of the reference
+    value gives rep back."""
     (rep,) = args
     d, core = rep.d, rep.core
     structural = (rep.sign in (1, -1) and rep.m in (0, 1) and rep.scale > 0
@@ -379,7 +404,7 @@ def _accept_validation(args, report):
                           for t in rep.terms)
                   and (core is None or (abs(core.x**2 - d * core.y**2) == core.modulus
                                         and gcd(core.x, d * core.y) == 1)))
-    return report.ok == (not report.problems) and (structural or not report.ok)
+    return report.ok == (not report.problems) and report.ok == (structural and _peels_back(rep))
 
 
 def _decided(ctx, z, verdict):
@@ -823,6 +848,7 @@ CENSUS = {
         ("string_rep", (CTX34, SPEC34, "x")),
         ("no_context", (None, SPEC34, Representation(d=34, terms=(XiPower(3, 1),)))),
         ("no_spec", (CTX34, None, Representation(d=34, terms=(XiPower(3, 1),)))),
+        ("past_pmax", (CTX34, spectrum(CTX34, 5), Representation(d=34, terms=(XiPower(47, 2),)))),
     ]),
     "rational_family": (rational_family, _accept_family, [
         ("valid", (CTX34, -1, 2, range(-1, 2), 13)),
@@ -879,6 +905,9 @@ CENSUS = {
         ("str_exp", (Representation(d=34, terms=(XiPower(3, "a"),)),)),
         ("none_exp", (Representation(d=34, terms=(XiPower(3, None),)),)),
         ("str_p", (Representation(d=34, terms=(XiPower("3", 1),)),)),
+        ("core_covered_by_xi", (Representation(d=34, core=CoreFactor(9, 5, 1)),)),  # 5 + sqrt(34) is xi_3
+        ("xi2_scaled", (Representation(d=5, n=1, terms=(XiPower(2, 1),), scale=2),)),  # 4 * eta^3
+        ("half_unit", (Representation(d=5, n=1),)),  # eta = (1 + sqrt(5)) / 2
     ]),
     "strict_exists": (strict_exists, _accept_verdict, [
         ("valid", (CTX34, SPEC34, 9)),

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -9,8 +10,9 @@ import pytest
 from pellbisect.oracle import SearchBox, brute_rational_pell
 from pellbisect.pellcore import make_context, spectrum
 from pellbisect.quadfield import NotSquareFreeError
-from pellbisect.rationalpell import RationalPellPoint, decompose_rational, generate_rational, rational_family
-from pellbisect.solver import Representation, XiPower, decompose_square, evaluate_representation
+from pellbisect.rationalpell import RationalPellPoint, _family, decompose_rational, generate_rational, rational_family
+from pellbisect.solver import (Representation, XiPower, decompose_square, evaluate_representation,
+                               validate_representation)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # each lies on its curve for its own d, which is no field index: 4 and 1 are squares,
@@ -100,26 +102,44 @@ TABLE_DS = (2, 5, 10, 13, 17, 26, 29, 34)
 
 
 def test_decompose_integral_point_is_a_unit_power():
-    """+-eta^n in Z[sqrt(d)] for n in -3..3 on each table d, as a rational point and, doubled,
-    through decompose_square, peels to the unit power alone.  The half-coordinate powers of
-    d = 5 mod 8 clear to a norm of 4 and peel xi_2 instead, so they are left out here."""
+    """+-eta^n for n in -3..3 on each table d, as a rational point, peels to the unit power alone,
+    the half-coordinate powers of d = 5 mod 8 too, since xi_2 / 2 is a unit there.  Doubled, each
+    power in Z[sqrt(d)] peels to the same power with scale 2 through decompose_square."""
     ctx, spec = ctx_spec(5)
     rep = decompose_rational(ctx, spec, RationalPellPoint(5, F(2), F(1), 1))
     assert rep.terms == () and rep.n == 3  # 2 + sqrt(5) = eta^3
-    checked = 0
+    checked = squared = 0
     for d in TABLE_DS:
         ctx, spec = ctx_spec(d)
         for n in range(-3, 4):
             for sign in (1, -1):
                 unit = evaluate_representation(Representation(d, sign, n=n))
-                if unit.a.denominator != 1 or unit.b.denominator != 1:
-                    continue
-                x, y = int(unit.a), int(unit.b)
-                point = RationalPellPoint(d, x, y, 0 if x * x - d * y * y == 1 else 1)
+                point = RationalPellPoint(d, unit.a, unit.b, 0 if unit.norm() == 1 else 1)
                 assert decompose_rational(ctx, spec, point) == Representation(d, sign, n=n), (d, n, sign)
-                assert decompose_square(ctx, spec, 2 * x, 2 * y) == Representation(d, sign, n=n, scale=F(2))
                 checked += 1
-    assert checked == 2 * (5 * 7 + 3 * 3)
+                if unit.a.denominator == unit.b.denominator == 1:
+                    x, y = unit.int_coords()
+                    assert decompose_square(ctx, spec, 2 * x, 2 * y) == Representation(d, sign, n=n, scale=F(2))
+                    squared += 1
+    assert (checked, squared) == (8 * 7 * 2, 2 * (5 * 7 + 3 * 3))
+
+
+@pytest.mark.parametrize("d", TABLE_DS)
+def test_family_labels_come_back_from_their_points(d):
+    """Each candidate of rational_family's search (at most 2 terms, n in -3..3, pmax 31) comes back
+    from its point as itself, up to the scale, except that on d = 5 mod 8 a xi_2 goes back into
+    the unit; every label that comes back is valid."""
+    ctx, spec = ctx_spec(d, 31)
+    with_xi_2 = 0
+    for rep in _family(ctx, spec.primes, 2, range(-3, 4)):
+        back = decompose_rational(ctx, spec, generate_rational(ctx, spec, rep))
+        if d % 8 == 5 and any(t.p == 2 for t in rep.terms):
+            assert all(t.p != 2 for t in back.terms), rep
+            with_xi_2 += 1
+        else:
+            assert replace(back, scale=F(1)) == rep, rep
+        assert validate_representation(back), back
+    assert (with_xi_2 > 0) == (d % 8 == 5)
 
 
 def test_parity_law():

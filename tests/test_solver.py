@@ -190,9 +190,7 @@ def test_decompose_square_rejects_nonsquare():
 
 
 def test_validate_representation():
-    assert not validate_representation(Representation(d=5, n=1))
-    report = validate_representation(Representation(d=5, n=1))
-    assert "divisible by 3" in report.problems[0]
+    assert validate_representation(Representation(d=5, n=1))  # eta = (1 + sqrt(5))/2, a point
     assert validate_representation(Representation(d=5, n=3))
     assert validate_representation(Representation(d=2, n=-1, terms=(XiPower(7, 1),)))
     assert not validate_representation(Representation(d=2, terms=(XiPower(3, 1),)))
@@ -215,7 +213,8 @@ def test_validate_reports_negative_exponent_without_evaluating():
 def test_validate_flags_a_core_with_the_wrong_modulus():
     report = validate_representation(Representation(d=34, core=CoreFactor(modulus=4, x=5, y=1)))
     assert report.problems == ("core (5, 1) does not have modulus 4",)  # |25 - 34| = 9
-    assert validate_representation(Representation(d=34, core=CoreFactor(modulus=9, x=5, y=1)))
+    report = validate_representation(Representation(d=34, core=CoreFactor(modulus=9, x=5, y=1)))
+    assert report.problems == (f"the peel labels its value {Representation(d=34, terms=(XiPower(3, 1),))}",)
     report = validate_representation(Representation(d=34, core=CoreFactor(modulus=0, x=0, y=0)))
     assert report.problems == ("core (0, 0) is not strictly primitive",)  # it evaluates to 0
     report = validate_representation(Representation(d=34, core=CoreFactor(modulus=4, x=2, y=0)))
@@ -241,23 +240,25 @@ def test_validate_scaled_representation():
     assert validate_representation(rep)
 
 
+NEITHER = "its value is no point of x^2 - {}y^2 = +-1 and no solution that decompose accepts"
+
+
 @pytest.mark.parametrize(
     "rep, problems",
     (
-        (Representation(d=2, terms=(XiPower(7, 1),), scale=F(2)),
-         ("scaled representations need a square core modulus",)),
-        # d = 1 mod 8: the cofactor 2 (m = 1) lifts the cap on xi_2 / 2
+        # 2 * (3 + sqrt(2)): |N| = 28 is no square and gcd(6, 2 * 2) = 2
+        (Representation(d=2, terms=(XiPower(7, 1),), scale=F(2)), (NEITHER.format(2),)),
+        # d = 1 mod 8: the cofactor 2 (m = 1) makes 3 * 2 * (xi_2 / 2)^2 integral
         (Representation(d=17, m=1, terms=(XiPower(2, 2),), scale=F(3)), ()),
-        (Representation(d=17, terms=(XiPower(2, 2),), scale=F(3)),
-         ("exponent at p=2 exceeds its cap 0",)),
-        # half-coordinate unit with n not divisible by 3: xi_2 needs an even scale
-        (Representation(d=5, n=1, terms=(XiPower(2, 1),), scale=F(2)), ()),
+        (Representation(d=17, terms=(XiPower(2, 2),), scale=F(3)), (NEITHER.format(17),)),
+        # d = 5 mod 8: xi_2 = 2 * eta^2, so eta * xi_2 * 2 is 4 * eta^3
+        (Representation(d=5, n=1, terms=(XiPower(2, 1),), scale=F(2)),
+         (f"the peel labels its value {Representation(d=5, n=3, scale=F(4))}",)),
         (Representation(d=5, n=1, terms=(XiPower(2, 1),), scale=F(3)),
-         ("exponent at p=2 exceeds its cap 0",)),
-        # rational context: |N(xi_3)| = 9 for d = 34
+         (f"the peel labels its value {Representation(d=5, n=3, scale=F(6))}",)),
+        # a point: |N(xi_3)| = 9 for d = 34
         (Representation(d=34, terms=(XiPower(3, 1),), scale=F(1, 3)), ()),
-        (Representation(d=34, terms=(XiPower(3, 1),), scale=F(1, 5)),
-         ("scale must be the inverse square root of the core modulus",)),
+        (Representation(d=34, terms=(XiPower(3, 1),), scale=F(1, 5)), (NEITHER.format(34),)),
     ),
 )
 def test_validate_scaled_caps_and_rational_scale(rep, problems):
@@ -515,27 +516,88 @@ def test_a_perturbed_evaluation_fails_every_self_check(monkeypatch):
         rationalpell.generate_rational(ctx, spec, rep)
 
 
-@pytest.mark.parametrize("d", (2, 5, 13, 17, 34, 41))
-def test_validate_reads_the_norm_of_the_unscaled_product(d, monkeypatch):
-    """validate_representation's core modulus is |N| of the representation
-    without its scale, as the Fraction product gives it."""
-    from pellbisect import solver
+# Each self-check on the solution path, with the kernel it guards broken: (module, name, the broken
+# kernel, a call that must raise InvariantError, the message).  Run in-process and under python -O.
+BROKEN_KERNELS = r"""
+from pellbisect import rationalpell, solver
+from pellbisect.pellcore import make_context, spectrum
+from pellbisect.quadfield import _mul_scaled
 
-    seen = []
-    real = solver.is_square
-    monkeypatch.setattr(solver, "is_square", lambda n: seen.append(n) or real(n))
-    checked = 0
+ctx2, ctx34 = make_context(2), make_context(34)
+spec2, spec34 = spectrum(ctx2, 97), spectrum(ctx34, 97)
+real_mul, real_eval = solver._mul_scaled, rationalpell._evaluate_scaled
+cases = [
+    # x + d*y keeps gcd(x, d*y) and m, and moves the modulus
+    (solver, "_mul_scaled", lambda d, *a: (lambda x, y, m: (x + d * y, y, m))(*real_mul(d, *a)),
+     lambda: solver.generate_strict(ctx34, spec34, 9, range(-1, 2)), r"does not have modulus 9$"),
+    (solver, "_verdict", lambda d, z, pmax: solver.ExistenceVerdict(exists=False),
+     lambda: solver.decompose_strict(ctx34, spec34, 5, 1), r"^\(5, 1\) is a solution, yet the verdict says none"),
+    (solver, "exact_div", lambda alpha, beta: None,
+     lambda: solver.decompose_strict(ctx34, spec34, 5, 1), r"^no choice of XiPower\(p=3, .* divides \(5, 1\)$"),
+    # times eta = 1 + sqrt(2), of norm -1: the modulus stays, the norm's sign flips
+    (rationalpell, "_evaluate_scaled", lambda rep: _mul_scaled(2, *real_eval(rep), 1, 1, 1),
+     lambda: rationalpell.generate_rational(ctx2, spec2, solver.Representation(2, n=-1, terms=(solver.XiPower(7, 2),))),
+     r"^norm sign 0 disagrees with the parity"),
+]
+"""
+
+
+def test_a_broken_kernel_fails_its_self_check(monkeypatch):
+    namespace = {}
+    exec(BROKEN_KERNELS, namespace)
+    for module, name, broken, call, message in namespace["cases"]:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, broken)
+            with pytest.raises(InvariantError, match=message):
+                call()
+
+
+def test_a_broken_kernel_fails_its_self_check_under_optimize():
+    code = BROKEN_KERNELS + (
+        "print(__debug__)\n"
+        "for module, name, broken, call, _ in cases:\n"
+        "    real = getattr(module, name)\n"
+        "    setattr(module, name, broken)\n"
+        "    try:\n"
+        "        print(call())\n"
+        "    except Exception as e:\n"
+        "        print(type(e).__name__)\n"
+        "    setattr(module, name, real)\n"
+    )
+    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert r.stdout.splitlines() == ["False"] + ["InvariantError"] * 4, r.stdout + r.stderr
+
+
+def _public_label(ctx, value):
+    """The label the public decomposer gives value: decompose_rational for a point of
+    x^2 - d y^2 = +-1, decompose for an integral solution it accepts, else None."""
+    d, norm = ctx.d, value.norm()
+    try:
+        if abs(norm) == 1:
+            spec = spectrum(ctx, max(factorize(value.a.denominator), default=2))
+            return decompose_rational(ctx, spec, RationalPellPoint(d, value.a, value.b, 0 if norm == 1 else 1))
+        return decompose(ctx, *value.int_coords())
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("d", (2, 5, 13, 17, 34, 41))
+def test_validate_is_the_round_trip_of_the_peel(d):
+    """A well-formed representation is valid exactly when the public decomposer of its value gives
+    it back, and every label a decomposer gives is valid."""
+    ctx = make_context(d)
+    outcomes = []
     for rep in _seeded_representations(d):
         rep = replace(
             rep, sign=rep.sign or 1, terms=tuple(replace(t, exp=abs(t.exp)) for t in rep.terms),
-            core=rep.core if rep.core and gcd(rep.core.x, d * rep.core.y) == 1 else None,
-            scale=F(3) if rep.scale == 1 else rep.scale)
-        seen.clear()
-        validate_representation(rep)
-        a, b = _reference_evaluation(replace(rep, scale=F(1)))
-        assert seen == [int(abs(a * a - d * b * b))], rep
-        checked += 1
-    assert checked == 40
+            core=rep.core if rep.core and gcd(rep.core.x, d * rep.core.y) == 1 else None)
+        label = _public_label(ctx, evaluate_representation(rep))
+        outcomes.append((label is not None, label == rep))
+        assert validate_representation(rep).ok == (label == rep), rep
+        assert label is None or validate_representation(label), label
+    assert {(True, True), (True, False), (False, False)} <= set(outcomes)
 
 
 def _quadelem_element(ctx, label):
