@@ -93,10 +93,12 @@ def classify_pair(a: Fraction, b: Fraction) -> PairClassification:
 def _slopes(x1: int, y1: int, m1: int, x2: int, y2: int, m2: int) -> tuple[Fraction | None, Fraction | None]:
     """c+- = (a b2 +- a2 b)/(a2 +- b2) on integers for the points (a, a2) = (x1, y1)/m1 and
     (b, b2) = (x2, y2)/m2 of x^2 - d y^2 = -1; homogeneous in the y-parts, so d never
-    enters.  A slope is None where its denominator vanishes."""
+    enters.  A slope is None where its denominator vanishes; when both exist, c+ * c- = -1."""
     den_plus, den_minus = y1 * m2 + y2 * m1, y2 * m1 - y1 * m2
     c_plus = Fraction(x1 * y2 + y1 * x2, den_plus) if den_plus else None
     c_minus = Fraction(x1 * y2 - y1 * x2, den_minus) if den_minus else None
+    if c_plus is not None and c_minus is not None and c_plus * c_minus != -1:
+        raise InvariantError(f"bisector slopes {c_plus} and {c_minus} are not perpendicular")
     return c_plus, c_minus
 
 
@@ -113,10 +115,7 @@ def from_pell_points(
         if sx * sx - d * sy * sy != -m * m:
             raise ValueError(f"({x}, {y}) is not on x^2 - {d} y^2 = -1")
         coords += (sx, sy, m)
-    c_plus, c_minus = _slopes(*coords)
-    if c_plus is not None and c_minus is not None and c_plus * c_minus != -1:
-        raise InvariantError(f"bisector slopes {c_plus} and {c_minus} are not perpendicular")
-    return c_plus, c_minus
+    return _slopes(*coords)
 
 
 def bisect(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
@@ -125,8 +124,6 @@ def bisect(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
     c_plus, c_minus = _slopes(A, A2, D, B, B2, D)
     if c_plus is None or c_minus is None:  # A2, B2 > 0 and |A| != |B| rule both out
         raise InvariantError(f"degenerate bisector denominator for ({a}, {b})")
-    if c_plus * c_minus != -1:
-        raise InvariantError(f"bisector slopes {c_plus} and {c_minus} are not perpendicular")
     return c_plus, c_minus
 
 

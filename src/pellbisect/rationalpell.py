@@ -63,6 +63,8 @@ def _point(ctx: PellContext, rep: Representation) -> RationalPellPoint:
     """generate_rational's point, for a rep of ctx's d whose every p is prime."""
     x, y, m = _evaluate_scaled(rep)
     norm = x * x - ctx.d * y * y
+    if norm == 0:  # d is no square, so the value is 0
+        raise ValueError(f"the representation evaluates to 0, no point of x^2-{ctx.d}y^2 = +-1")
     z_core = Fraction(abs(norm), m * m)
     if z_core.denominator != 1 or not is_square(z_core.numerator):
         raise ValueError(f"parity violation: term exponents must give a square modulus (got {z_core})")

@@ -126,9 +126,12 @@ def _evaluate_scaled(rep: Representation) -> tuple[int, int, int]:
 
 
 def _checked(rep: Representation) -> Representation:
-    """rep, once checked as a Representation whose every p is prime (ValueError)."""
+    """rep, once checked as a Representation with m in {0, 1} whose every p is prime (ValueError): the one
+    gate before a caller's label is evaluated, which refuses a non-int exponent or a p outside the spectrum."""
     if not isinstance(rep, Representation):
         raise ValueError(f"need a Representation, got {rep!r}")
+    if rep.m not in (0, 1):
+        raise ValueError(f"m must be 0 or 1, got {rep.m}")
     for t in rep.terms:
         if not isinstance(t.p, int) or not is_prime(t.p):
             raise ValueError(f"{t.p} is not prime")
@@ -425,39 +428,19 @@ def decompose(ctx: PellContext, x: int, y: int) -> Representation:
 
 
 def validate_representation(rep: Representation) -> ValidationReport:
-    """Input checks: sign, m, a positive scale, int exponents >= 0, int spectrum primes, the core's
-    modulus and strict primitivity.  Then rep is valid exactly when it is the label the peel gives
-    its own value, which must be a point of x^2 - d y^2 = +-1 or a solution that decompose accepts."""
+    """rep is valid when it passes evaluate_representation's gate and the peel gives it back: its
+    value must be a point of x^2 - d y^2 = +-1 or a solution that decompose accepts, and be labelled
+    rep.  The one problem is the gate's or evaluation's ValueError, or the round trip's."""
     if not isinstance(rep, Representation):
         raise ValueError(f"need a Representation, got {rep!r}")
     ctx = make_context(rep.d)
-    problems: list[str] = []
-    if rep.sign not in (1, -1):
-        problems.append(f"sign must be +-1, got {rep.sign}")
-    if rep.m not in (0, 1):
-        problems.append(f"m must be 0 or 1, got {rep.m}")
-    if rep.scale <= 0:
-        problems.append("scale must be positive")
-    for t in rep.terms:
-        if type(t.exp) is not int:
-            problems.append(f"exponent at p={t.p} must be an integer, got {t.exp!r}")
-        elif t.exp < 0:
-            problems.append(f"negative exponent at p={t.p}")
-        if type(t.p) is not int or not is_prime(t.p) or _xi_cached(rep.d, t.p) is None:
-            problems.append(f"p={t.p} is outside the spectrum of d={rep.d}")
-    if rep.core is not None:
-        c = rep.core
-        if abs(c.x * c.x - rep.d * c.y * c.y) != c.modulus:
-            problems.append(f"core ({c.x}, {c.y}) does not have modulus {c.modulus}")
-        if gcd(c.x, rep.d * c.y) != 1:
-            problems.append(f"core ({c.x}, {c.y}) is not strictly primitive")
-    if problems:
-        return ValidationReport(False, tuple(problems))
-
-    x, y, m = _evaluate_scaled(rep)
+    try:
+        x, y, m = _evaluate_scaled(_checked(rep))
+    except ValueError as e:
+        return ValidationReport(False, (str(e),))
     a, b = Fraction(x, m) * rep.scale, Fraction(y, m) * rep.scale
     norm = abs(a * a - rep.d * b * b)
-    if norm != 1 and not (a.denominator == b.denominator == 1
+    if norm != 1 and not (norm > 1 and a.denominator == b.denominator == 1
                           and (gcd(a.numerator, rep.d * b.numerator) == 1 or is_square(norm.numerator))):
         return ValidationReport(False, (f"its value is no point of x^2 - {rep.d}y^2 = +-1 and no solution "
                                         "that decompose accepts",))

@@ -393,18 +393,13 @@ def _peels_back(rep):
 
 
 def _accept_validation(args, report):
-    """ok needs the structure a representation must have: sign +-1, m in {0, 1}, a positive
-    scale, int spectrum primes with int exponents >= 0 and a strictly primitive core of its
-    modulus.  With that structure, ok holds exactly when the public decomposer of the reference
-    value gives rep back."""
+    """ok needs what evaluate_representation's gate and evaluation need: m in {0, 1} and int spectrum
+    primes with int exponents.  With those, ok holds exactly when the public decomposer of the
+    reference value gives rep back."""
     (rep,) = args
-    d, core = rep.d, rep.core
-    structural = (rep.sign in (1, -1) and rep.m in (0, 1) and rep.scale > 0
-                  and all(_ints(t.p, t.exp) and t.exp >= 0 and sympy.isprime(t.p) and _in_s_ref(d, t.p)
-                          for t in rep.terms)
-                  and (core is None or (abs(core.x**2 - d * core.y**2) == core.modulus
-                                        and gcd(core.x, d * core.y) == 1)))
-    return report.ok == (not report.problems) and report.ok == (structural and _peels_back(rep))
+    gate = rep.m in (0, 1) and all(_ints(t.p, t.exp) and sympy.isprime(t.p) and _in_s_ref(rep.d, t.p)
+                                   for t in rep.terms)
+    return report.ok == (not report.problems) and report.ok == (gate and _peels_back(rep))
 
 
 def _decided(ctx, z, verdict):
@@ -849,6 +844,8 @@ CENSUS = {
         ("no_context", (None, SPEC34, Representation(d=34, terms=(XiPower(3, 1),)))),
         ("no_spec", (CTX34, None, Representation(d=34, terms=(XiPower(3, 1),)))),
         ("past_pmax", (CTX34, spectrum(CTX34, 5), Representation(d=34, terms=(XiPower(47, 2),)))),
+        ("negative_m", (CTX34, SPEC34, Representation(d=34, m=-1))),
+        ("zero_value", (CTX34, SPEC34, Representation(d=34, sign=0))),
     ]),
     "rational_family": (rational_family, _accept_family, [
         ("valid", (CTX34, -1, 2, range(-1, 2), 13)),
@@ -892,6 +889,7 @@ CENSUS = {
         ("not_squarefree", (Representation(d=4),)),
         ("string", ("x",)),
         ("bool_exp", (Representation(d=34, terms=(XiPower(3, True),)),)),
+        ("negative_m", (Representation(d=34, m=-1),)),
     ]),
     "validate_representation": (validate_representation, _accept_validation, [
         ("valid", (Representation(d=34, terms=(XiPower(3, 1),)),)),
