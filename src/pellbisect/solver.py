@@ -101,17 +101,29 @@ class ExistenceVerdict:
     m: int = 0
 
 
+@lru_cache(maxsize=4096, typed=True)
+def _xi_power(d: int, p: int, e: int, conj: bool) -> tuple[int, int, int]:
+    """xi_p^e for a prime p, with xi_2 / 2 as the base when d = 1 mod 8, conjugated on conj, as a triple.
+    With _eta_power it raises each factor of a field once.  Typed keys keep an e of 1.0 or True apart
+    from 1, so _pow_scaled refuses it."""
+    entry = _xi_cached(d, p)  # p is prime: from factorize, or checked where rep came in
+    if entry is None:
+        raise ValueError(f"prime {p} is not in the spectrum of d={d}")
+    return _pow_scaled(d, entry.x, -entry.y if conj else entry.y, 2 if p == 2 and d % 8 == 1 else 1, e)
+
+
+@lru_cache(maxsize=256, typed=True)
+def _eta_power(d: int, n: int) -> tuple[int, int, int]:
+    """eta^n as a triple (see _xi_power)."""
+    return _pow_scaled(d, *make_context(d).eta.scaled_coords(), n)
+
+
 def _element(ctx: PellContext, label: XiPower | CoreFactor) -> tuple[int, int, int]:
-    """The factor a representation's label stands for, xi_p^exp (with xi_2 / 2
-    as the base when d = 1 mod 8) or the core, conjugated on conj, as the triple
-    (x, y, m) with the factor = (x + y*sqrt(d))/m in lowest terms, m > 0."""
+    """The factor a representation's label stands for, xi_p^exp or the core, conjugated on conj, as the
+    triple (x, y, m) with the factor = (x + y*sqrt(d))/m in lowest terms, m > 0."""
     if isinstance(label, CoreFactor):
         return label.x, -label.y if label.conj else label.y, 1
-    entry = _xi_cached(ctx.d, label.p)  # p is prime: from factorize, or checked where rep came in
-    if entry is None:
-        raise ValueError(f"prime {label.p} is not in the spectrum of d={ctx.d}")
-    m = 2 if label.p == 2 and ctx.d % 8 == 1 else 1
-    return _pow_scaled(ctx.d, entry.x, -entry.y if label.conj else entry.y, m, label.exp)
+    return _xi_power(ctx.d, label.p, label.exp, label.conj)
 
 
 def _evaluate_scaled(rep: Representation) -> tuple[int, int, int]:
@@ -119,7 +131,7 @@ def _evaluate_scaled(rep: Representation) -> tuple[int, int, int]:
     triple (x, y, m) with the product = (x + y*sqrt(d))/m in lowest terms, m > 0."""
     d = rep.d
     ctx = make_context(d)
-    x, y, m = _mul_scaled(d, rep.sign * 2**rep.m, 0, 1, *_pow_scaled(d, *ctx.eta.scaled_coords(), rep.n))
+    x, y, m = _mul_scaled(d, rep.sign * 2**rep.m, 0, 1, *_eta_power(d, rep.n))
     for label in rep.terms + ((rep.core,) if rep.core else ()):
         x, y, m = _mul_scaled(d, x, y, m, *_element(ctx, label))
     return x, y, m
@@ -288,7 +300,7 @@ def _generate(ctx: PellContext, plan: ExistenceVerdict, z: int, n_range: Iterabl
 
     results: set[tuple[int, int]] = set()
     for n in n_range:
-        unit = _pow_scaled(d, *ctx.eta.scaled_coords(), n)
+        unit = _eta_power(d, n)
         for stem in stems:
             x, y, m = _mul_scaled(d, *stem, *unit)  # -stem * unit normalizes to the same (x, y)
             if m != 1:  # not in Z[sqrt(d)]
@@ -312,7 +324,7 @@ def _unit_exponent(ctx: PellContext, x: int, y: int, m: int) -> tuple[int, int]:
     if not (m == 1 or m == 2 and d % 4 == 1) or abs(x * x - d * y * y) != m * m:
         raise ValueError(f"residual ({x} + {y}*sqrt({d}))/{m} is not a unit of O_K; inconsistent decomposition")
     s, t = 2 * x // m, 2 * y // m
-    x, y, m = ctx.eta.scaled_coords()
+    x, y, m = _eta_power(d, 1)
     e, f = 2 * x // m, 2 * y // m
     n, norm = 0, (e * e - d * f * f) // 4
     while t:

@@ -238,7 +238,7 @@ def test_pow_scaled_holds_the_only_square_and_multiply_loop():
     for path in sorted((SRC / "pellbisect").glob("*.py")):
         visit(ast.parse(path.read_text(), str(path)), path.stem, None)
     assert owners == [("quadfield", "_pow_scaled")]
-    assert {("quadfield", "__pow__"), ("solver", "_element")} <= callers
+    assert {("quadfield", "__pow__"), ("solver", "_xi_power"), ("solver", "_eta_power")} <= callers
 
 
 def _repeated_parts(node):

@@ -514,6 +514,12 @@ SLOW_XI = pytest.mark.xfail(
     strict=True, raises=CensusTimeout,
     reason="ROADMAP items 4 and 8: xi scans y level by level up to its bound; the level from reduced "
            "forms and a scan at that level only replace it")
+SLOW_FACTOR = pytest.mark.xfail(
+    strict=True, raises=CensusTimeout,
+    reason="ROADMAP items 6 and 7: the peel factors the modulus 13833247 * 72289607799094457 by trial "
+           "division; a factorization that scales, or a budget that refuses the call, mends it")
+# the point (10^12 + 109, 1) of |x^2 - 2 y^2| = 13833247 * 72289607799094457, a 17-digit prime cofactor
+BIG_X = 10**12 + 109
 
 # name: (callable, acceptor, [(id, args) or (id, args, xfail mark)])
 CENSUS = {
@@ -906,6 +912,7 @@ CENSUS = {
         ("core_covered_by_xi", (Representation(d=34, core=CoreFactor(9, 5, 1)),)),  # 5 + sqrt(34) is xi_3
         ("xi2_scaled", (Representation(d=5, n=1, terms=(XiPower(2, 1),), scale=2),)),  # 4 * eta^3
         ("half_unit", (Representation(d=5, n=1),)),  # eta = (1 + sqrt(5)) / 2
+        ("large_core", (Representation(d=2, core=CoreFactor(BIG_X**2 - 2, BIG_X, 1)),), SLOW_FACTOR),
     ]),
     "strict_exists": (strict_exists, _accept_verdict, [
         ("valid", (CTX34, SPEC34, 9)),
@@ -984,6 +991,7 @@ CENSUS = {
         ("bool_y", (CTX34, 5, True)),
         ("int_context", (34, 5, 1)),
         ("no_context", (None, 5, 1)),
+        ("large_prime_factor", (CTX2, BIG_X, 1), SLOW_FACTOR),
     ]),
     "SearchBox": (SearchBox, _accept_box, [
         ("valid", (10,)),

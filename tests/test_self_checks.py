@@ -15,6 +15,8 @@ CHECKED = {"InvariantError", "XiEntryError"}
 # One row per self-check: (module, the function that raises, the kernel it guards, that kernel
 # broken, the caches the call reads, the call, the error, its message).  fire runs a row with the
 # caches cleared before and after, and says what was raised, where, and whether the message matches.
+# A row whose broken kernel feeds the solver's memo of powers clears that memo too, so a broken
+# product is never served warm to a later test.
 SELF_CHECKS = r"""
 import re
 from fractions import Fraction
@@ -73,15 +75,16 @@ cases = [
     # sqrt(34) = [5; 1, 4, 1, 10]: the last term no longer closes on 2*a0, or the first one moves the convergent
     (pellcore, "continued_fraction_sqrt", "_period", edit_period(lambda t: t[:-1] + (t[-1] + 1,)), (),
      lambda: pellcore.continued_fraction_sqrt(34), InvariantError, r"^period of sqrt\(34\) does not close on 2\*a0$"),
-    (pellcore, "make_context", "_period", edit_period(lambda t: (t[0] + 1,) + t[1:]), (pellcore.make_context,),
+    (pellcore, "make_context", "_period", edit_period(lambda t: (t[0] + 1,) + t[1:]),
+     (pellcore.make_context, solver._eta_power),
      lambda: make_context(34), InvariantError, r"^convergent of omega for d = 34 gives .*, not a unit"),
     # N(eta) = +1 on d = 34, so h+ = 2h is even
     (pellcore, "class_number", "_narrow_class_number", lambda D: real_h(D) + 1, (pellcore.class_number,),
      lambda: pellcore.class_number(34), InvariantError, r"^odd narrow class number 5 with N\(eta\) = 1 for d = 34$"),
-    (pellcore, "_xi_cached", "strict_hits", no_hits, (pellcore._xi_cached,),
+    (pellcore, "_xi_cached", "strict_hits", no_hits, (pellcore._xi_cached, solver._xi_power),
      lambda: pellcore.xi(ctx34, 3), InvariantError, r"^no fundamental element found for d=34, p=3 within level bound$"),
     (pellcore, "_solves", "strict_hits", lambda *args: ((x, y + 1, s) for x, y, s in real_hits(*args)),
-     (pellcore._xi_cached,), lambda: pellcore.xi(ctx34, 3), XiEntryError,
+     (pellcore._xi_cached, solver._xi_power), lambda: pellcore.xi(ctx34, 3), XiEntryError,
      r"^XiEntry\(d=34, p=3, .* is not a positive strictly primitive solution$"),
 ]
 

@@ -18,7 +18,7 @@ from pellbisect import pellcore, rationalpell, solver
 from pellbisect.arith import factorize
 from pellbisect.oracle import SearchBox, brute_solutions
 from pellbisect.pellcore import Spectrum, XiEntry, make_context, spectrum, xi
-from pellbisect.quadfield import InvariantError, QuadElem
+from pellbisect.quadfield import InvariantError, QuadElem, _pow_scaled
 from pellbisect.rationalpell import RationalPellPoint, decompose_rational
 from pellbisect.solver import (
     CoreFactor,
@@ -571,6 +571,40 @@ def test_element_is_the_quadelem_factor_as_a_triple(d):
     assert d % 8 != 1 or 2 in spec.primes
     for label in labels:
         assert _element(ctx, label) == _quadelem_element(ctx, label).scaled_coords(), label
+
+
+@pytest.mark.parametrize("d", TABLE_DS)
+def test_the_factor_memos_give_the_powers_of_pow_scaled(d):
+    """xi_p^e for every spectrum prime up to 97, e in 1..4 and both conj values, and eta^n for
+    n in -5..5, read from the memos cold and then warm, against _pow_scaled on the raw entry."""
+    ctx, spec = ctx_spec(d)
+    keys = [(entry, e, c) for entry in spec.entries for e in range(1, 5) for c in (False, True)]
+    expected_xi = {(entry.p, e, c): _pow_scaled(d, entry.x, -entry.y if c else entry.y,
+                                                2 if entry.p == 2 and d % 8 == 1 else 1, e) for entry, e, c in keys}
+    expected_eta = {n: _pow_scaled(d, *ctx.eta.scaled_coords(), n) for n in range(-5, 6)}
+    for memo in (solver._xi_power, solver._eta_power):
+        memo.cache_clear()
+    for warm in (False, True):
+        assert {(p, e, c): _element(ctx, XiPower(p, e, c)) for p, e, c in expected_xi} == expected_xi, warm
+        assert {n: solver._eta_power(d, n) for n in range(-5, 6)} == expected_eta, warm
+        assert (solver._xi_power.cache_info().hits, solver._eta_power.cache_info().hits) == (
+            (len(keys), len(expected_eta)) if warm else (0, 0))
+
+
+def test_a_float_or_bool_exponent_is_refused_with_the_memo_cold_and_warm():
+    """1.0 and True equal 1, so the memos' keys are typed: an exponent or n of either is refused
+    as before, also once its integer twin is cached."""
+    ctx, spec = ctx_spec(34)
+    evaluate = lambda e: evaluate_representation(Representation(34, terms=(XiPower(3, e),)))  # noqa: E731
+    generate = lambda n: generate_strict(ctx, spec, 9, [n])  # noqa: E731
+    for memo in (solver._xi_power, solver._eta_power):
+        memo.cache_clear()
+    for call, bad in ((evaluate, True), (evaluate, 1.0), (generate, True), (generate, 2.0)):
+        with pytest.raises(ValueError, match=f"^exponent must be an integer, got {bad}$"):
+            call(bad)
+        assert call(int(bad))  # the integer key is cached now
+        with pytest.raises(ValueError, match=f"^exponent must be an integer, got {bad}$"):
+            call(bad)
 
 
 def test_generate_strict_builds_no_quadelem(monkeypatch):

@@ -263,7 +263,7 @@ def test_every_cache_of_the_package_is_bounded():
                     caches[f"{obj.__module__}.{obj.__qualname__}".removeprefix("pellbisect.")] = obj
     assert set(caches) == {"arith.is_prime", "arith.is_squarefree", "pellcore.make_context", "pellcore._scan_constants",
                            "pellcore._xi_cached", "pellcore._spectrum_cached", "pellcore.class_number",
-                           "solver._fundamental_window", "solver._verdict"}
+                           "solver._fundamental_window", "solver._verdict", "solver._xi_power", "solver._eta_power"}
     unbounded = [name for name, cache in caches.items() if cache.cache_info().maxsize is None]
     assert unbounded == []
 
