@@ -315,24 +315,18 @@ def _generate(ctx: PellContext, plan: ExistenceVerdict, z: int, n_range: Iterabl
 
 def _unit_exponent(ctx: PellContext, x: int, y: int, m: int) -> tuple[int, int]:
     """Write a unit u = (x + y*sqrt(d))/m of O_K, in lowest terms, as sign * eta^n
-    by exact division, no logs: one step per power of eta, towards +-1.  u is in
-    O_K when m = 1, or m = 2 and d = 1 mod 4 (the norm then forces x, y odd).
-    |u| > 1 exactly when u's two coordinates share a sign, since |u * conj(u)| = 1.
-    It walks the integer pairs 2u and 2*eta, whose product halves exactly;
-    eta^-1 = N(eta)*conj(eta)."""
+    by multiplying by eta^-1 or eta, no logs: one step per power of eta, towards +-1.
+    u is in O_K when m = 1, or m = 2 and d = 1 mod 4 (the norm then forces x, y odd).
+    |u| > 1 exactly when u's two coordinates share a sign, since |u * conj(u)| = 1."""
     d = ctx.d
     if not (m == 1 or m == 2 and d % 4 == 1) or abs(x * x - d * y * y) != m * m:
         raise ValueError(f"residual ({x} + {y}*sqrt({d}))/{m} is not a unit of O_K; inconsistent decomposition")
-    s, t = 2 * x // m, 2 * y // m
-    x, y, m = _eta_power(d, 1)
-    e, f = 2 * x // m, 2 * y // m
-    n, norm = 0, (e * e - d * f * f) // 4
-    while t:
-        if s * t > 0:
-            s, t, n = norm * (s * e - d * t * f) // 2, norm * (t * e - s * f) // 2, n + 1
-        else:
-            s, t, n = (s * e + d * t * f) // 2, (s * f + t * e) // 2, n - 1
-    return n, s // 2
+    n = 0
+    while y:
+        step = -1 if x * y > 0 else 1
+        x, y, m = _mul_scaled(d, x, y, m, *_eta_power(d, step))
+        n -= step
+    return n, x // m
 
 
 def decompose_strict(ctx, spec: Spectrum, x: int, y: int) -> Representation:

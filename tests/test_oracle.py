@@ -60,6 +60,8 @@ def test_tangent_bisector_check():
     assert tangent_bisector_check(F(1), F(7), F(2)) is True
     assert tangent_bisector_check(F(1), F(7), F(-1, 2)) is True
     assert tangent_bisector_check(F(1), F(7), F(3)) is False
+    # c = -1 leaves the first branch's guard at 0, so only the perpendicular 1 decides
+    assert tangent_bisector_check(F(1), F(1), F(-1)) is True
 
 
 def test_tangent_check_indeterminate():

@@ -211,6 +211,8 @@ def test_sub_refuses_a_float_like_add():
         q(2, 1, 1) + 1.5
     with pytest.raises(TypeError):
         q(2, 1, 1) * "x"
+    with pytest.raises(TypeError):
+        q(2, 1, 1) / "x"
     assert q(2, 1, 1) - F(1, 2) == q(2, F(1, 2), 1)
 
 

@@ -5,18 +5,16 @@ Run it from the repository root, with the tier-1 arguments as the default:
     PYTHONPATH=src python tests/trace_lines.py [pytest arguments]
 
 It runs pytest in this process under a sys.settrace line tracer and reports, per module of
-src/pellbisect, every line of a function body that no test executed, then each raise of
-InvariantError or XiEntryError among them.  It exits 1 when such a raise is unreached, since a
-self-check that no test reaches may be wired wrong; otherwise 0.  pytest's own outcome is
-printed but not judged here: the tier-1 run judges the tests, and tracing makes every call
-slower, which an alarm-capped test may notice.
+src/pellbisect, every line of a function body that no test executed.  It exits 1 when any such
+line is unreached, since such a line is dead code or a self-check that may be wired wrong;
+otherwise 0.  pytest's own outcome is printed but not judged here: the tier-1 run judges the
+tests, and tracing makes every call slower, which an alarm-capped test may notice.
 
 Only this process is traced: a test that runs code in a subprocess (the python -O runs) adds
 nothing.  hypothesis installs a tracer of its own, so this one is armed again before each test.
 The file is no test module, so pytest never collects it.
 """
 
-import ast
 import sys
 import threading
 from pathlib import Path
@@ -25,7 +23,6 @@ from types import CodeType
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pellbisect"
-CHECKED = {"InvariantError", "XiEntryError"}
 FUNCTION_FLAGS = 0x1 | 0x2  # CO_OPTIMIZED | CO_NEWLOCALS: a function, lambda or comprehension, no class body
 
 reached: set[tuple[str, int]] = set()
@@ -72,17 +69,12 @@ def _body_lines(code: CodeType):
             yield from _body_lines(const)
 
 
-def _checked_raises(tree):
-    return {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-            and getattr(node.exc.func, "id", None) in CHECKED}
-
-
 def main(args):
     _arm()
     outcome = pytest.main(args or ["-q", "--continue-on-collection-errors"], plugins=[Rearm()])
     sys.settrace(None)
     threading.settrace(None)
-    total, missed, missed_raises = 0, [], []
+    total, missed = 0, []
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
         lines = set(_body_lines(compile(text, str(path), "exec")))
@@ -90,12 +82,9 @@ def main(args):
         source = text.splitlines()
         missed += [f"{path.name}:{line}: {source[line - 1].strip()}" for line in sorted(lines)
                    if (str(path), line) not in reached]
-        missed_raises += [f"{path.name}:{line}" for line in sorted(_checked_raises(ast.parse(text)))
-                          if (str(path), line) not in reached]
     print(f"\npytest exit code {int(outcome)}; {total - len(missed)} of {total} function-body lines in src/ reached")
     print("\n".join(missed))
-    print(f"unreached raises of {' or '.join(sorted(CHECKED))}: {', '.join(missed_raises) or 'none'}")
-    return 1 if missed_raises else 0
+    return 1 if missed else 0
 
 
 if __name__ == "__main__":
