@@ -157,16 +157,12 @@ def evaluate_representation(rep: Representation) -> QuadElem:
     return QuadElem._of(rep.d, Fraction(x * num, den), Fraction(y * num, den))
 
 
-def solution_y_bound(ctx: PellContext, modulus: int) -> int:
-    """Window guaranteed to contain a representative of every solution class."""
-    return _scan_constants(ctx.d)[1] * (isqrt(max(modulus - 1, 0)) + 1)  # xi's base f1 + g1*(isqrt(d) + 1)
-
-
 @lru_cache(maxsize=1024)
 def _fundamental_window(d: int, modulus: int) -> tuple[tuple[int, int, int], ...]:
-    """All strictly primitive (x, y, sign) with |x^2-dy^2| = modulus and y
-    inside the class window; empty means no strictly primitive solutions."""
-    hits = strict_hits(d, modulus, solution_y_bound(make_context(d), modulus), (1, -1))
+    """All strictly primitive (x, y, sign) with |x^2-dy^2| = modulus and y inside the class
+    window, which holds a representative of every solution class; empty means none exist."""
+    y_max = _scan_constants(d)[1] * (isqrt(max(modulus - 1, 0)) + 1)  # xi's base f1 + g1*(isqrt(d) + 1)
+    hits = strict_hits(d, modulus, y_max, (1, -1))
     return tuple(sorted(hits, key=lambda h: (h[1], h[0], -h[2])))
 
 
@@ -260,13 +256,10 @@ def _verdict(d: int, z: int, pmax: int) -> ExistenceVerdict:
 
 
 def _choices(ctx: PellContext, plan: ExistenceVerdict) -> list[list[XiPower | CoreFactor]]:
-    """The candidate factors for each part of z, each followed by its
-    conjugate: odd primes first, then p = 2, then the core's window
-    elements.  This is the order decompose peels in: the quotient only stays
-    integral until the cofactor 2 hidden in the p = 2 factor comes off."""
+    """The candidate factors for each part of z, each followed by its conjugate:
+    the xi powers by increasing p, then the core's window elements."""
     groups: list[list[XiPower | CoreFactor]] = [
-        [XiPower(p, e), XiPower(p, e, conj=True)]
-        for p, e in sorted(plan.witness_exponents.items(), key=lambda pe: (pe[0] == 2, pe[0]))
+        [XiPower(p, e), XiPower(p, e, conj=True)] for p, e in sorted(plan.witness_exponents.items())
     ]
     if plan.core_modulus > 1:
         window = _fundamental_window(ctx.d, plan.core_modulus)
@@ -332,38 +325,42 @@ def _unit_exponent(ctx: PellContext, x: int, y: int, m: int) -> tuple[int, int]:
 def decompose_strict(ctx, spec: Spectrum, x: int, y: int) -> Representation:
     """Canonical factorization of a strictly primitive solution."""
     require_ints(x=x, y=y)
-    if abs(x * x - check_context(ctx).d * y * y) <= 1:
+    d = check_context(ctx).d
+    if abs(x * x - d * y * y) <= 1:
         raise ValueError("need |x^2 - d y^2| > 1")
-    return _decompose_scaled(ctx, _bound(ctx.d, spec), x, y)
-
-
-def _decompose_scaled(ctx: PellContext, pmax: int, x: int, y: int, scale: Fraction = Fraction(1)) -> Representation:
-    """Factorization of (x + y*sqrt(d)) * scale, where (x, y) is a unit or a strictly primitive
-    solution (else ValueError) whose primes pmax bounds.  Peels one factor per part of z, the first
-    choice that divides (so the unconjugated element wins a tie), and identifies the leftover unit
-    +-eta^n.  Once the xi powers are off, |N(alpha)| is the core modulus, so an exact quotient by a
-    window element is already a unit.  A unit's plan is empty: it peels nothing.  On d = 5 mod 8,
-    xi_2 / 2 is a unit of O_K, so a scale with a factor 1/2 takes it back as +-eta^k and the label
-    holds no xi_2."""
-    d = ctx.d
-    z = abs(x * x - d * y * y)
-    if z == 1:
-        plan = ExistenceVerdict(exists=True)
-    elif gcd(x, d * y) != 1:
+    pmax = _bound(d, spec)
+    if gcd(x, d * y) != 1:
         raise ValueError(f"({x}, {y}) is not strictly primitive for d={d}")
-    else:
-        plan = _verdict(d, z, pmax)
-        if not plan.exists:
-            raise InvariantError(f"({x}, {y}) is a solution, yet the verdict says none exists")
+    return _label(ctx, pmax, x, y)
 
-    alpha = QuadElem.from_int_pair(d, x, y)
+
+def _label(ctx: PellContext, pmax: int, a: int | Fraction, b: int | Fraction) -> Representation:
+    """The canonical label of a + b*sqrt(d), a and b integers or rationals: the one peel.  Cleared by
+    their least common denominator den, the pair (x, y) loses its gcd g into the scale g/den, and the
+    rest, a unit or a strictly primitive solution whose primes pmax bounds, is peeled.  The 2 outside
+    the factors comes off first, as alpha = (x + y*sqrt(d))/2, integral in O_K: when m = 1, and on half
+    (d = 5 mod 8, xi_2 a witness, den even), where xi_2 / 2 is a unit, so xi_2's group is skipped and
+    the scale takes the 2.  Then one factor per group of _choices, the first choice that divides (so
+    the unconjugated element wins a tie).  Once the xi powers are off, |N(alpha)| is the core modulus,
+    so an exact quotient by a window element is already a unit, and one walk names it +-eta^n (with
+    xi_2 / 2 = +-eta^k on half).  A unit's plan is empty."""
+    d = ctx.d
+    den = lcm(a.denominator, b.denominator)
+    x, y = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    g = gcd(x, y)
+    x, y, scale = x // g, y // g, Fraction(g, den)
+    z = abs(x * x - d * y * y)
+    plan = _verdict(d, z, pmax) if z > 1 else ExistenceVerdict(exists=True)
+    if not plan.exists:
+        raise InvariantError(f"({x}, {y}) is a solution, yet the verdict says none exists")
+    half = d % 8 == 5 and 2 in plan.witness_exponents and den % 2 == 0
+    h = 2 if plan.m or half else 1
+    alpha = QuadElem._of(d, Fraction(x, h), Fraction(y, h))
     peeled: list[XiPower | CoreFactor] = []
-    for group in _choices(ctx, plan):
+    for group in _choices(ctx, plan)[half:]:  # xi_2's group sorts first; half skips it
         for label in group:
             x2, y2, m2 = _element(ctx, label)
-            cof = 2**plan.m if isinstance(label, XiPower) and label.p == 2 else 1
-            divisor = QuadElem._of(d, Fraction(cof * x2, m2), Fraction(cof * y2, m2))
-            quotient = exact_div(alpha, divisor)
+            quotient = exact_div(alpha, QuadElem._of(d, Fraction(x2, m2), Fraction(y2, m2)))
             if quotient is not None:
                 alpha = quotient
                 peeled.append(label)
@@ -372,28 +369,12 @@ def _decompose_scaled(ctx: PellContext, pmax: int, x: int, y: int, scale: Fracti
             raise InvariantError(f"no choice of {group[0]} divides ({x}, {y})")
 
     n, sign = _unit_exponent(ctx, *alpha.scaled_coords())
-    terms = tuple(sorted((t for t in peeled if isinstance(t, XiPower)), key=lambda t: t.p))
-    half = d % 8 == 5 and 2 in plan.witness_exponents and scale.denominator % 2 == 0
-    if half:  # terms[0] is xi_2, sorted first
-        k, s = _unit_exponent(ctx, *_element(ctx, terms[0])[:2], 2)
-        n, sign, terms = n + k, sign * s, terms[1:]
-    core = peeled[-1] if plan.core_modulus > 1 else None
-    rep = Representation(d=d, sign=sign, m=plan.m, n=n, terms=terms, core=core, scale=scale * 2 if half else scale)
+    core = peeled.pop() if plan.core_modulus > 1 else None
+    rep = Representation(d=d, sign=sign, m=plan.m, n=n, terms=tuple(peeled), core=core,
+                         scale=scale * 2 if half else scale)
     if _evaluate_scaled(rep) != (x, y, 2 if half else 1):
         raise InvariantError(f"{rep} does not evaluate to ({x}, {y})" + (f" * {scale}" if scale != 1 else ""))
     return rep
-
-
-def _label(ctx: PellContext, pmax: int, a: int | Fraction, b: int | Fraction) -> Representation:
-    """The canonical label of a + b*sqrt(d), a and b rational: cleared by their least common denominator
-    den, the pair loses its gcd g into the scale g/den and the rest is peeled.  That rest is strictly
-    primitive for a point of x^2 - d y^2 = +-1 (g = 1) and for an integral solution of square modulus.
-    pmax bounds the primes of the cleared modulus."""
-    den = lcm(a.denominator, b.denominator)
-    x, y = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
-    g = gcd(x, y)
-    x, y = x // g, y // g
-    return _decompose_scaled(ctx, pmax, x, y, Fraction(g, den))
 
 
 def decompose_square(ctx, spec: Spectrum, x: int, y: int) -> Representation:
@@ -417,7 +398,7 @@ def solve(ctx: PellContext, z: int, n_range) -> tuple[ExistenceVerdict, list[tup
     plan = _verdict(d, z, z)  # the one decision, bounded by z itself; each peel reads it from the memo
     verdict = replace(plan, case_tags=dict(plan.case_tags), witness_exponents=dict(plan.witness_exponents))
     solutions = _generate(ctx, plan, z, n_range) if plan.exists else []
-    return verdict, [(x, y, _decompose_scaled(ctx, z, x, y)) for x, y in solutions]
+    return verdict, [(x, y, _label(ctx, z, x, y)) for x, y in solutions]
 
 
 def decompose(ctx: PellContext, x: int, y: int) -> Representation:

@@ -241,6 +241,26 @@ def test_pow_scaled_holds_the_only_square_and_multiply_loop():
     assert {("quadfield", "__pow__"), ("solver", "_xi_power"), ("solver", "_eta_power")} <= callers
 
 
+def test_label_holds_the_only_peel():
+    """decompose_strict, decompose_square, decompose, solve, decompose_rational and
+    validate_representation label through one peel: the only exact division and the
+    only unit walk in src/ are solver._label's."""
+    sites = {"exact_div": [], "_unit_exponent": []}
+
+    def visit(node, module, owner):
+        if isinstance(node, ast.FunctionDef):
+            owner = node.name
+        name = getattr(node.func, "id", getattr(node.func, "attr", None)) if isinstance(node, ast.Call) else None
+        if name in sites:
+            sites[name].append((module, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for path in sorted((SRC / "pellbisect").glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem, None)
+    assert sites == {"exact_div": [("solver", "_label")], "_unit_exponent": [("solver", "_label")]}
+
+
 def _repeated_parts(node):
     """What a loop runs on every pass: a for's body, a while's test and body, a
     comprehension's element and conditions; never the iterable it walks."""

@@ -124,11 +124,12 @@ def test_decompose_integral_point_is_a_unit_power():
     assert (checked, squared) == (8 * 7 * 2, 2 * (5 * 7 + 3 * 3))
 
 
-@pytest.mark.parametrize("d", TABLE_DS)
+@pytest.mark.parametrize("d", TABLE_DS + (21, 53, 61))
 def test_family_labels_come_back_from_their_points(d):
     """Each candidate of rational_family's search (at most 2 terms, n in -3..3, pmax 31) comes back
     from its point as itself, up to the scale, except that on d = 5 mod 8 a xi_2 goes back into
-    the unit; every label that comes back is valid."""
+    the unit; every label that comes back is valid.  Past the table, d = 21, 53 and 61 are three more
+    d = 5 mod 8 whose eta is half-integral, so that xi_2 exists (d = 37 has none: its eta is in Z[sqrt(37)])."""
     ctx, spec = ctx_spec(d, 31)
     with_xi_2 = 0
     for rep in _family(ctx, spec.primes, 2, range(-3, 4)):

@@ -51,13 +51,13 @@ cases = [
     # x + d*y keeps gcd(x, d*y) and m, and moves the modulus
     (solver, "_generate", "_mul_scaled", lambda d, *a: (lambda x, y, m: (x + d * y, y, m))(*real_mul(d, *a)), (),
      lambda: solver.generate_strict(ctx34, spec34, 9, range(-1, 2)), InvariantError, r"does not have modulus 9$"),
-    (solver, "_decompose_scaled", "_verdict", lambda d, z, pmax: solver.ExistenceVerdict(exists=False), (),
+    (solver, "_label", "_verdict", lambda d, z, pmax: solver.ExistenceVerdict(exists=False), (),
      lambda: solver.decompose_strict(ctx34, spec34, 5, 1), InvariantError,
      r"^\(5, 1\) is a solution, yet the verdict says none"),
-    (solver, "_decompose_scaled", "exact_div", lambda alpha, beta: None, (),
+    (solver, "_label", "exact_div", lambda alpha, beta: None, (),
      lambda: solver.decompose_strict(ctx34, spec34, 5, 1), InvariantError,
      r"^no choice of XiPower\(p=3, .* divides \(5, 1\)$"),
-    (solver, "_decompose_scaled", "_evaluate_scaled", lambda rep: (lambda x, y, m: (x + 1, y, m))(*real_eval(rep)), (),
+    (solver, "_label", "_evaluate_scaled", lambda rep: (lambda x, y, m: (x + 1, y, m))(*real_eval(rep)), (),
      lambda: solver.decompose_strict(ctx34, spec34, 5, 1), InvariantError, r"does not evaluate to \(5, 1\)$"),
     # times eta = 1 + sqrt(2), of norm -1: the modulus stays, the norm's sign flips
     (rationalpell, "_point", "_evaluate_scaled", lambda rep: _mul_scaled(2, *real_point_eval(rep), 1, 1, 1), (),
