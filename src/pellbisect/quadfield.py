@@ -158,7 +158,7 @@ def _pow_scaled(d: int, x: int, y: int, m: int, k: int) -> tuple[int, int, int]:
         x, y, m = _mul_scaled(d, x, y, m, x, y, m)
         if bit == "1":
             x, y, m = _mul_scaled(d, x, y, m, *base)
-    g = gcd(x, y, m) if m > 0 else -gcd(x, y, m)
+    g = gcd(m, x, y) if m > 0 else -gcd(m, x, y)  # m first: gcd stops at a 1 before the big coordinates
     return x // g, y // g, m // g
 
 

@@ -16,7 +16,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, log2
 
 from .arith import factorize, is_prime, is_square, require_ints, strict_hits
 from .pellcore import PellContext, Spectrum, XiEntry, _scan_constants, _xi_cached, check_context, make_context
@@ -307,14 +307,22 @@ def _generate(ctx: PellContext, plan: ExistenceVerdict, z: int, n_range: Iterabl
 
 
 def _unit_exponent(ctx: PellContext, x: int, y: int, m: int) -> tuple[int, int]:
-    """Write a unit u = (x + y*sqrt(d))/m of O_K, in lowest terms, as sign * eta^n
-    by multiplying by eta^-1 or eta, no logs: one step per power of eta, towards +-1.
+    """Write a unit u = (x + y*sqrt(d))/m of O_K, in lowest terms, as sign * eta^n.
     u is in O_K when m = 1, or m = 2 and d = 1 mod 4 (the norm then forces x, y odd).
-    |u| > 1 exactly when u's two coordinates share a sign, since |u * conj(u)| = 1."""
+    |u| > 1 exactly when u's two coordinates share a sign, since |u * conj(u)| = 1, and
+    2|x|/m = |u| +- 1/|u|.  So past about eta^+-1 the sizes of 2|x| and m over log2(eta) guess
+    n and one product by the memo's eta^-n takes the guess off; exact steps by eta^-1 or eta,
+    while the coordinates share a sign or not, finish at +-1: the float only guesses, integers
+    decide."""
     d = ctx.d
     if not (m == 1 or m == 2 and d % 4 == 1) or abs(x * x - d * y * y) != m * m:
         raise ValueError(f"residual ({x} + {y}*sqrt({d}))/{m} is not a unit of O_K; inconsistent decomposition")
     n = 0
+    ex, ey, em = _eta_power(d, 1)
+    if y and abs(x) * em > ex * m:  # past about eta^+-1, where the walk takes a step or two
+        log_eta = log2((ex << 64) + isqrt(d * ey * ey << 128)) - 64 - log2(em)  # log2(ex + ey*sqrt(d)) - log2(em)
+        n = round((log2(abs(x)) + 1 - log2(m)) / log_eta) * (1 if (x > 0) == (y > 0) else -1)
+        x, y, m = _mul_scaled(d, x, y, m, *_eta_power(d, -n))
     while y:
         step = -1 if x * y > 0 else 1
         x, y, m = _mul_scaled(d, x, y, m, *_eta_power(d, step))
@@ -340,10 +348,12 @@ def _label(ctx: PellContext, pmax: int, a: int | Fraction, b: int | Fraction) ->
     rest, a unit or a strictly primitive solution whose primes pmax bounds, is peeled.  The 2 outside
     the factors comes off first, as alpha = (x + y*sqrt(d))/2, integral in O_K: when m = 1, and on half
     (d = 5 mod 8, xi_2 a witness, den even), where xi_2 / 2 is a unit, so xi_2's group is skipped and
-    the scale takes the 2.  Then one factor per group of _choices, the first choice that divides (so
-    the unconjugated element wins a tie).  Once the xi powers are off, |N(alpha)| is the core modulus,
-    so an exact quotient by a window element is already a unit, and one walk names it +-eta^n (with
-    xi_2 / 2 = +-eta^k on half).  A unit's plan is empty."""
+    the scale takes the 2.  Then one factor per group of _choices.  x + y*sqrt(d) is divisible by no
+    rational prime, so for an odd p exactly one prime over p divides it, and it is xi_p's when its
+    product with conj(xi_p) is 0 mod p: that residue picks xi_p^e or its conjugate.  p = 2 and the core
+    take the first choice that divides, the unconjugated element before its conjugate.  Once the xi
+    powers are off, |N(alpha)| is the core modulus, so an exact quotient by a window element is already
+    a unit, and one walk names it +-eta^n (with xi_2 / 2 = +-eta^k on half).  A unit's plan is empty."""
     d = ctx.d
     den = lcm(a.denominator, b.denominator)
     x, y = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
@@ -358,6 +368,10 @@ def _label(ctx: PellContext, pmax: int, a: int | Fraction, b: int | Fraction) ->
     alpha = QuadElem._of(d, Fraction(x, h), Fraction(y, h))
     peeled: list[XiPower | CoreFactor] = []
     for group in _choices(ctx, plan)[half:]:  # xi_2's group sorts first; half skips it
+        if isinstance(group[0], XiPower) and group[0].p != 2:
+            p, entry = group[0].p, _xi_cached(d, group[0].p)
+            over = (x * entry.x - d * y * entry.y) % p == (y * entry.x - x * entry.y) % p == 0
+            group = group[:1] if over else group[1:]  # (x + y*sqrt(d)) * conj(xi_p) = 0 mod p: xi_p's prime
         for label in group:
             x2, y2, m2 = _element(ctx, label)
             quotient = exact_div(alpha, QuadElem._of(d, Fraction(x2, m2), Fraction(y2, m2)))

@@ -196,12 +196,26 @@ def _strict_pairs(d, z, y_max):
             if t >= 0 and isqrt(t) ** 2 == t and gcd(isqrt(t), d * y) == 1 for s in (1, -1)}
 
 
+def _pair_power(d, a, b, n):
+    """(a + b*sqrt(d))^n for n >= 0 on Fractions, by squaring: sympy's own power of a field element
+    multiplies its way up, and takes seconds on eta^3000 of d = 94."""
+    x, y = F(1), F(0)
+    while n:
+        if n & 1:
+            x, y = x * a + d * y * b, x * b + y * a
+        a, b, n = a * a + d * b * b, 2 * a * b, n >> 1
+    return x, y
+
+
 def _value(rep):
     """sign * 2^m * eta^n * prod(xi_p^exp) * core * scale in sympy's Q(sqrt(d)), from the
     fields of rep, the xi entries and the unit, without the solver's evaluation."""
     d = rep.d
     eta = make_context(d).eta
-    v = _elt(d, rep.sign * 2**rep.m * rep.scale) * _of(eta) ** rep.n
+    a, b = eta.a, eta.b
+    if rep.n < 0:  # eta^-1 = conj(eta) / N(eta)
+        a, b = a / (a * a - d * b * b), -b / (a * a - d * b * b)
+    v = _elt(d, rep.sign * 2**rep.m * rep.scale) * _elt(d, *_pair_power(d, a, b, abs(rep.n)))
     for t in rep.terms:
         e, half = xi(make_context(d), t.p), 2 if t.p == 2 and d % 8 == 1 else 1
         v *= _elt(d, F(e.x, half), F(-e.y if t.conj else e.y, half)) ** t.exp
@@ -520,6 +534,9 @@ SLOW_FACTOR = pytest.mark.xfail(
            "division; a factorization that scales, or a budget that refuses the call, mends it")
 # the point (10^12 + 109, 1) of |x^2 - 2 y^2| = 13833247 * 72289607799094457, a 17-digit prime cofactor
 BIG_X = 10**12 + 109
+# xi_3 * eta^3000 on d = 94, where eta is sympy's Pell unit and xi_3 = 223 + 23*sqrt(94) has norm 3
+_X, _Y = _pair_power(94, *map(F, _eps(94)), 3000)
+XI3_ETA3000 = (int(223 * _X + 94 * 23 * _Y), int(23 * _X + 223 * _Y))
 
 # name: (callable, acceptor, [(id, args) or (id, args, xfail mark)])
 CENSUS = {
@@ -992,6 +1009,7 @@ CENSUS = {
         ("int_context", (34, 5, 1)),
         ("no_context", (None, 5, 1)),
         ("large_prime_factor", (CTX2, BIG_X, 1), SLOW_FACTOR),
+        ("unit_power_3000", (make_context(94), *XI3_ETA3000)),
     ]),
     "SearchBox": (SearchBox, _accept_box, [
         ("valid", (10,)),

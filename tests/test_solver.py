@@ -15,10 +15,10 @@ import pytest
 import sympy
 
 from pellbisect import pellcore, rationalpell, solver
-from pellbisect.arith import factorize
+from pellbisect.arith import factorize, is_squarefree
 from pellbisect.oracle import SearchBox, brute_solutions
 from pellbisect.pellcore import Spectrum, XiEntry, make_context, spectrum, xi
-from pellbisect.quadfield import InvariantError, QuadElem, _pow_scaled
+from pellbisect.quadfield import InvariantError, QuadElem, _mul_scaled, _pow_scaled, exact_div
 from pellbisect.rationalpell import RationalPellPoint, decompose_rational
 from pellbisect.solver import (
     CoreFactor,
@@ -387,6 +387,61 @@ def test_unit_exponent_rejects_norm_one_elements_outside_the_ring():
     for d, triple in ((17, (1, 1, 4)), (5, (1, 1, 4)), (2, (1, 1, 2))):
         with pytest.raises(ValueError, match="not a unit"):
             _unit_exponent(make_context(d), *triple)
+
+
+def _walk(ctx, x, y, m):
+    """The unit walk without a guess: one product by eta^-1 or eta per power of eta, towards +-1."""
+    d, n = ctx.d, 0
+    eta = ctx.eta.scaled_coords()
+    while y:
+        step = -1 if x * y > 0 else 1
+        x, y, m = _mul_scaled(d, x, y, m, *_pow_scaled(d, *eta, step))
+        n -= step
+    return n, x // m
+
+
+@pytest.mark.parametrize("d, walked", ((2, 2000), (5, 2000), (13, 2000), (34, 2000), (94, 2000), (601, 1000)))
+def test_unit_exponent_is_the_one_step_walk(d, walked):
+    """The guess from the unit's size and the exact steps after it name every unit +-eta^n, |n| <= 2000,
+    as the walk does, half-integral units of d = 5 and 13 included.  The walk is the reference up to
+    |n| = walked, and the construction past it: on d = 601 the walk takes 2 s at n = 2000."""
+    ctx = make_context(d)
+    for n in (*range(-6, 7), 17, -17, 333, -333, 1000, -1000, 2000, -2000):
+        x, y, m = _pow_scaled(d, *ctx.eta.scaled_coords(), n)
+        assert (_walk(ctx, x, y, m) if abs(n) <= walked else (n, 1)) == (n, 1)
+        for sign in (1, -1):
+            assert _unit_exponent(ctx, sign * x, sign * y, m) == (n, sign)
+
+
+@pytest.mark.parametrize("n", (10000, -10000))
+def test_unit_exponent_takes_at_most_four_steps_after_its_guess(n, monkeypatch):
+    """On d = 94, eta^+-10000 costs one product by the memo's eta^-guess and at most 4 steps by eta^+-1."""
+    ctx = make_context(94)
+    unit = _pow_scaled(94, *ctx.eta.scaled_coords(), n)
+    asked, real = [], solver._eta_power
+    monkeypatch.setattr(solver, "_eta_power", lambda d, k: asked.append(k) or real(d, k))
+    assert _unit_exponent(ctx, *unit) == (n, 1)
+    (guess,) = [k for k in asked if abs(k) > 1]
+    steps = asked[asked.index(guess) + 1:]
+    assert len(steps) <= 4 and all(abs(k) == 1 for k in steps) and -guess - sum(steps) == n
+
+
+def test_the_residue_picks_the_conjugate_that_trial_division_accepts():
+    """Every odd-p term of every peel of solve on square-free d < 40, 2 <= z < 300 and n in -1..1 is the one
+    of xi_p^e and its conjugate that divides the solution, and the other does not divide it."""
+    terms = 0
+    for d in filter(is_squarefree, range(2, 40)):
+        ctx = make_context(d)
+        for z in range(2, 300):
+            for x, y, rep in solve(ctx, z, range(-1, 2))[1]:
+                for t in rep.terms:
+                    if t.p != 2:
+                        e = xi(ctx, t.p)
+                        divides = [exact_div(QuadElem(d, x, y), QuadElem(d, e.x, -e.y if c else e.y) ** t.exp)
+                                   is not None for c in (False, True)]
+                        assert divides == [not t.conj, t.conj], (d, x, y, t)
+                        terms += 1
+    assert terms > 1000
 
 
 @pytest.mark.parametrize("d", (145, 265, 305))
