@@ -310,19 +310,18 @@ def _unit_exponent(ctx: PellContext, x: int, y: int, m: int) -> tuple[int, int]:
     """Write a unit u = (x + y*sqrt(d))/m of O_K, in lowest terms, as sign * eta^n.
     u is in O_K when m = 1, or m = 2 and d = 1 mod 4 (the norm then forces x, y odd).
     |u| > 1 exactly when u's two coordinates share a sign, since |u * conj(u)| = 1, and
-    2|x|/m = |u| +- 1/|u|.  So past about eta^+-1 the sizes of 2|x| and m over log2(eta) guess
-    n and one product by the memo's eta^-n takes the guess off; exact steps by eta^-1 or eta,
-    while the coordinates share a sign or not, finish at +-1: the float only guesses, integers
-    decide."""
+    2|x|/m = |u| +- 1/|u|.  So the sizes of 2|x| and m over log2(eta) guess n, and one product by
+    eta^-n, raised outside the memo, takes the guess off; exact steps by eta^-1 or eta, while the
+    coordinates share a sign or not, finish at +-1: the float only guesses, integers decide."""
     d = ctx.d
     if not (m == 1 or m == 2 and d % 4 == 1) or abs(x * x - d * y * y) != m * m:
         raise ValueError(f"residual ({x} + {y}*sqrt({d}))/{m} is not a unit of O_K; inconsistent decomposition")
     n = 0
-    ex, ey, em = _eta_power(d, 1)
-    if y and abs(x) * em > ex * m:  # past about eta^+-1, where the walk takes a step or two
+    if y:  # not +-1
+        ex, ey, em = _eta_power(d, 1)
         log_eta = log2((ex << 64) + isqrt(d * ey * ey << 128)) - 64 - log2(em)  # log2(ex + ey*sqrt(d)) - log2(em)
         n = round((log2(abs(x)) + 1 - log2(m)) / log_eta) * (1 if (x > 0) == (y > 0) else -1)
-        x, y, m = _mul_scaled(d, x, y, m, *_eta_power(d, -n))
+        x, y, m = _mul_scaled(d, x, y, m, *_pow_scaled(d, ex, ey, em, -n))
     while y:
         step = -1 if x * y > 0 else 1
         x, y, m = _mul_scaled(d, x, y, m, *_eta_power(d, step))

@@ -343,11 +343,11 @@ def test_sign_rigidity_without_negative_pell():
     assert both == {1, -1}
 
 
-@pytest.mark.parametrize("d", (2, 5, 13, 17, 21, 34, 77, 601))
+@pytest.mark.parametrize("d", (2, 5, 13, 17, 21, 34, 77, 94, 601))
 def test_unit_exponent_walks_every_power_of_eta(d):
     ctx = make_context(d)
-    far = {2: (-2000, 2000), 5: (-2000, 2000), 34: (-1500,), 601: (-300, 300)}
-    for n in (*range(-30, 31), *far.get(d, ())):
+    far = (-2000, -1500, -1000, -333, -300, 300, 333, 1000, 2000) if d in (2, 5, 13, 34, 94, 601) else ()
+    for n in (*range(-30, 31), *far):
         for sign in (1, -1):
             assert _unit_exponent(ctx, *(sign * ctx.eta**n).scaled_coords()) == (n, sign)
 
@@ -389,41 +389,17 @@ def test_unit_exponent_rejects_norm_one_elements_outside_the_ring():
             _unit_exponent(make_context(d), *triple)
 
 
-def _walk(ctx, x, y, m):
-    """The unit walk without a guess: one product by eta^-1 or eta per power of eta, towards +-1."""
-    d, n = ctx.d, 0
-    eta = ctx.eta.scaled_coords()
-    while y:
-        step = -1 if x * y > 0 else 1
-        x, y, m = _mul_scaled(d, x, y, m, *_pow_scaled(d, *eta, step))
-        n -= step
-    return n, x // m
-
-
-@pytest.mark.parametrize("d, walked", ((2, 2000), (5, 2000), (13, 2000), (34, 2000), (94, 2000), (601, 1000)))
-def test_unit_exponent_is_the_one_step_walk(d, walked):
-    """The guess from the unit's size and the exact steps after it name every unit +-eta^n, |n| <= 2000,
-    as the walk does, half-integral units of d = 5 and 13 included.  The walk is the reference up to
-    |n| = walked, and the construction past it: on d = 601 the walk takes 2 s at n = 2000."""
-    ctx = make_context(d)
-    for n in (*range(-6, 7), 17, -17, 333, -333, 1000, -1000, 2000, -2000):
-        x, y, m = _pow_scaled(d, *ctx.eta.scaled_coords(), n)
-        assert (_walk(ctx, x, y, m) if abs(n) <= walked else (n, 1)) == (n, 1)
-        for sign in (1, -1):
-            assert _unit_exponent(ctx, sign * x, sign * y, m) == (n, sign)
-
-
 @pytest.mark.parametrize("n", (10000, -10000))
 def test_unit_exponent_takes_at_most_four_steps_after_its_guess(n, monkeypatch):
-    """On d = 94, eta^+-10000 costs one product by the memo's eta^-guess and at most 4 steps by eta^+-1."""
+    """On d = 94, eta^+-10000 costs one product by eta^-guess and at most 4 steps by the memo's eta^+-1."""
     ctx = make_context(94)
     unit = _pow_scaled(94, *ctx.eta.scaled_coords(), n)
-    asked, real = [], solver._eta_power
-    monkeypatch.setattr(solver, "_eta_power", lambda d, k: asked.append(k) or real(d, k))
+    products, asked = [], []
+    real_mul, real_eta = solver._mul_scaled, solver._eta_power
+    monkeypatch.setattr(solver, "_mul_scaled", lambda *a: products.append(a) or real_mul(*a))
+    monkeypatch.setattr(solver, "_eta_power", lambda d, k: asked.append(k) or real_eta(d, k))
     assert _unit_exponent(ctx, *unit) == (n, 1)
-    (guess,) = [k for k in asked if abs(k) > 1]
-    steps = asked[asked.index(guess) + 1:]
-    assert len(steps) <= 4 and all(abs(k) == 1 for k in steps) and -guess - sum(steps) == n
+    assert 1 <= len(products) <= 5 and set(asked) <= {1, -1}  # the guess, then at most 4 steps
 
 
 def test_the_residue_picks_the_conjugate_that_trial_division_accepts():
