@@ -272,9 +272,14 @@ def _spectrum_cached(d: int, pmax: int) -> Spectrum:
 def spectrum(ctx: PellContext, pmax: int) -> Spectrum:
     """All spectrum entries with p <= pmax, ordered by p; memoized per
     (d, pmax), so repeated calls return the same Spectrum."""
+    return _spectrum_cached(*_spectrum_key(ctx, pmax))
+
+
+def _spectrum_key(ctx: PellContext, pmax: int) -> tuple[int, int]:
+    """spectrum's (d, pmax), once pmax is checked as an int of at least 2 and ctx as a PellContext (ValueError)."""
     if not isinstance(pmax, int) or pmax < 2:
         raise ValueError("pmax must be at least 2")
-    return _spectrum_cached(check_context(ctx).d, pmax)
+    return check_context(ctx).d, pmax
 
 
 @lru_cache(maxsize=1024)

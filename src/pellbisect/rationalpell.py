@@ -10,9 +10,9 @@ from fractions import Fraction
 from math import isqrt
 
 from .arith import is_square, rational, require_ints
-from .pellcore import PellContext, Spectrum, _xi_cached, check_context, spectrum
+from .pellcore import PellContext, Spectrum, _spectrum_cached, _spectrum_key, _xi_cached, check_context
 from .quadfield import InvariantError, check_field_index
-from .solver import Representation, XiPower, _bound, _checked, _evaluate_scaled, _label
+from .solver import Representation, XiPower, _bound, _checked, _cleared, _evaluate_scaled, _label
 
 
 @dataclass(frozen=True)
@@ -50,12 +50,12 @@ def generate_rational(ctx: PellContext, spec: Spectrum, rep: Representation) -> 
     be a perfect square and its root is divided back out.
     """
     check_context(ctx)
-    if _checked(rep).d != ctx.d:
-        raise ValueError("representation and context disagree on d")
-    pmax = _bound(ctx.d, spec)
-    past = [t.p for t in rep.terms if t.p > pmax]
+    pmax = _bound(ctx.d, spec)  # an int term past it is refused before any primality test
+    past = [t.p for t in (rep.terms if isinstance(rep, Representation) else ()) if isinstance(t.p, int) and t.p > pmax]
     if past:
         raise ValueError(f"spectrum only covers primes <= {pmax}, asked for {min(past)}")
+    if _checked(rep).d != ctx.d:
+        raise ValueError("representation and context disagree on d")
     return _point(ctx, rep)
 
 
@@ -84,7 +84,7 @@ def decompose_rational(ctx: PellContext, spec: Spectrum, pt: RationalPellPoint) 
         raise ValueError(f"need a RationalPellPoint, got {pt!r}")
     if pt.d != ctx.d:
         raise ValueError("point and context disagree on d")
-    return _label(ctx, _bound(ctx.d, spec), pt.x, pt.y)
+    return _label(ctx, _bound(ctx.d, spec), *_cleared(pt.x, pt.y))
 
 
 def _family(ctx: PellContext, primes: Iterable, max_terms: int, n_range: Iterable[int]) -> Iterator[Representation]:
@@ -116,7 +116,8 @@ def rational_family(ctx: PellContext, sign: int, max_terms: int, n_range: Iterab
     if not isinstance(n_range, Iterable):
         raise ValueError(f"n_range must be an iterable of integers, got {n_range!r}")
     n_range = tuple(n_range)  # _family walks it once per term set
-    primes = spectrum(ctx, pmax).primes
+    d, pmax = _spectrum_key(ctx, pmax)
+    primes = _spectrum_cached(d, pmax).primes if max_terms else ()  # zero terms use units only
     want_r = 1 if sign == -1 else 0
     seen = {}
     for rep in _family(ctx, primes, max_terms, n_range):

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm, log2
 
 from .arith import factorize, is_prime, is_square, require_ints, strict_hits
-from .pellcore import PellContext, Spectrum, XiEntry, _scan_constants, _xi_cached, check_context, make_context
+from .pellcore import PellContext, Spectrum, _in_s, _scan_constants, _xi_cached, check_context, make_context
 from .quadfield import InvariantError, QuadElem, _mul_scaled, _pow_scaled, exact_div, render_rat
 
 
@@ -166,15 +166,10 @@ def _fundamental_window(d: int, modulus: int) -> tuple[tuple[int, int, int], ...
     return tuple(sorted(hits, key=lambda h: (h[1], h[0], -h[2])))
 
 
-def _case_tag(ctx: PellContext, p: int, entry: XiEntry | None) -> str:
-    in_spectrum = entry is not None
+def _case_tag(ctx: PellContext, p: int, in_spectrum: bool) -> str:
     if ctx.d % 8 == 5 and ctx.eta_in_zd:
         return "B1" if (p != 2 and in_spectrum) else "B2"
-    if p == 2:
-        if in_spectrum:
-            return "A1" if ctx.eta_in_zd else "A1'"
-        return "A2" if ctx.eta_in_zd else "A2'"
-    return "A1" if in_spectrum else "A2"
+    return ("A1" if in_spectrum else "A2") + ("'" if p == 2 and not ctx.eta_in_zd else "")
 
 
 def _two_adic_admissible(ctx: PellContext, e: int) -> bool:
@@ -201,39 +196,35 @@ def _bound(d: int, spec: Spectrum) -> int:
 
 
 def _decide(ctx: PellContext, z: int, pmax: int) -> ExistenceVerdict:
-    """The verdict on an integer z > 1: a prime past pmax is refused (ValueError) before
-    any xi_p is read, per-prime congruences run, and z splits into xi-peelable prime powers
-    (witness_exponents, with the cofactor-2 flag m) and a core modulus, which the bounded
-    class-window search settles."""
+    """The verdict on an integer z > 1, once a prime past pmax is refused (ValueError).  First the rules,
+    with no xi_p read: each prime is tagged by its membership in the spectrum, and an inert or ramified
+    odd prime, or an ord_2(z) that the 2-adic congruences refuse, says no.  Then the levels l_p split z
+    into xi powers (witness_exponents, with the cofactor-2 flag m) and a core modulus for the window."""
     d = ctx.d
     factors = factorize(z)  # in increasing order, so the first prime past pmax is the least
     if max(factors) > pmax:
         raise ValueError(f"spectrum only covers primes <= {pmax}, asked for {min(p for p in factors if p > pmax)}")
-    entries = {p: _xi_cached(d, p) for p in factors}
-    tags = {p: _case_tag(ctx, p, entry) for p, entry in entries.items()}
-    m = 0
-    exponents: dict[int, int] = {}
-    core = 1
+    tags, exists = {}, True
     for p, e in factors.items():
-        entry = entries[p]
-        if p == 2:
-            if not _two_adic_admissible(ctx, e):
-                return ExistenceVerdict(exists=False, case_tags=tags)
-            if entry is not None and d % 8 == 5:
-                exponents[p] = 1  # e == 2 and l_2 == 2 here
-            elif entry is not None and (e - 2) % (entry.l - 2) == 0:
-                m = 1  # d = 1 mod 8: 2^e = 2^2 * |N(xi_2 / 2)|^k
-                exponents[p] = (e - 2) // (entry.l - 2)
-            else:
-                core *= 2**e
-        else:
-            if entry is None:  # inert or ramified odd prime cannot divide z
-                return ExistenceVerdict(exists=False, case_tags=tags)
-            q, r = divmod(e, entry.l)
+        in_spectrum = _in_s(ctx, p)
+        tags[p] = _case_tag(ctx, p, in_spectrum)
+        exists &= _two_adic_admissible(ctx, e) if p == 2 else in_spectrum
+    if not exists:
+        return ExistenceVerdict(exists=False, case_tags=tags)
+    m, exponents, core = 0, {}, 1
+    for p, e in factors.items():
+        if p != 2:
+            q, r = divmod(e, _xi_cached(d, p).l)
             if q:
                 exponents[p] = q
-            if r:
-                core *= p**r
+            core *= p**r
+        elif d % 8 == 1 and (e - 2) % (l_half := _xi_cached(d, 2).l - 2) == 0:
+            m = 1  # d = 1 mod 8: 2^e = 2^2 * |N(xi_2 / 2)|^k, with |N(xi_2 / 2)| = 2^l_half
+            exponents[p] = (e - 2) // l_half
+        elif d % 8 == 5 and not ctx.eta_in_zd:
+            exponents[p] = 1  # 2 is in the spectrum, e == 2 and l_2 == 2
+        else:
+            core *= 2**e
     if core > 1 and not _fundamental_window(d, core):
         return ExistenceVerdict(exists=False, case_tags=tags, core_modulus=core)
     return ExistenceVerdict(exists=True, case_tags=tags, witness_exponents=exponents, core_modulus=core, m=m)
@@ -338,31 +329,33 @@ def decompose_strict(ctx, spec: Spectrum, x: int, y: int) -> Representation:
     pmax = _bound(d, spec)
     if gcd(x, d * y) != 1:
         raise ValueError(f"({x}, {y}) is not strictly primitive for d={d}")
-    return _label(ctx, pmax, x, y)
+    return _label(ctx, pmax, x, y, Fraction(1))
 
 
-def _label(ctx: PellContext, pmax: int, a: int | Fraction, b: int | Fraction) -> Representation:
-    """The canonical label of a + b*sqrt(d), a and b integers or rationals: the one peel.  Cleared by
-    their least common denominator den, the pair (x, y) loses its gcd g into the scale g/den, and the
-    rest, a unit or a strictly primitive solution whose primes pmax bounds, is peeled.  The 2 outside
-    the factors comes off first, as alpha = (x + y*sqrt(d))/2, integral in O_K: when m = 1, and on half
-    (d = 5 mod 8, xi_2 a witness, den even), where xi_2 / 2 is a unit, so xi_2's group is skipped and
-    the scale takes the 2.  Then one factor per group of _choices.  x + y*sqrt(d) is divisible by no
-    rational prime, so for an odd p exactly one prime over p divides it, and it is xi_p's when its
-    product with conj(xi_p) is 0 mod p: that residue picks xi_p^e or its conjugate.  p = 2 and the core
-    take the first choice that divides, the unconjugated element before its conjugate.  Once the xi
-    powers are off, |N(alpha)| is the core modulus, so an exact quotient by a window element is already
-    a unit, and one walk names it +-eta^n (with xi_2 / 2 = +-eta^k on half).  A unit's plan is empty."""
-    d = ctx.d
+def _cleared(a: int | Fraction, b: int | Fraction) -> tuple[int, int, Fraction]:
+    """(x, y, g/den) with a + b*sqrt(d) = (x + y*sqrt(d)) * g/den, den = lcm of the denominators, gcd(x, y) = 1."""
     den = lcm(a.denominator, b.denominator)
     x, y = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
     g = gcd(x, y)
-    x, y, scale = x // g, y // g, Fraction(g, den)
+    return x // g, y // g, Fraction(g, den)
+
+
+def _label(ctx: PellContext, pmax: int, x: int, y: int, scale: Fraction) -> Representation:
+    """The canonical label of (x + y*sqrt(d)) * scale, x and y coprime integers: the one peel of a unit or
+    a strictly primitive solution whose primes pmax bounds.  The 2 outside the factors comes off first, as
+    alpha = (x + y*sqrt(d))/2, integral in O_K: when m = 1, and on half (d = 5 mod 8, xi_2 a witness, scale
+    of even denominator), where xi_2 / 2 is a unit, so xi_2's group is skipped and the scale takes the 2.
+    Then one factor per group of _choices.  x + y*sqrt(d) is divisible by no rational prime, so for an
+    odd p exactly one prime over p divides it, xi_p's when its product with conj(xi_p) is 0 mod p: that
+    residue picks xi_p^e or its conjugate.  p = 2 and the core take the first choice that divides, the
+    unconjugated element first.  Once the xi powers are off, |N(alpha)| is the core modulus, so an exact
+    quotient by a window element is a unit, and one walk names it +-eta^n (xi_2 / 2 = +-eta^k on half)."""
+    d = ctx.d
     z = abs(x * x - d * y * y)
     plan = _verdict(d, z, pmax) if z > 1 else ExistenceVerdict(exists=True)
     if not plan.exists:
         raise InvariantError(f"({x}, {y}) is a solution, yet the verdict says none exists")
-    half = d % 8 == 5 and 2 in plan.witness_exponents and den % 2 == 0
+    half = d % 8 == 5 and 2 in plan.witness_exponents and scale.denominator % 2 == 0
     h = 2 if plan.m or half else 1
     alpha = QuadElem._of(d, Fraction(x, h), Fraction(y, h))
     peeled: list[XiPower | CoreFactor] = []
@@ -397,7 +390,7 @@ def decompose_square(ctx, spec: Spectrum, x: int, y: int) -> Representation:
     z2 = abs(x * x - check_context(ctx).d * y * y)
     if z2 <= 1 or not is_square(z2):
         raise ValueError("|x^2 - d y^2| must be a perfect square > 1")
-    return _label(ctx, _bound(ctx.d, spec), x, y)
+    return _label(ctx, _bound(ctx.d, spec), *_cleared(x, y))
 
 
 def solve(ctx: PellContext, z: int, n_range) -> tuple[ExistenceVerdict, list[tuple[int, int, Representation]]]:
@@ -411,7 +404,7 @@ def solve(ctx: PellContext, z: int, n_range) -> tuple[ExistenceVerdict, list[tup
     plan = _verdict(d, z, z)  # the one decision, bounded by z itself; each peel reads it from the memo
     verdict = replace(plan, case_tags=dict(plan.case_tags), witness_exponents=dict(plan.witness_exponents))
     solutions = _generate(ctx, plan, z, n_range) if plan.exists else []
-    return verdict, [(x, y, _label(ctx, z, x, y)) for x, y in solutions]
+    return verdict, [(x, y, _label(ctx, z, x, y, Fraction(1))) for x, y in solutions]
 
 
 def decompose(ctx: PellContext, x: int, y: int) -> Representation:
@@ -422,9 +415,10 @@ def decompose(ctx: PellContext, x: int, y: int) -> Representation:
     z = abs(x * x - d * y * y)
     if z <= 1:
         raise ValueError("|x^2 - d y^2| must exceed 1")
-    if gcd(x, d * y) != 1 and not is_square(z):
+    g = gcd(x, y)
+    if (g != 1 or gcd(x, d) != 1) and not is_square(z):
         raise ValueError("|x^2 - d y^2| must be a perfect square > 1")
-    return _label(ctx, z, x, y)  # z bounds the primes of z / g^2
+    return _label(ctx, z, x // g, y // g, Fraction(g))  # z bounds the primes of z / g^2
 
 
 def validate_representation(rep: Representation) -> ValidationReport:
@@ -444,5 +438,5 @@ def validate_representation(rep: Representation) -> ValidationReport:
                           and (gcd(a.numerator, rep.d * b.numerator) == 1 or is_square(norm.numerator))):
         return ValidationReport(False, (f"its value is no point of x^2 - {rep.d}y^2 = +-1 and no solution "
                                         "that decompose accepts",))
-    label = _label(ctx, norm.numerator * a.denominator, a, b)  # a point clears to den^2, a solution to |N|
+    label = _label(ctx, norm.numerator * a.denominator, *_cleared(a, b))  # a point clears to den^2, a solution to |N|
     return ValidationReport(label == rep, () if label == rep else (f"the peel labels its value {label}",))

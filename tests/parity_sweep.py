@@ -4,6 +4,9 @@ Run it from the repository root against any source tree, and compare the last li
 
     for src in ../parent/src src; do PYTHONPATH=$src python tests/parity_sweep.py; done
 
+tests/data/parity_sweep.sha256 holds the hash of the current labels, and CI's parity job compares the last
+line with it; a change that relabels on purpose records the new hash there.
+
 It prints the row count and the SHA-256 of the rows, one line per row, where a row is the repr of an
 answer or the type and message of the ValueError raised instead.  The rows are:
 

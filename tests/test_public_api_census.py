@@ -867,6 +867,7 @@ CENSUS = {
         ("no_context", (None, SPEC34, Representation(d=34, terms=(XiPower(3, 1),)))),
         ("no_spec", (CTX34, None, Representation(d=34, terms=(XiPower(3, 1),)))),
         ("past_pmax", (CTX34, spectrum(CTX34, 5), Representation(d=34, terms=(XiPower(47, 2),)))),
+        ("huge_past_pmax", (CTX34, SPEC34, Representation(d=34, terms=(XiPower(10**18 + 9, 1),)))),
         ("negative_m", (CTX34, SPEC34, Representation(d=34, m=-1))),
         ("zero_value", (CTX34, SPEC34, Representation(d=34, sign=0))),
     ]),
@@ -884,6 +885,7 @@ CENSUS = {
         ("bool_sign", (CTX34, True, 1, range(-1, 2), 31)),
         ("negative_terms", (CTX34, 1, -5, range(-1, 2), 31)),
         ("no_context", (None, -1, 2, range(3), 31)),
+        ("zero_terms_large_pmax", (CTX34, -1, 0, range(-2, 3), 3000)),
     ]),
     "Representation": (Representation, _accept_representation, [
         ("valid", (34, 1, 0, 2)),
@@ -986,6 +988,9 @@ CENSUS = {
         ("core", (CTX34, 33, range(-1, 2))),
         ("none", (CTX34, 7, range(3))),
         ("large_prime", (CTX34, 100003, range(3))),
+        ("inert_times_large_prime", (CTX34, 7 * 1000003, range(-1, 2))),
+        ("two_times_large_prime", (CTX34, 2 * 1000003, range(-1, 2))),
+        ("ramified_times_large_prime", (CTX34, 17 * 1000003, range(-1, 2))),
         ("one", (CTX34, 1, range(3))),
         ("zero", (CTX34, 0, range(3))),
         ("floats", (CTX34, 9.0, range(3))),

@@ -22,6 +22,7 @@ from pellbisect.quadfield import InvariantError, QuadElem, _mul_scaled, _pow_sca
 from pellbisect.rationalpell import RationalPellPoint, decompose_rational
 from pellbisect.solver import (
     CoreFactor,
+    ExistenceVerdict,
     Representation,
     XiPower,
     _element,
@@ -878,6 +879,26 @@ def test_a_prime_past_pmax_is_refused_before_any_xi(monkeypatch):
         with pytest.raises(ValueError, match=r"^spectrum only covers primes <= 97, asked for 1000003$"):
             strict_exists(ctx, spec, 1000003)
     assert seen == []
+
+
+def test_a_no_by_the_rules_reads_no_xi_and_a_term_past_pmax_tests_no_primality(monkeypatch):
+    """An inert odd prime, the 2 of an even d and a ramified odd prime each say no before xi_p of
+    z's large split prime is read; generate_rational refuses a term past pmax before is_prime sees it."""
+    seen, tested = [], []
+    real_xi, real_is_prime = solver._xi_cached, solver.is_prime
+    monkeypatch.setattr(solver, "_xi_cached", lambda d, p: seen.append(p) or real_xi(d, p))
+    monkeypatch.setattr(solver, "is_prime", lambda n: tested.append(n) or real_is_prime(n))
+    ctx = make_context(34)
+    for small in (7, 2, 17):
+        z = small * 1000003
+        solver._verdict.cache_clear()
+        verdict, solutions = _within_a_second(solve, ctx, z, range(-1, 2))
+        assert verdict == ExistenceVerdict(exists=False, case_tags={small: "A2", 1000003: "A1"}) and solutions == []
+        assert _within_a_second(strict_exists, ctx, Spectrum(34, z, ()), z) == verdict
+    rep = Representation(d=34, terms=(XiPower(10**18 + 9, 1),))
+    with pytest.raises(ValueError, match=r"^spectrum only covers primes <= 97, asked for 1000000000000000009$"):
+        _within_a_second(rationalpell.generate_rational, ctx, spectrum(ctx, 97), rep)
+    assert 1000003 not in seen and tested == []
 
 
 class OutOfReach(Exception):
