@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import isqrt, prod
 
 from .arith import factorize, is_square, primes_upto, rational, require_ints
 from .pellcore import PellContext, _xi_cached, check_context
-from .quadfield import InvariantError, QuadElem
+from .quadfield import InvariantError, QuadElem, _clear_pair
 
 
 class NoRationalBisector(ValueError):
@@ -69,11 +69,9 @@ def _pair_kernel(a: Fraction, b: Fraction) -> tuple[int, int, int, int, int, int
     """(d, A, A2, B, B2, D) on integers, D the least common denominator of a and b:
     a = A/D and b = B/D lie on x^2 - d y^2 = -1 with y = A2/D and B2/D, A2, B2 > 0."""
     a, b = rational(a), rational(b)
-    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
-    if ad == bd and abs(an) == abs(bn):  # lowest terms: |a| = |b|
+    A, B, D = _clear_pair(a, b)
+    if abs(A) == abs(B):
         raise TrivialPairError("|a| = |b| is a trivial pair")
-    D = lcm(ad, bd)
-    A, B = an * (D // ad), bn * (D // bd)
     na, nb = A * A + D * D, B * B + D * D
     if not is_square(na * nb):  # the kernels differ: decided before any factoring
         raise NoRationalBisector(f"slopes {a} and {b} lead to distinct square-free kernels of a^2+1 and b^2+1")
@@ -110,8 +108,7 @@ def from_pell_points(
     require_ints(d=d)
     coords: list[int] = []
     for x, y in ((rational(a1), rational(a2)), (rational(b1), rational(b2))):
-        m = lcm(x.denominator, y.denominator)
-        sx, sy = x.numerator * (m // x.denominator), y.numerator * (m // y.denominator)
+        sx, sy, m = _clear_pair(x, y)
         if sx * sx - d * sy * sy != -m * m:
             raise ValueError(f"({x}, {y}) is not on x^2 - {d} y^2 = -1")
         coords += (sx, sy, m)

@@ -36,6 +36,13 @@ def _int_range(text: str) -> range:
         raise argparse.ArgumentTypeError(f"expected LO..HI, got {text!r}")
 
 
+def _d_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected D,D,..., got {text!r}")
+
+
 def _dump(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
@@ -194,20 +201,17 @@ def render_figure(a: Fraction, b: Fraction) -> str:
 def _build_parser() -> _Parser:
     """The one table of subcommands: each registers its handler as `run`,
     which returns a JSON document or, for table and figure, finished text."""
-    parser = _Parser(prog="pellbisect", description=__doc__)
-    parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    parser.add_argument("--ascii", action="store_true", help="ASCII-only output")
-    parser.add_argument("--out", metavar="PATH", help="write output to a file")
-    # the same flags are accepted after the subcommand; SUPPRESS keeps the
-    # subparser from clobbering values given before it
+    # the common flags, accepted before and after every subcommand and sweep: SUPPRESS keeps a later
+    # parser from clobbering a value given earlier, and main's namespace holds their defaults
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default=argparse.SUPPRESS)
-    common.add_argument("--ascii", action="store_true", default=argparse.SUPPRESS)
-    common.add_argument("--out", metavar="PATH", default=argparse.SUPPRESS)
+    common.add_argument("--ascii", action="store_true", default=argparse.SUPPRESS, help="ASCII-only output")
+    common.add_argument("--out", metavar="PATH", default=argparse.SUPPRESS, help="write output to a file")
+    parser = _Parser(prog="pellbisect", description=__doc__, parents=[common])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_parser(name: str, run, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
+    def add_parser(name: str, run, subparsers=sub, **kwargs):
+        p = subparsers.add_parser(name, parents=[common], **kwargs)
         p.set_defaults(run=run)
         return p
 
@@ -252,8 +256,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--d", type=int)
 
     p = add_parser("table", _cmd_table, help="reference table of units and xi elements")
-    p.add_argument("--d-list", type=lambda s: tuple(int(v) for v in s.split(",")),
-                   default=DEFAULT_D_LIST)
+    p.add_argument("--d-list", type=_d_list, default=DEFAULT_D_LIST)
     p.add_argument("--pmax", type=int, default=DEFAULT_P_MAX)
 
     p = add_parser("figure", lambda args: render_figure(args.a, args.b),
@@ -263,25 +266,21 @@ def _build_parser() -> _Parser:
 
     p = add_parser("oracle", None, help="brute-force reference sweeps")  # run set per sweep
     osub = p.add_subparsers(dest="oracle_command", required=True)
-    q = osub.add_parser("solutions")
-    q.set_defaults(run=_cmd_oracle_solutions)
+    q = add_parser("solutions", _cmd_oracle_solutions, osub)
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--z", type=int, required=True)
     q.add_argument("--ymax", type=int, default=1000)
-    q = osub.add_parser("xi")
-    q.set_defaults(run=_cmd_oracle_xi)
+    q = add_parser("xi", _cmd_oracle_xi, osub)
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--p", type=int, required=True)
     q.add_argument("--lmax", type=int, default=6)
     q.add_argument("--ymax", type=int, default=1000)
-    q = osub.add_parser("rational")
-    q.set_defaults(run=_cmd_oracle_rational)
+    q = add_parser("rational", _cmd_oracle_rational, osub)
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--r", type=int, choices=(0, 1), required=True)
     q.add_argument("--zmax", type=int, default=20)
     q.add_argument("--ymax", type=int, default=1000)
-    q = osub.add_parser("tangent")
-    q.set_defaults(run=_cmd_oracle_tangent)
+    q = add_parser("tangent", _cmd_oracle_tangent, osub)
     q.add_argument("--a", type=rational, required=True)
     q.add_argument("--b", type=rational, required=True)
     q.add_argument("--c", type=rational, required=True)
@@ -397,15 +396,10 @@ def _cmd_oracle_tangent(args) -> dict:
 def _merge_dash_values(argv: list[str]) -> list[str]:
     """Join option values that start with '-' (ranges like -2..2, rationals
     like -7/9) onto their flag so argparse does not read them as options."""
-    merged = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok in ("--n-range", "--a", "--b", "--c") and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            merged.append(f"{tok}={argv[i + 1]}")
-            skip = True
+    merged: list[str] = []
+    for tok in argv:
+        if merged and merged[-1] in ("--n-range", "--a", "--b", "--c") and tok.startswith("-"):
+            merged[-1] += f"={tok}"
         else:
             merged.append(tok)
     return merged
@@ -415,7 +409,8 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # print units of any size
         sys.set_int_max_str_digits(0)
     parser = _build_parser()
-    args = parser.parse_args(_merge_dash_values(list(sys.argv[1:] if argv is None else argv)))
+    args = parser.parse_args(_merge_dash_values(list(sys.argv[1:] if argv is None else argv)),
+                             argparse.Namespace(format="json", ascii=False, out=None))
     try:
         out = args.run(args)
     except ValueError as exc:  # NotSquareFreeError and the bisector errors included

@@ -118,8 +118,7 @@ class QuadElem:
 
     def scaled_coords(self) -> tuple[int, int, int]:
         """(x, y, m) with self = (x + y*sqrt(d))/m and m the least common denominator."""
-        m = lcm(self.a.denominator, self.b.denominator)
-        return self.a.numerator * (m // self.a.denominator), self.b.numerator * (m // self.b.denominator), m
+        return _clear_pair(self.a, self.b)
 
     def int_coords(self) -> tuple[int, int]:
         """(x, y) as plain integers; raises if not in Z[sqrt(d)]."""
@@ -132,6 +131,13 @@ class QuadElem:
 
     def __repr__(self) -> str:
         return f"QuadElem(d={self.d}, {self.a}, {self.b})"
+
+
+def _clear_pair(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+    """(x, y, m) with a = x/m, b = y/m and m > 0 their least common denominator: the one place a
+    rational pair is cleared to integers, for elements, the solver's peel and the bisector."""
+    m = lcm(a.denominator, b.denominator)
+    return a.numerator * (m // a.denominator), b.numerator * (m // b.denominator), m
 
 
 def _mul_scaled(d: int, x1: int, y1: int, m1: int, x2: int, y2: int, m2: int) -> tuple[int, int, int]:

@@ -16,11 +16,11 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm, log2
+from math import gcd, isqrt, log2
 
 from .arith import factorize, is_prime, is_square, require_ints, strict_hits
 from .pellcore import PellContext, Spectrum, _in_s, _scan_constants, _xi_cached, check_context, make_context
-from .quadfield import InvariantError, QuadElem, _mul_scaled, _pow_scaled, exact_div, render_rat
+from .quadfield import InvariantError, QuadElem, _clear_pair, _mul_scaled, _pow_scaled, exact_div, render_rat
 
 
 @dataclass(frozen=True)
@@ -334,8 +334,7 @@ def decompose_strict(ctx, spec: Spectrum, x: int, y: int) -> Representation:
 
 def _cleared(a: int | Fraction, b: int | Fraction) -> tuple[int, int, Fraction]:
     """(x, y, g/den) with a + b*sqrt(d) = (x + y*sqrt(d)) * g/den, den = lcm of the denominators, gcd(x, y) = 1."""
-    den = lcm(a.denominator, b.denominator)
-    x, y = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    x, y, den = _clear_pair(a, b)
     g = gcd(x, y)
     return x // g, y // g, Fraction(g, den)
 

@@ -4,6 +4,7 @@ from math import gcd, isqrt, prod
 import pytest
 from sympy import factorint, isprime, primerange
 
+from pellbisect import arith
 from pellbisect.arith import _BLOCK, divisors, factorize, is_prime, is_squarefree, primes_upto, rational, strict_hits
 from pellbisect.oracle import SearchBox, brute_solutions
 
@@ -63,6 +64,37 @@ def test_factor_helpers_match_sympy_on_seeded_large_n():
         if ps[-1] < 10**9 and (len(ps) == 1 or ps[-2] < 10**5):
             assert _matches_sympy(n, expected), n
             checked += 1
+
+
+def _strong_probable_prime(n, a):
+    """n passes the Miller-Rabin round to base a, written out from n - 1 = d * 2^s."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return pow(a, d, n) == 1 or any(pow(a, d * 2**r, n) == n - 1 for r in range(s))
+
+
+def test_is_prime_matches_sympy_below_30000_and_on_strong_pseudoprimes():
+    """Each composite passes the first k prime bases: 561, a Carmichael number, passes Fermat's
+    test to every coprime base and no strong round (k = 0), 3215031751 passes 2..7 (k = 4),
+    3825123056546413051 passes 2..31 (k = 11) and 318665857834031151167461 passes 2..37
+    (k = 12), so only the 13th base, 41, refuses it."""
+    assert [n for n in range(30000) if is_prime(n) != isprime(n)] == []
+    bases = list(primerange(2, 42))
+    for n, k in ((561, 0), (3215031751, 4), (3825123056546413051, 11), (318665857834031151167461, 12)):
+        assert all(_strong_probable_prime(n, a) for a in bases[:k]) and not isprime(n), n
+        assert not is_prime(n), n
+
+
+def test_is_prime_factors_only_at_or_above_the_bound(monkeypatch):
+    """Below 3317044064679887385961981 Miller-Rabin decides and nothing is factored, so
+    10^18 + 9 answers at once; 2^82 is past the bound, where factorize decides."""
+    seen = []
+    monkeypatch.setattr(arith, "factorize", lambda n: seen.append(n) or factorize(n))
+    assert is_prime.__wrapped__(10**18 + 9) and not is_prime.__wrapped__(3317044064679887385961981 - 2)
+    assert seen == []
+    assert not is_prime.__wrapped__(2**82)
+    assert seen == [2**82]
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 9972, 9973, 10000, 10007, 20000])

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import signal
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pellbisect import pellcore
+from pellbisect import cli, pellcore
 from pellbisect.cli import main, render_figure, run_table
 
 DATA = Path(__file__).parent / "data"
@@ -220,6 +221,14 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 1
 
 
+def test_d_list_usage_error_names_its_format(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--d-list", "2,,5"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "argument --d-list: expected D,D,..., got '2,,5'" in captured.err
+
+
 def test_domain_error_exit_code_for_bad_d(capsys):
     """solve builds the context before it checks z, so a bad d is the error
     reported even when z is bad too."""
@@ -325,6 +334,38 @@ def test_oracle_subcommands(capsys):
     assert {"x": "5/3", "y": "1/3"} in json.loads(out)
     code, out = run(capsys, "oracle", "tangent", "--a", "1", "--b", "7", "--c", "-1/2")
     assert json.loads(out) == {"bisects": True}
+
+
+# one argv per leaf of the parser: the ten subcommands that run and the four oracle sweeps
+LEAVES = (("context", "--d", "5"), ("xi", "--d", "5", "--p", "11"), ("spectrum", "--d", "5"),
+          ("solve", "--d", "5", "--z", "11"), ("decompose", "--d", "5", "--x", "4", "--y", "1"),
+          ("rational", "--d", "5"), ("bisect", "--a", "3/4", "--b", "12/5"), ("triples", "--mode", "case1"),
+          ("table",), ("figure", "--a", "3/4", "--b", "12/5"),
+          ("oracle", "solutions", "--d", "34", "--z", "9", "--ymax", "10"),
+          ("oracle", "xi", "--d", "34", "--p", "3", "--ymax", "10"),
+          ("oracle", "rational", "--d", "2", "--r", "1", "--ymax", "10"),
+          ("oracle", "tangent", "--a", "1", "--b", "7", "--c", "2"))
+
+
+@pytest.mark.parametrize("leaf", LEAVES, ids=" ".join)
+def test_every_leaf_takes_the_common_flags_before_and_after_itself(leaf):
+    """--format, --ascii and --out parse the same before the subcommand and after the leaf,
+    and a leaf given none of them keeps the values main starts from."""
+    seen = []
+    for argv in (leaf, ("--format", "text", "--ascii", "--out", "o", *leaf),
+                 (*leaf, "--format", "text", "--ascii", "--out", "o")):
+        parsed = cli._build_parser().parse_args(list(argv), argparse.Namespace(format="json", ascii=False, out=None))
+        seen.append((parsed.format, parsed.ascii, parsed.out))
+    assert seen == [("json", False, None)] + [("text", True, "o")] * 2
+
+
+@pytest.mark.parametrize("leaf", LEAVES[-4:], ids=" ".join)
+def test_oracle_sweeps_write_out_given_after_themselves(leaf, tmp_path, capsys):
+    """The sweeps accept the common flags after themselves, as README says every subcommand does."""
+    _, printed = run(capsys, *leaf)
+    path = tmp_path / "o.json"
+    code, out = run(capsys, *leaf, "--format", "json", "--ascii", "--out", str(path))
+    assert code == 0 and out == "" and path.read_text() == printed
 
 
 def test_json_outputs_are_deterministic(capsys):

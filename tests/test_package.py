@@ -343,3 +343,27 @@ def test_factorize_holds_the_only_trial_division_loop():
         if path.stem != "oracle":
             visit(ast.parse(path.read_text(), str(path)), path.stem, None, frozenset())
     assert owners == {("arith", "factorize")}
+
+
+def test_clear_pair_holds_the_only_lcm():
+    """Every rational pair is cleared to (x, y, m) over its least common denominator by
+    quadfield._clear_pair, so QuadElem.scaled_coords, the solver's peel and the bisector
+    read the same integers."""
+    owners, callers = set(), set()
+
+    def visit(node, module, owner):
+        if isinstance(node, ast.FunctionDef):
+            owner = node.name
+        name = getattr(node.func, "id", getattr(node.func, "attr", None)) if isinstance(node, ast.Call) else None
+        if name == "lcm":
+            owners.add((module, owner))
+        elif name == "_clear_pair":
+            callers.add((module, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for path in sorted((SRC / "pellbisect").glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem, None)
+    assert owners == {("quadfield", "_clear_pair")}
+    assert {("quadfield", "scaled_coords"), ("solver", "_cleared"), ("bisector", "_pair_kernel"),
+            ("bisector", "from_pell_points")} <= callers

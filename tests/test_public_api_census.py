@@ -532,6 +532,8 @@ SLOW_FACTOR = pytest.mark.xfail(
     strict=True, raises=CensusTimeout,
     reason="ROADMAP items 6 and 7: the peel factors the modulus 13833247 * 72289607799094457 by trial "
            "division; a factorization that scales, or a budget that refuses the call, mends it")
+# a prime, inert for d = 34: is_prime decides it without factoring (Miller-Rabin)
+P18 = 10**18 + 9
 # the point (10^12 + 109, 1) of |x^2 - 2 y^2| = 13833247 * 72289607799094457, a 17-digit prime cofactor
 BIG_X = 10**12 + 109
 # xi_3 * eta^3000 on d = 94, where eta is sympy's Pell unit and xi_3 = 223 + 23*sqrt(94) has norm 3
@@ -725,6 +727,7 @@ CENSUS = {
         ("ramified", (34, 17)),
         ("p=2", (17, 2)),
         ("large_p", (34, 1000003)),
+        ("prime_1e18", (34, P18)),
         ("composite", (34, 9)),
         ("one", (34, 1)),
         ("negative", (34, -3)),
@@ -737,6 +740,7 @@ CENSUS = {
         ("half_unit_2", (CTX5, 2)),
         ("ramified", (CTX34, 17)),
         ("large_p", (CTX34, 1000003)),
+        ("prime_1e18", (CTX34, P18)),
         ("composite", (CTX34, 9)),
         ("one", (CTX34, 1)),
         ("negative", (CTX34, -3)),
@@ -766,6 +770,7 @@ CENSUS = {
         ("floats", (CTX34, 3.0)),
         ("int_context", (34, 3)),
         ("large_p", (CTX34, 1000003), SLOW_XI),
+        ("prime_1e18", (CTX34, P18)),
     ]),
     "Spectrum": (Spectrum, _accept_spectrum_fields, [
         ("valid", (34, 97, SPEC34.entries)),
@@ -911,6 +916,7 @@ CENSUS = {
         ("scaled", (Representation(d=2, n=1, scale=F(1, 7)),)),
         ("half_xi_2", (Representation(d=17, m=1, terms=(XiPower(2, 1),)),)),
         ("inert_prime", (Representation(d=34, terms=(XiPower(7, 1),)),)),
+        ("prime_1e18", (Representation(d=34, terms=(XiPower(P18, 1),)),)),
         ("not_squarefree", (Representation(d=4),)),
         ("string", ("x",)),
         ("bool_exp", (Representation(d=34, terms=(XiPower(3, True),)),)),
@@ -922,6 +928,7 @@ CENSUS = {
         ("bad_core", (Representation(d=34, core=CoreFactor(15, 7, 2)),)),
         ("negative_exp", (Representation(d=34, terms=(XiPower(3, -1),)),)),
         ("inert_prime", (Representation(d=34, terms=(XiPower(7, 1),)),)),
+        ("prime_1e18", (Representation(d=34, terms=(XiPower(P18, 1),)),)),
         ("composite_p", (Representation(d=34, terms=(XiPower(9, 1),)),)),
         ("not_squarefree", (Representation(d=4),)),
         ("string", ("x",)),
